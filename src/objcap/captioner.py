@@ -173,13 +173,16 @@ class Hypothesis:
     """A beam-search partial caption.
 
     ``tokens`` starts with BOS and may end with EOS; ``log_prob`` is the
-    plain sum of word log-probabilities (no length normalization).
+    plain sum of word log-probabilities (no length normalization);
+    ``alphas`` holds the frame attention of the step that produced each
+    token after BOS.
     """
 
     tokens: tuple[int, ...]
     log_prob: float
     state: DecoderState
     finished: bool
+    alphas: tuple[np.ndarray, ...] = ()
 
     @property
     def words(self) -> list[int]:
@@ -258,7 +261,6 @@ class TeacherForcedResult:
     loss: Tensor            # mean negative log-likelihood over scored positions
     loss_sum: Tensor
     scored_positions: int
-    step_logits: list[Tensor]
 
 
 def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
@@ -281,7 +283,6 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
 
     state = initial_state(p)
     loss_sum = None
-    logits_per_step: list[Tensor] = []
     scored = 0
     for i in range(len(caption) - 1):
         gold = caption[i + 1]
@@ -289,12 +290,11 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
             break
         step = decode_step(p, ctx, caption[i], state)
         state = step.state
-        logits_per_step.append(step.word_logits)
         nll = -log_softmax(step.word_logits)[gold]
         loss_sum = nll if loss_sum is None else loss_sum + nll
         scored += 1
     return TeacherForcedResult(loss=loss_sum * (1.0 / scored), loss_sum=loss_sum,
-                               scored_positions=scored, step_logits=logits_per_step)
+                               scored_positions=scored)
 
 
 def decode_greedy(p: CaptionerParams, ctx: SegmentContext,
@@ -320,42 +320,33 @@ def beam_search(p: CaptionerParams, ctx: SegmentContext, beam_width: int,
 
     Finished hypotheses stay in the pool and compete with fresh expansions;
     ties break on the smaller token sequence so width 1 reproduces greedy
-    decoding exactly.
+    decoding exactly. Hypotheses are built only for candidates scoring at
+    least the ``beam_width``-th best score, ties included, which keeps the
+    same pool as sorting every candidate.
     """
     if beam_width < 1:
         raise ContractError("beam width must be at least 1")
     pool = [Hypothesis(tokens=(BOS_ID,), log_prob=0.0, state=initial_state(p),
                        finished=False)]
     while any(not h.finished for h in pool):
-        candidates = [h for h in pool if h.finished]
-        for hyp in pool:
-            if hyp.finished:
-                continue
-            step = decode_step(p, ctx, hyp.tokens[-1], hyp.state)
-            logp = log_softmax(step.word_logits).data
-            n_words = len(hyp.tokens) - 1
-            for w in range(p.vocab_size):
-                done = w == EOS_ID or n_words + 1 >= max_words
-                candidates.append(Hypothesis(
-                    tokens=hyp.tokens + (w,),
-                    log_prob=hyp.log_prob + float(logp[w]),
-                    state=step.state,
-                    finished=done,
-                ))
+        finished = [h for h in pool if h.finished]
+        live = [h for h in pool if not h.finished]
+        steps = [decode_step(p, ctx, h.tokens[-1], h.state) for h in live]
+        scores = np.stack([h.log_prob + log_softmax(step.word_logits).data
+                           for h, step in zip(live, steps)])
+        every = np.concatenate([[h.log_prob for h in finished], scores.ravel()])
+        kth = max(every.size - beam_width, 0)
+        cut = np.partition(every, kth)[kth]
+        candidates = [h for h in finished if h.log_prob >= cut]
+        for i, w in np.argwhere(scores >= cut).tolist():
+            hyp, step = live[i], steps[i]
+            candidates.append(Hypothesis(
+                tokens=hyp.tokens + (w,),
+                log_prob=float(scores[i, w]),
+                state=step.state,
+                finished=w == EOS_ID or len(hyp.tokens) >= max_words,
+                alphas=hyp.alphas + (step.alpha_temp.data,),
+            ))
         candidates.sort(key=lambda h: (-h.log_prob, h.tokens))
         pool = candidates[:beam_width]
     return pool[0]
-
-
-def replay_alphas(p: CaptionerParams, ctx: SegmentContext,
-                  tokens: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
-    """Re-run a decoded token sequence and collect (generated word, frame
-    distribution) pairs; decode_step is deterministic so the replay matches
-    the original search."""
-    state = initial_state(p)
-    out = []
-    for i in range(len(tokens) - 1):
-        step = decode_step(p, ctx, tokens[i], state)
-        state = step.state
-        out.append((tokens[i + 1], step.alpha_temp.data.copy()))
-    return out

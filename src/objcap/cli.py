@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .captioner import EOS_ID, beam_search, replay_alphas
+from .captioner import EOS_ID, beam_search
 from .data import (
     Dataset,
     SegmentFormatError,
@@ -32,7 +32,8 @@ from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
 def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
                     with_trace: bool = False) -> tuple[dict, dict]:
-    """Decode every segment; optionally collect per-word attention traces."""
+    """Decode every segment; optionally collect per-word attention traces,
+    taken from the frame attention the beam search recorded."""
     predictions: dict[str, str] = {}
     traces: dict[str, list] = {}
     for seg in segments:
@@ -46,16 +47,12 @@ def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
                  for entry in record.groups]
                 for record in records
             ]
-            words = []
-            for word_id, alpha in replay_alphas(model.captioner, ctx, hyp.tokens):
-                if word_id == EOS_ID:
-                    continue
-                words.append({
-                    "word": vocab.id_to_word[word_id],
-                    "alpha_temp": alpha.tolist(),
-                    "object_attention": object_attention,
-                })
-            traces[seg.segment_id] = words
+            traces[seg.segment_id] = [
+                {"word": vocab.id_to_word[word_id], "alpha_temp": alpha.tolist(),
+                 "object_attention": object_attention}
+                for word_id, alpha in zip(hyp.tokens[1:], hyp.alphas)
+                if word_id != EOS_ID
+            ]
     return predictions, traces
 
 
@@ -64,7 +61,8 @@ def _split_segments(dataset: Dataset, split: str):
         return dataset.train
     if split == "val":
         return dataset.val
-    return dataset.train + [s for s in dataset.val if s not in dataset.train]
+    train_ids = {s.segment_id for s in dataset.train}
+    return dataset.train + [s for s in dataset.val if s.segment_id not in train_ids]
 
 
 def cmd_synth(args) -> int:
@@ -82,8 +80,9 @@ def cmd_train(args) -> int:
     model_overrides: dict = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())
-        train_cfg = TrainConfig.from_dict({**TrainConfig().to_dict(),
-                                           **raw.get("train", {})})
+        if not isinstance(raw, dict):
+            raise ContractError("config must be a JSON object")
+        train_cfg = TrainConfig.from_dict(raw.get("train", {}))
         model_overrides = raw.get("model", {})
     result = train(train_cfg, dataset, model_overrides)
     out = Path(args.out)

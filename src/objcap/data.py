@@ -110,20 +110,27 @@ def save_segment(path: str | Path, seg: SegmentFeatures) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, raw: bytes):
+class Reader:
+    """Cursor over a little-endian binary file. Running past the end raises
+    ``error(message, offset)``, so every format error names its byte."""
+
+    def __init__(self, raw: bytes, error=SegmentFormatError):
         self.raw = raw
         self.off = 0
+        self.error = error
 
     def pull(self, n: int) -> bytes:
         if self.off + n > len(self.raw):
-            raise SegmentFormatError(f"truncated: wanted {n} more bytes", self.off)
+            raise self.error(f"truncated: wanted {n} more bytes", self.off)
         out = self.raw[self.off:self.off + n]
         self.off += n
         return out
 
     def u32(self) -> int:
         return struct.unpack("<I", self.pull(4))[0]
+
+    def text(self) -> str:  # u32 byte length, then UTF-8
+        return self.pull(self.u32()).decode("utf-8")
 
     def floats(self, count: int) -> np.ndarray:
         return np.frombuffer(self.pull(count * 8), dtype="<f8").astype(np.float64)
@@ -132,20 +139,20 @@ class _Reader:
 def load_segment(path: str | Path) -> SegmentFeatures:
     """Parse and validate one segment file; parse failures report the byte
     offset, invariant violations name the offending field."""
-    r = _Reader(Path(path).read_bytes())
+    r = Reader(Path(path).read_bytes())
     if r.pull(4) != MAGIC:
         raise SegmentFormatError("bad magic", 0)
     version = r.u32()
     if version != FORMAT_VERSION:
         raise SegmentFormatError(f"unsupported version {version}", 4)
-    sid = r.pull(r.u32()).decode("utf-8")
+    sid = r.text()
     t, d_img, d_obj = r.u32(), r.u32(), r.u32()
     if t < 1 or t > 10**6:
         raise SegmentFormatError(f"implausible frame count {t}", r.off - 12)
     counts = [r.u32() for _ in range(t)]
     image = r.floats(t * d_img).reshape(t, d_img)
     objects = [r.floats(n * d_obj).reshape(n, d_obj) for n in counts]
-    captions = [r.pull(r.u32()).decode("utf-8") for _ in range(r.u32())]
+    captions = [r.text() for _ in range(r.u32())]
     if r.off != len(r.raw):
         raise SegmentFormatError(f"{len(r.raw) - r.off} trailing bytes", r.off)
     return SegmentFeatures(segment_id=sid, image_feats=image,

@@ -3,14 +3,13 @@ and the segment-level forward that feeds the decoder."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .captioner import (
     CaptionerParams,
     SegmentContext,
-    forward_teacher_forced,
     init_captioner,
     precompute_frames,
 )
@@ -22,6 +21,27 @@ from .interaction import (
     interaction_sequence,
 )
 from .tensor import ContractError, Tensor
+
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def config_from_dict(cls, d, section: str):
+    """Build the config dataclass ``cls`` from a JSON object, rejecting
+    unknown or missing keys and values of the wrong type."""
+    if not isinstance(d, dict):
+        raise ContractError(f"{section} config must be a JSON object")
+    declared = {f.name: f.type for f in fields(cls)}
+    for key, value in d.items():
+        if key not in declared:
+            raise ContractError(f"unknown {section} config key {key!r}")
+        kind, _, optional = declared[key].partition(" | ")
+        if not (value is None and optional or type(value) in _JSON_TYPES[kind]):
+            raise ContractError(f"{section} config {key!r} must be {declared[key]}, "
+                                f"got {value!r}")
+    try:
+        return cls(**d)
+    except TypeError as exc:  # a key without a default is missing
+        raise ContractError(f"{section} config: {exc}") from None
 
 
 @dataclass
@@ -48,7 +68,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return config_from_dict(cls, d, "model")
 
 
 @dataclass
@@ -118,9 +138,3 @@ def segment_context(model: Model, image_feats: np.ndarray,
         hiddens = None
     ctx = precompute_frames(model.captioner, v_c, hiddens)
     return ctx, records
-
-
-def caption_loss(model: Model, image_feats: np.ndarray,
-                 object_feats: list[np.ndarray], caption_ids: list[int]):
-    ctx, _ = segment_context(model, image_feats, object_feats)
-    return forward_teacher_forced(model.captioner, ctx, caption_ids)

@@ -3,7 +3,9 @@
 Every operation records a backward closure on its output node. Calling
 ``backward()`` on a scalar walks the graph in reverse topological order and
 accumulates gradients additively, so a value consumed several times receives
-the sum of all its downstream contributions.
+the sum of all its downstream contributions. A closure takes its node as an
+argument instead of closing over it, so the tape holds no reference cycles
+and a graph is freed as soon as its last reference goes.
 
 Tape policy: each forward pass builds a fresh graph; ``backward()`` may be
 called once per graph root and raises on a second call. Gradients persist on
@@ -41,12 +43,6 @@ class Tensor:
         self._prev = _prev
         self._backward = None
         self._backward_done = False
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, *shape: int, requires_grad: bool = False) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -100,7 +96,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
                 node._backward = None  # release closures, graph is spent
 
     def __repr__(self) -> str:
@@ -123,7 +119,7 @@ class Tensor:
             raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
         out = Tensor(out_data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
 
-        def _backward():
+        def _backward(out):
             g = out.grad
             if a.requires_grad:
                 a._accumulate(g)
@@ -137,7 +133,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.data, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward():
+        def _backward(out):
             self._accumulate(-out.grad)
 
         if out.requires_grad:
@@ -152,7 +148,7 @@ class Tensor:
             s = float(other)
             out = Tensor(self.data * s, requires_grad=self.requires_grad, _prev=(self,))
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad * s)
 
             if out.requires_grad:
@@ -165,7 +161,7 @@ class Tensor:
         a, b = self, other
         out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
 
-        def _backward():
+        def _backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * b.data)
             if b.requires_grad:
@@ -191,7 +187,7 @@ class Tensor:
         else:
             raise ShapeError(f"unsupported index {key!r} for shape {self.shape}")
 
-        def _backward():
+        def _backward(out):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
             self.grad[idx] += out.grad
@@ -205,7 +201,7 @@ class Tensor:
     def tanh(self) -> "Tensor":
         out = Tensor(np.tanh(self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward():
+        def _backward(out):
             self._accumulate((1.0 - out.data * out.data) * out.grad)
 
         if out.requires_grad:
@@ -219,7 +215,7 @@ class Tensor:
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         out = Tensor(y, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward():
+        def _backward(out):
             self._accumulate(out.data * (1.0 - out.data) * out.grad)
 
         if out.requires_grad:
@@ -229,7 +225,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = Tensor(np.maximum(self.data, 0.0), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward():
+        def _backward(out):
             self._accumulate((self.data > 0) * out.grad)
 
         if out.requires_grad:
@@ -241,7 +237,7 @@ class Tensor:
     def sum(self) -> "Tensor":
         out = Tensor(np.sum(self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward():
+        def _backward(out):
             self._accumulate(np.full_like(self.data, float(out.grad)))
 
         if out.requires_grad:
@@ -252,14 +248,14 @@ class Tensor:
         if axis is None:
             out = Tensor(np.mean(self.data), requires_grad=self.requires_grad, _prev=(self,))
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(np.full_like(self.data, float(out.grad) / self.data.size))
 
         elif axis == 0 and len(self.shape) == 2:
             n = self.shape[0]
             out = Tensor(self.data.mean(axis=0), requires_grad=self.requires_grad, _prev=(self,))
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(np.broadcast_to(out.grad / n, self.shape).copy())
 
         else:
@@ -275,7 +271,7 @@ class Tensor:
             raise ShapeError(f"transpose needs a matrix, got shape {self.shape}")
         out = Tensor(self.data.T, requires_grad=self.requires_grad, _prev=(self,))
 
-        def _backward():
+        def _backward(out):
             self._accumulate(out.grad.T)
 
         if out.requires_grad:
@@ -295,7 +291,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
 
-    def _backward():
+    def _backward(out):
         g = out.grad
         ar, br = len(a.shape), len(b.shape)
         if a.requires_grad:
@@ -333,7 +329,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     y = e / np.sum(e, axis=axis, keepdims=True)
     out = Tensor(y, requires_grad=x.requires_grad, _prev=(x,))
 
-    def _backward():
+    def _backward(out):
         g = out.grad
         dot = np.sum(g * out.data, axis=axis, keepdims=True)
         x._accumulate(out.data * (g - dot))
@@ -351,7 +347,7 @@ def log_softmax(x: Tensor) -> Tensor:
     lse = np.log(np.sum(np.exp(shifted)))
     out = Tensor(shifted - lse, requires_grad=x.requires_grad, _prev=(x,))
 
-    def _backward():
+    def _backward(out):
         g = out.grad
         x._accumulate(g - np.exp(out.data) * np.sum(g))
 
@@ -371,7 +367,7 @@ def concat(parts: list[Tensor]) -> Tensor:
                  requires_grad=any(p.requires_grad for p in parts),
                  _prev=tuple(parts))
 
-    def _backward():
+    def _backward(out):
         off = 0
         for p in parts:
             n = p.shape[0]
@@ -396,7 +392,7 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
                  requires_grad=any(r.requires_grad for r in rows),
                  _prev=tuple(rows))
 
-    def _backward():
+    def _backward(out):
         for i, r in enumerate(rows):
             if r.requires_grad:
                 r._accumulate(out.grad[i])
@@ -414,7 +410,7 @@ def take_column(m: Tensor, j: int) -> Tensor:
         raise ShapeError(f"column {j} out of range for shape {m.shape}")
     out = Tensor(m.data[:, j], requires_grad=m.requires_grad, _prev=(m,))
 
-    def _backward():
+    def _backward(out):
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
         m.grad[:, j] += out.grad
@@ -422,8 +418,3 @@ def take_column(m: Tensor, j: int) -> Tensor:
     if out.requires_grad:
         out._backward = _backward
     return out
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()

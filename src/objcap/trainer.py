@@ -21,14 +21,15 @@ outputs bitwise. A JSON sidecar (path + ".json") echoes the config block.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Vocabulary, build_vocab, encode_caption
-from .model import Model, ModelConfig, init_model, segment_context
+from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption
+from .model import Model, ModelConfig, config_from_dict, init_model, segment_context
 from .captioner import forward_teacher_forced
 from .tensor import ContractError, Tensor
 
@@ -65,7 +66,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return config_from_dict(cls, d, "train")
 
 
 @dataclass
@@ -143,10 +144,13 @@ def train(cfg: TrainConfig, dataset: Dataset,
         raise ContractError("dataset needs non-empty train and val splits")
 
     vocab = build_vocab([c for seg in dataset.train for c in seg.captions])
-    overrides = dict(model_overrides or {})
-    overrides.setdefault("image_dim", dataset.train[0].image_feats.shape[1])
-    overrides.setdefault("object_dim", dataset.train[0].object_feats[0].shape[1])
-    model_cfg = ModelConfig(vocab_size=vocab.size, **overrides)
+    overrides = {} if model_overrides is None else model_overrides
+    if not isinstance(overrides, dict) or "vocab_size" in overrides:
+        raise ContractError("model config must be a JSON object without 'vocab_size'")
+    model_cfg = ModelConfig.from_dict({
+        "image_dim": dataset.train[0].image_feats.shape[1],
+        "object_dim": dataset.train[0].object_feats[0].shape[1],
+        **overrides, "vocab_size": vocab.size})
     model = init_model(model_cfg, seed=cfg.seed)
 
     params = model.named_parameters()
@@ -252,32 +256,24 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    off = 0
-
-    def pull(n):
-        nonlocal off
-        if off + n > len(raw):
-            raise ContractError(f"checkpoint truncated at byte {off}")
-        out = raw[off:off + n]
-        off += n
-        return out
-
-    if pull(4) != CKPT_MAGIC:
-        raise ContractError("not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", pull(4))[0]
+    r = Reader(Path(path).read_bytes(),
+               error=lambda msg, off: ContractError(f"checkpoint {msg} (at byte {off})"))
+    if r.pull(4) != CKPT_MAGIC:
+        raise r.error("has bad magic", 0)
+    version = r.u32()
     if version != CKPT_VERSION:
-        raise ContractError(f"unsupported checkpoint version {version}")
-    step = struct.unpack("<Q", pull(8))[0]
-    blob = json.loads(pull(struct.unpack("<I", pull(4))[0]).decode("utf-8"))
-    count = struct.unpack("<I", pull(4))[0]
+        raise r.error(f"version {version} is unsupported", 4)
+    step = struct.unpack("<Q", r.pull(8))[0]
+    blob = json.loads(r.text())
     table: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = pull(struct.unpack("<I", pull(4))[0]).decode("utf-8")
-        ndim = struct.unpack("<I", pull(4))[0]
-        shape = struct.unpack(f"<{ndim}I", pull(4 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
-        table[name] = np.frombuffer(pull(size * 8), dtype="<f8").reshape(shape).copy()
+    for _ in range(r.u32()):
+        name = r.text()
+        ndim = r.u32()
+        shape = tuple(r.u32() for _ in range(ndim))
+        start = r.off
+        table[name] = r.floats(math.prod(shape)).reshape(shape)
+        if not np.all(np.isfinite(table[name])):
+            raise r.error(f"tensor {name} has non-finite values", start)
 
     vocab = Vocabulary.from_list(blob["vocab"])
     model = init_model(ModelConfig.from_dict(blob["model"]), seed=0)

@@ -67,6 +67,26 @@ class TestTrainCommand:
         assert (out1 / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
         assert (out1 / "loss_log.json").read_text() == (out2 / "loss_log.json").read_text()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"train": {"max_epoch": 3}}, "max_epoch"),
+        ({"train": {"max_epochs": "3"}}, "max_epochs"),
+        ({"train": {"lr": True}}, "lr"),
+        ({"model": {"hidden": 4}}, "hidden"),
+        ({"model": {"attn_dim": 4.5}}, "attn_dim"),
+        ({"model": {"use_image": 1}}, "use_image"),
+        ({"model": {"vocab_size": 9}}, "vocab_size"),
+        ({"model": [1, 2]}, "model"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["train", "--data", str(corpus / "manifest.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert err.count("\n") == 1
+
     def test_missing_manifest_exits_1(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
@@ -119,6 +139,16 @@ class TestCaptionCommand:
                          "--data", str(corpus / "manifest.json"),
                          "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "x.json").read_bytes() == (tmp_path / "y.json").read_bytes()
+
+    def test_split_all_captions_each_segment_once(self, tmp_path, corpus):
+        # the synth default reuses the train split for validation
+        out = run_train(tmp_path, corpus)
+        pred = tmp_path / "all.json"
+        code = main(["caption", "--ckpt", str(out / "model.ckpt"),
+                     "--data", str(corpus / "manifest.json"), "--split", "all",
+                     "--out", str(pred)])
+        assert code == 0
+        assert sorted(json.loads(pred.read_text())) == [f"seg_{i:04d}" for i in range(4)]
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, corpus, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -168,6 +168,27 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="truncated"):
             load_checkpoint(p)
 
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=0, seed=6)
+        res = train(cfg, ds, SMALL_MODEL)
+        res.model.captioner.out_b.data[1] = np.nan
+        p = tmp_path / "nan.ckpt"
+        save_checkpoint(p, res.model, res.vocab, res.adam, cfg)
+        with pytest.raises(ContractError, match="param/captioner.out.b has non-finite"):
+            load_checkpoint(p)
+
+    def test_config_blob_validated(self, tmp_path):
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=0, seed=6)
+        res = train(cfg, ds, SMALL_MODEL)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, res.model, res.vocab, res.adam, cfg)
+        # same byte length, so only the blob's content changes
+        p.write_bytes(p.read_bytes().replace(b'"attn_dim": 4, ', b'"attn_dim":"4",', 1))
+        with pytest.raises(ContractError, match="attn_dim"):
+            load_checkpoint(p)
+
 
 def test_train_config_validation():
     with pytest.raises(ContractError):
