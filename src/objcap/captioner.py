@@ -117,7 +117,7 @@ def init_captioner(rng: np.random.Generator, *, image_dim: int, vocab_size: int,
     lang_in = attn_hidden + (img_proj_dim if use_image else 0) \
         + (interaction_hidden if use_objects else 0)
     return CaptionerParams(
-        img_proj=init_mlp(rng, [image_dim, img_proj_dim], ["tanh"]) if use_image else None,
+        img_proj=init_mlp(rng, [image_dim, img_proj_dim]) if use_image else None,
         attn_lstm=init_lstm(rng, lang_hidden + img_proj_dim + embed_dim, attn_hidden),
         temporal_w_h=glorot_uniform(rng, img_proj_dim, attn_hidden),
         temporal_w_c=glorot_uniform(rng, img_proj_dim, key_dim),
@@ -145,11 +145,14 @@ class SegmentContext:
     ``pooled``    mean of the projected rows, or zeros without the pathway
     ``states``    interaction states stacked one row per frame (None without
                   the object pathway)
+    ``keys``      the frame-attention keys, ``frames`` (or ``states`` without
+                  the image pathway) times ``temporal_w_c.T``
     """
 
     frames: Tensor | None
     pooled: Tensor
     states: Tensor | None
+    keys: Tensor
     length: int
 
 
@@ -194,7 +197,8 @@ class Hypothesis:
 
 def precompute_frames(p: CaptionerParams, v_c: Tensor,
                       interactions: list[Tensor] | None) -> SegmentContext:
-    """Project the frame features, pool them, and stack interaction states."""
+    """Project the frame features, pool them, stack interaction states, and
+    compute the frame-attention keys."""
     if len(v_c.shape) != 2 or v_c.shape[0] < 1:
         raise ContractError(f"frame features must be a T x D matrix with T >= 1, got {v_c.shape}")
     length = v_c.shape[0]
@@ -212,7 +216,9 @@ def precompute_frames(p: CaptionerParams, v_c: Tensor,
     else:
         frames = None
         pooled = Tensor(np.zeros(p.img_proj_dim))
-    return SegmentContext(frames=frames, pooled=pooled, states=states, length=length)
+    keys = matmul(frames if p.use_image else states, p.temporal_w_c.T)
+    return SegmentContext(frames=frames, pooled=pooled, states=states, keys=keys,
+                          length=length)
 
 
 def initial_state(p: CaptionerParams) -> DecoderState:
@@ -236,9 +242,8 @@ def decode_step(p: CaptionerParams, ctx: SegmentContext, prev_word: int,
     x1 = concat([state.h2, ctx.pooled, embedding])
     h1, c1 = lstm_step(p.attn_lstm, x1, state.h1, state.c1)
 
-    keys = ctx.frames if p.use_image else ctx.states
     query = matmul(p.temporal_w_h, h1)
-    scores = matmul((matmul(keys, p.temporal_w_c.T) + query).tanh(), p.temporal_w_a)
+    scores = matmul((ctx.keys + query).tanh(), p.temporal_w_a)
     alpha = softmax(scores)
 
     parts = [h1]

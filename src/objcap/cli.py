@@ -42,11 +42,8 @@ def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
                           max_words=model.config.max_words)
         predictions[seg.segment_id] = decode_caption(vocab, hyp.words)
         if with_trace:
-            object_attention = [
-                [(entry.alpha.data.tolist() if entry.alpha is not None else [])
-                 for entry in record.groups]
-                for record in records
-            ]
+            object_attention = [[[] if alpha is None else alpha.tolist() for alpha in frame]
+                                for frame in records]
             traces[seg.segment_id] = [
                 {"word": vocab.id_to_word[word_id], "alpha_temp": alpha.tolist(),
                  "object_attention": object_attention}
@@ -160,13 +157,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, SegmentFormatError, ContractError, ShapeError) as exc:
+    except (ValidationError, SegmentFormatError, ContractError, ShapeError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing input: {exc.filename}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

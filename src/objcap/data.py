@@ -130,7 +130,11 @@ class Reader:
         return struct.unpack("<I", self.pull(4))[0]
 
     def text(self) -> str:  # u32 byte length, then UTF-8
-        return self.pull(self.u32()).decode("utf-8")
+        raw = self.pull(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error("invalid UTF-8", self.off - len(raw) + exc.start) from None
 
     def floats(self, count: int) -> np.ndarray:
         return np.frombuffer(self.pull(count * 8), dtype="<f8").astype(np.float64)
@@ -179,6 +183,8 @@ class Vocabulary:
 
     @classmethod
     def from_list(cls, words: list[str]) -> "Vocabulary":
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValidationError("vocabulary", "must be a list of strings")
         if words[:4] != RESERVED_WORDS:
             raise ValidationError("vocabulary", "reserved ids 0-3 missing or reordered")
         v = cls(id_to_word=list(words))
@@ -308,9 +314,12 @@ def load_manifest(manifest_path: str | Path) -> Dataset:
     path = Path(manifest_path)
     manifest = json.loads(path.read_text())
     root = path.parent
+    if not isinstance(manifest, dict):
+        raise ValidationError("manifest", "must be a JSON object")
     for key in ("train", "val"):
-        if key not in manifest:
-            raise ValidationError("manifest", f"missing {key!r} split")
+        split = manifest.get(key)
+        if not isinstance(split, list) or not all(isinstance(p, str) for p in split):
+            raise ValidationError("manifest", f"{key!r} split must be a list of file names")
     return Dataset(
         root=root,
         train=[load_segment(root / p) for p in manifest["train"]],

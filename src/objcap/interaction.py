@@ -8,6 +8,10 @@ vector per group. The K pooled vectors are concatenated and driven through a
 shared LSTM across frames, so the hidden state at time t summarizes the
 object interactions seen so far.
 
+Only the hidden-state term of the bias depends on the recurrence, so each
+group's object projections and frame contexts are computed once per segment,
+for all frames together, before the frame loop.
+
 Object rows are an unordered set: no identity or cross-frame correspondence
 is assumed, and all outputs are invariant to row permutation.
 """
@@ -29,45 +33,6 @@ from .layers import (
     mlp_forward,
 )
 from .tensor import ContractError, ShapeError, Tensor, concat, matmul, softmax
-
-
-@dataclass
-class FrameObjects:
-    """Object feature rows for one frame; ``objects`` is None when count == 0."""
-
-    objects: Tensor | None
-    count: int
-
-    def __post_init__(self):
-        if self.count == 0:
-            if self.objects is not None:
-                raise ContractError("count 0 requires objects=None")
-        else:
-            if self.objects is None or len(self.objects.shape) != 2 \
-                    or self.objects.shape[0] != self.count:
-                raise ShapeError(f"objects must be ({self.count} x D)")
-
-
-@dataclass
-class InteractionState:
-    h: Tensor
-    c: Tensor
-
-
-@dataclass
-class GroupAttention:
-    """One group's row-stochastic attention matrix and pooled vector.
-
-    ``alpha`` is None for empty frames, where ``pooled`` is a zero vector.
-    """
-
-    alpha: Tensor | None
-    pooled: Tensor
-
-
-@dataclass
-class ObjectAttentionRecord:
-    groups: list[GroupAttention]
 
 
 @dataclass
@@ -121,59 +86,68 @@ def init_interaction(rng: np.random.Generator, *, image_dim: int, object_dim: in
         groups.append(GroupParams(
             w_h=glorot_uniform(rng, attn_dim, hidden_size),
             w_c=glorot_uniform(rng, attn_dim, image_dim),
-            proj=init_mlp(rng, [object_dim, attn_dim], ["tanh"]),
+            proj=init_mlp(rng, [object_dim, attn_dim]),
         ))
     lstm = init_lstm(rng, num_groups * attn_dim, hidden_size)
     return InteractionParams(groups=groups, lstm=lstm, attn_dim=attn_dim)
 
 
-def group_attend(g: GroupParams, objects: FrameObjects, v_ct: Tensor,
-                 h_prev: Tensor, attn_dim: int) -> GroupAttention:
-    """Attend over one frame's objects with one group's weights.
+def group_attend(projected: Tensor, u: Tensor) -> tuple[Tensor, Tensor]:
+    """Attend over one frame's projected object rows (n x attn_dim) with one
+    group's context bias ``u``; returns the attention matrix and the pooled
+    vector.
 
-    Scores every pair of context-biased projected objects, normalizes each
-    row with softmax, weights the projected rows, and averages them into a
-    single vector.
+    Scores every pair of biased rows with a scaled dot product, normalizes
+    each row with softmax, weights the projected rows, and averages them into
+    a single vector.
     """
-    if objects.count < 1:
-        raise ContractError("group_attend needs at least one object")
-    u = matmul(g.w_h, h_prev) + matmul(g.w_c, v_ct)
-    projected = mlp_forward(g.proj, objects.objects)       # n x attn_dim
+    if len(projected.shape) != 2 or projected.shape[0] < 1:
+        raise ContractError("group_attend needs at least one object row")
     x = projected + u                                      # u added to every row
-    scores = matmul(x, x.T) * (1.0 / math.sqrt(attn_dim))  # n x n
+    scores = matmul(x, x.T) * (1.0 / math.sqrt(projected.shape[1]))  # n x n
     alpha = softmax(scores, axis=1)
     pooled = matmul(alpha, projected).mean(axis=0)
-    return GroupAttention(alpha=alpha, pooled=pooled)
+    return alpha, pooled
 
 
-def interaction_step(p: InteractionParams, objects: FrameObjects, v_ct: Tensor,
-                     state: InteractionState) -> tuple[InteractionState, ObjectAttentionRecord]:
-    """Attend with every group, concatenate the pooled vectors, advance the LSTM.
+def interaction_sequence(p: InteractionParams, image_feats: Tensor,
+                         object_feats: list[np.ndarray],
+                         ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
+    """Run the recurrence over a segment from a zero initial state.
 
-    Empty frames contribute zero pooled vectors so the recurrence still steps.
+    ``image_feats`` is T x image_dim; ``object_feats`` holds one n_t x
+    object_dim array per frame (n_t may be 0). Returns the hidden state after
+    each frame and, per frame, each group's attention matrix (None for an
+    empty frame, which contributes zero pooled vectors).
     """
-    if objects.count == 0:
-        entries = [GroupAttention(alpha=None, pooled=Tensor(np.zeros(p.attn_dim)))
-                   for _ in p.groups]
-    else:
-        entries = [group_attend(g, objects, v_ct, state.h, p.attn_dim) for g in p.groups]
-    pooled_all = concat([e.pooled for e in entries])
-    h, c = lstm_step(p.lstm, pooled_all, state.h, state.c)
-    return InteractionState(h=h, c=c), ObjectAttentionRecord(groups=entries)
+    if len(image_feats.shape) != 2 or image_feats.shape[0] < 1:
+        raise ContractError(f"image features must be T x D with T >= 1, got {image_feats.shape}")
+    if len(object_feats) != image_feats.shape[0]:
+        raise ContractError("one object array per frame required")
+    counts = [objs.shape[0] if objs.size else 0 for objs in object_feats]
+    rows = [objs for objs in object_feats if objs.size]
+    # state-independent work, once per segment: every frame's projected
+    # objects and every frame's context term, for each group
+    stacked = Tensor(np.concatenate(rows)) if rows else None
+    projected = [mlp_forward(g.proj, stacked) if rows else None for g in p.groups]
+    contexts = [matmul(image_feats, g.w_c.T) for g in p.groups]
 
-
-def interaction_sequence(p: InteractionParams, frames: list[tuple[FrameObjects, Tensor]],
-                         ) -> tuple[list[Tensor], list[ObjectAttentionRecord]]:
-    """Fold the per-frame step from a zero initial state; returns all hidden
-    states and the per-frame attention records."""
-    if not frames:
-        raise ContractError("interaction_sequence needs at least one frame")
-    state = InteractionState(h=Tensor(np.zeros(p.hidden_size)),
-                             c=Tensor(np.zeros(p.hidden_size)))
+    h = Tensor(np.zeros(p.hidden_size))
+    c = Tensor(np.zeros(p.hidden_size))
+    empty = Tensor(np.zeros(len(p.groups) * p.attn_dim))
     hiddens: list[Tensor] = []
-    records: list[ObjectAttentionRecord] = []
-    for objects, v_ct in frames:
-        state, record = interaction_step(p, objects, v_ct, state)
-        hiddens.append(state.h)
-        records.append(record)
+    records: list[list[np.ndarray | None]] = []
+    start = 0
+    for t, n in enumerate(counts):
+        if n:
+            attended = [group_attend(proj[start:start + n], matmul(g.w_h, h) + ctx[t])
+                        for g, proj, ctx in zip(p.groups, projected, contexts)]
+            pooled_all = concat([pooled for _, pooled in attended])
+            records.append([alpha.data for alpha, _ in attended])
+        else:
+            pooled_all = empty
+            records.append([None] * len(p.groups))
+        start += n
+        h, c = lstm_step(p.lstm, pooled_all, h, c)
+        hiddens.append(h)
     return hiddens, records

@@ -8,13 +8,11 @@ initialized to 1.0; all weight matrices draw from a seeded uniform
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import ContractError, ShapeError, Tensor, matmul
-
-ACTIVATIONS = ("tanh", "relu", "identity")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
@@ -83,19 +81,13 @@ def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple
 
 @dataclass
 class MlpParams:
-    """Chained affine layers with per-layer activation tags."""
+    """Chained affine layers, each followed by tanh."""
 
     layers: list[tuple[Tensor, Tensor]]
-    activations: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.layers:
             raise ContractError("MlpParams needs at least one layer")
-        if len(self.activations) != len(self.layers):
-            raise ContractError("one activation tag per layer required")
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ContractError(f"unknown activation {act!r}")
         for (w, b) in self.layers:
             if len(w.shape) != 2 or b.shape != (w.shape[0],):
                 raise ShapeError(f"bad MLP layer shapes: w {w.shape}, b {b.shape}")
@@ -120,12 +112,12 @@ class MlpParams:
         return out
 
 
-def init_mlp(rng: np.random.Generator, sizes: list[int], activations: list[str]) -> MlpParams:
+def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
     layers = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         layers.append((glorot_uniform(rng, fan_out, fan_in),
                        Tensor(np.zeros(fan_out), requires_grad=True)))
-    return MlpParams(layers=layers, activations=list(activations))
+    return MlpParams(layers=layers)
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
@@ -134,10 +126,6 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     if rank not in (1, 2) or x.shape[-1] != p.input_size:
         raise ShapeError(f"mlp_forward input shape {x.shape}, expected width {p.input_size}")
     out = x
-    for (w, b), act in zip(p.layers, p.activations):
-        out = matmul(w, out) + b if rank == 1 else matmul(out, w.T) + b
-        if act == "tanh":
-            out = out.tanh()
-        elif act == "relu":
-            out = out.relu()
+    for w, b in p.layers:
+        out = (matmul(w, out) + b if rank == 1 else matmul(out, w.T) + b).tanh()
     return out

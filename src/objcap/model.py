@@ -13,13 +13,7 @@ from .captioner import (
     init_captioner,
     precompute_frames,
 )
-from .interaction import (
-    FrameObjects,
-    InteractionParams,
-    ObjectAttentionRecord,
-    init_interaction,
-    interaction_sequence,
-)
+from .interaction import InteractionParams, init_interaction, interaction_sequence
 from .tensor import ContractError, Tensor
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -114,27 +108,21 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
 def segment_context(model: Model, image_feats: np.ndarray,
                     object_feats: list[np.ndarray],
-                    ) -> tuple[SegmentContext, list[ObjectAttentionRecord]]:
+                    ) -> tuple[SegmentContext, list[list[np.ndarray | None]]]:
     """Run the interaction module over a segment and precompute decoder inputs.
 
     ``image_feats`` is T x image_dim; ``object_feats`` holds one n_t x
     object_dim array per frame (n_t may be 0). Returns the decoder context
-    and the per-frame attention records for tracing.
+    and, per frame, each group's object-attention matrix for tracing (empty
+    without the object pathway).
     """
     if image_feats.ndim != 2 or image_feats.shape[0] < 1:
         raise ContractError(f"image features must be T x D with T >= 1, got {image_feats.shape}")
     if len(object_feats) != image_feats.shape[0]:
         raise ContractError("one object array per frame required")
     v_c = Tensor(image_feats)
-    records: list[ObjectAttentionRecord] = []
+    hiddens, records = None, []
     if model.config.use_objects:
-        frames = []
-        for t, objs in enumerate(object_feats):
-            n = objs.shape[0] if objs.size else 0
-            fo = FrameObjects(objects=Tensor(objs) if n else None, count=n)
-            frames.append((fo, v_c[t]))
-        hiddens, records = interaction_sequence(model.interaction, frames)
-    else:
-        hiddens = None
+        hiddens, records = interaction_sequence(model.interaction, v_c, object_feats)
     ctx = precompute_frames(model.captioner, v_c, hiddens)
     return ctx, records

@@ -140,9 +140,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             s = float(other)
@@ -175,13 +172,14 @@ class Tensor:
         return self.__mul__(other)
 
     def __getitem__(self, key) -> "Tensor":
-        """Integer index (element of a vector, row of a matrix) or 1-D slice."""
+        """Integer index (element of a vector, row of a matrix) or slice
+        (entries of a vector, rows of a matrix)."""
         if isinstance(key, int):
             if key < 0 or key >= self.shape[0]:
                 raise ShapeError(f"index {key} out of range for shape {self.shape}")
             out = Tensor(self.data[key], requires_grad=self.requires_grad, _prev=(self,))
             idx = key
-        elif isinstance(key, slice) and len(self.shape) == 1:
+        elif isinstance(key, slice) and len(self.shape) in (1, 2):
             out = Tensor(self.data[key], requires_grad=self.requires_grad, _prev=(self,))
             idx = key
         else:
@@ -217,16 +215,6 @@ class Tensor:
 
         def _backward(out):
             self._accumulate(out.data * (1.0 - out.data) * out.grad)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.data, 0.0), requires_grad=self.requires_grad, _prev=(self,))
-
-        def _backward(out):
-            self._accumulate((self.data > 0) * out.grad)
 
         if out.requires_grad:
             out._backward = _backward

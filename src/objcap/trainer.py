@@ -264,7 +264,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if version != CKPT_VERSION:
         raise r.error(f"version {version} is unsupported", 4)
     step = struct.unpack("<Q", r.pull(8))[0]
+    blob_at = r.off
     blob = json.loads(r.text())
+    if not isinstance(blob, dict) or not {"vocab", "model", "train"} <= blob.keys():
+        raise r.error("config must be a JSON object with 'vocab', 'model' and 'train'",
+                      blob_at)
     table: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.text()
@@ -282,6 +286,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     expected = {f"{kind}/{name}" for name in params for kind in ("param", "adam_m", "adam_v")}
     if expected != set(table):
         raise ContractError("checkpoint tensor table does not match the model layout")
+    for entry, arr in table.items():
+        shape = params[entry.partition("/")[2]].data.shape
+        if arr.shape != shape:
+            raise ContractError(f"checkpoint tensor {entry} has shape {arr.shape}, "
+                                f"expected {shape}")
     for name, p in params.items():
         p.data[:] = table[f"param/{name}"]
         adam.m[name] = table[f"adam_m/{name}"]

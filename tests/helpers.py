@@ -87,19 +87,16 @@ def scalar_softmax(row):
     return [e / s for e in exps]
 
 
-def scalar_mlp(layers, activations, x):
-    """layers: list of (w as nested list, b as list); x: list."""
+def scalar_mlp(layers, x):
+    """Tanh layers over nested lists. layers: list of (w as nested list,
+    b as list); x: list."""
     out = list(x)
-    for (w, b), act in zip(layers, activations):
+    for w, b in layers:
         nxt = []
         for r in range(len(b)):
             acc = b[r]
             for j, v in enumerate(out):
                 acc += w[r][j] * v
-            nxt.append(acc)
-        if act == "tanh":
-            nxt = [math.tanh(v) for v in nxt]
-        elif act == "relu":
-            nxt = [v if v > 0 else 0.0 for v in nxt]
+            nxt.append(math.tanh(acc))
         out = nxt
     return out

@@ -26,7 +26,7 @@ from objcap.data import (
     load_manifest,
     synth_dataset,
 )
-from objcap.interaction import FrameObjects, init_interaction, interaction_sequence
+from objcap.interaction import init_interaction, interaction_sequence
 from objcap.metrics import bleu, cider_d, evaluate_captions, rouge_l
 from objcap.model import ModelConfig, init_model, segment_context
 from objcap.tensor import Tensor, log_softmax
@@ -84,15 +84,15 @@ def test_permutation_invariance(announce):
         params = init_interaction(
             np.random.default_rng(1000 + trial), image_dim=4, object_dim=5,
             num_groups=2, attn_dim=3, hidden_size=4)
-        frames, permuted = [], []
+        objects, permuted, image = [], [], []
         for _ in range(int(rng.integers(1, 5))):
             n = int(rng.integers(1, 6))
             objs = rng.normal(size=(n, 5))
-            v = Tensor(rng.normal(size=4))
-            frames.append((FrameObjects(Tensor(objs), n), v))
-            permuted.append((FrameObjects(Tensor(objs[rng.permutation(n)]), n), v))
-        h1, _ = interaction_sequence(params, frames)
-        h2, _ = interaction_sequence(params, permuted)
+            image.append(rng.normal(size=4))
+            objects.append(objs)
+            permuted.append(objs[rng.permutation(n)])
+        h1, _ = interaction_sequence(params, Tensor(np.array(image)), objects)
+        h2, _ = interaction_sequence(params, Tensor(np.array(image)), permuted)
         for a, b in zip(h1, h2):
             worst = max(worst, float(np.max(np.abs(a.data - b.data))))
     announce("permutation-invariance", worst < 1e-12,
@@ -114,9 +114,9 @@ def test_normalization_suite(announce):
         image = rng.normal(size=(t, 4))
         objects = [rng.normal(size=(int(rng.integers(1, 5)), 4)) for _ in range(t)]
         ctx, records = segment_context(model, image, objects)
-        for record in records:
-            for entry in record.groups:
-                row_sums = entry.alpha.data.sum(axis=1)
+        for frame in records:
+            for alpha in frame:
+                row_sums = alpha.sum(axis=1)
                 worst = max(worst, float(np.max(np.abs(row_sums - 1.0))))
         state = initial_state(model.captioner)
         for _ in range(10):

@@ -1,9 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from objcap.cli import main
+from objcap.tensor import Tensor
+from objcap.trainer import load_checkpoint, save_checkpoint
 
 TRAIN_CONFIG = {
     "train": {"max_epochs": 3, "batch_size": 2, "seed": 1},
@@ -157,6 +160,110 @@ class TestCaptionCommand:
                      "--data", str(corpus / "manifest.json"),
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+
+def assert_exit_2(args, capsys, fragment):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def caption_args(tmp_path, corpus, ckpt):
+    return ["caption", "--ckpt", str(ckpt), "--data", str(corpus / "manifest.json"),
+            "--out", str(tmp_path / "p.json")]
+
+
+def train_args(tmp_path, corpus):
+    return ["train", "--data", str(corpus / "manifest.json"), "--out", str(tmp_path / "o")]
+
+
+def rewrite_blob(ckpt, edit):
+    """Replace a checkpoint's config blob (after magic, version and step)
+    with ``edit(raw_blob)``, fixing its length prefix."""
+    raw = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", raw[16:20])
+    blob = edit(raw[20:20 + n])
+    ckpt.write_bytes(raw[:16] + struct.pack("<I", len(blob)) + blob + raw[20 + n:])
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("where", ["segment_id", "caption"])
+    def test_segment_text_invalid_utf8_exits_2(self, tmp_path, corpus, capsys, where):
+        seg = corpus / "seg_0000.seg"
+        raw = bytearray(seg.read_bytes())
+        raw[12 if where == "segment_id" else -1] = 0xFF  # id starts after magic, version, length
+        seg.write_bytes(bytes(raw))
+        assert_exit_2(train_args(tmp_path, corpus), capsys, "invalid UTF-8")
+
+    @pytest.mark.parametrize("where", ["config", "entry_name"])
+    def test_checkpoint_text_invalid_utf8_exits_2(self, tmp_path, corpus, capsys, where):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        (n,) = struct.unpack("<I", raw[16:20])
+        # the blob starts at byte 20; the first entry name after the blob,
+        # the entry count and the name's length
+        raw[20 if where == "config" else 20 + n + 8] = 0xFF
+        ckpt.write_bytes(bytes(raw))
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, "invalid UTF-8")
+
+    @pytest.mark.parametrize("key", ["vocab", "model", "train"])
+    def test_checkpoint_config_missing_key_exits_2(self, tmp_path, corpus, capsys, key):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+
+        def drop(blob):
+            config = json.loads(blob)
+            del config[key]
+            return json.dumps(config).encode()
+
+        rewrite_blob(ckpt, drop)
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, "'vocab', 'model'")
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda blob: b"[1, 2]", "JSON object"),
+        (lambda blob: json.dumps({**json.loads(blob), "vocab": 5}).encode(), "list of strings"),
+    ], ids=["not_an_object", "vocab_not_a_list"])
+    def test_checkpoint_config_malformed_exits_2(self, tmp_path, corpus, capsys,
+                                                  edit, fragment):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        rewrite_blob(ckpt, edit)
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, fragment)
+
+    @pytest.mark.parametrize("kind, shape", [("param", (1,)), ("param", (3,)),
+                                             ("adam_m", (1,))],
+                             ids=["param-1", "param-3", "adam_m-1"])
+    def test_checkpoint_entry_shape_mismatch_exits_2(self, tmp_path, corpus, capsys,
+                                                     kind, shape):
+        ckpt = load_checkpoint(run_train(tmp_path, corpus) / "model.ckpt")
+        if kind == "param":
+            ckpt.model.captioner.out_b = Tensor(np.zeros(shape))
+        else:
+            ckpt.adam.m["captioner.out.b"] = np.zeros(shape)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, ckpt.model, ckpt.vocab, ckpt.adam, ckpt.train_config)
+        assert_exit_2(caption_args(tmp_path, corpus, bad), capsys,
+                      f"{kind}/captioner.out.b has shape {shape}")
+
+    def test_manifest_split_entry_not_a_string_exits_2(self, tmp_path, corpus, capsys):
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps({"train": [1], "val": ["seg_0000.seg"]}))
+        assert_exit_2(train_args(tmp_path, corpus), capsys, "'train' split")
+
+    @pytest.mark.parametrize("target, content", [
+        ("config", b"{"), ("manifest", b"{"), ("pred", b"{"), ("config", b"\xff{}"),
+    ])
+    def test_malformed_json_file_exits_2(self, tmp_path, corpus, capsys, target, content):
+        path = tmp_path / f"{target}.json"
+        if target == "manifest":
+            path = corpus / "manifest.json"
+        path.write_bytes(content)
+        if target == "pred":
+            args = ["eval", "--pred", str(path), "--refs", str(corpus / "refs.json"),
+                    "--out", str(tmp_path / "r.json")]
+        else:
+            args = train_args(tmp_path, corpus) + (["--config", str(path)]
+                                                   if target == "config" else [])
+        assert_exit_2(args, capsys, "")
 
 
 class TestEvalCommand:

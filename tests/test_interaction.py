@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from objcap.interaction import (
-    FrameObjects,
-    InteractionState,
-    group_attend,
-    init_interaction,
-    interaction_sequence,
-    interaction_step,
-)
+from objcap import interaction
+from objcap.interaction import group_attend, init_interaction, interaction_sequence
+from objcap.layers import lstm_step
 from objcap.tensor import ContractError, Tensor
 
-from helpers import FD_TOL, max_fd_error, scalar_softmax
+from helpers import FD_TOL, max_fd_error, scalar_lstm_step, scalar_mlp, scalar_softmax
 
 DIMS = dict(image_dim=4, object_dim=5, num_groups=2, attn_dim=3, hidden_size=4)
 
@@ -22,186 +17,205 @@ def make_params(seed=0, **overrides):
     return init_interaction(np.random.default_rng(seed), **{**DIMS, **overrides})
 
 
-def make_frame(rng, n, object_dim=5):
-    if n == 0:
-        return FrameObjects(objects=None, count=0)
-    return FrameObjects(objects=Tensor(rng.normal(size=(n, object_dim))), count=n)
+def make_segment(rng, counts, object_dim=5, image_dim=4):
+    image = Tensor(rng.normal(size=(len(counts), image_dim)))
+    return image, [rng.normal(size=(n, object_dim)) for n in counts]
 
 
-def zero_state(hidden=4):
-    return InteractionState(h=Tensor(np.zeros(hidden)), c=Tensor(np.zeros(hidden)))
+def oracle_sequence(p, image, object_feats):
+    """Pure-numpy fold of the recurrence: per frame and group, project,
+    bias, score, softmax and pool, then one scalar LSTM step."""
+    h, c = [0.0] * p.hidden_size, [0.0] * p.hidden_size
+    hiddens, alphas = [], []
+    for v, objs in zip(image, object_feats):
+        pooled, frame_alphas = [], []
+        for g in p.groups:
+            if objs.shape[0] == 0:
+                pooled += [0.0] * p.attn_dim
+                frame_alphas.append(None)
+                continue
+            layers = [(w.data.tolist(), b.data.tolist()) for w, b in g.proj.layers]
+            proj = np.array([scalar_mlp(layers, row.tolist()) for row in objs])
+            u = g.w_h.data @ np.array(h) + g.w_c.data @ v
+            x = proj + u
+            n = objs.shape[0]
+            scores = [[float(np.dot(x[i], x[j])) / math.sqrt(p.attn_dim) for j in range(n)]
+                      for i in range(n)]
+            alpha = np.array([scalar_softmax(row) for row in scores])
+            pooled += [sum(alpha[i] @ proj[:, k] for i in range(n)) / n
+                       for k in range(p.attn_dim)]
+            frame_alphas.append(alpha)
+        h, c = scalar_lstm_step(p.lstm.wx.data.tolist(), p.lstm.wh.data.tolist(),
+                                p.lstm.b.data.tolist(), pooled, h, c)
+        hiddens.append(np.array(h))
+        alphas.append(frame_alphas)
+    return hiddens, alphas
 
 
 class TestGroupAttend:
     def test_single_object(self):
         rng = np.random.default_rng(1)
-        p = make_params(1)
-        g = p.groups[0]
-        frame = make_frame(rng, 1)
-        out = group_attend(g, frame, Tensor(rng.normal(size=4)),
-                           Tensor(rng.normal(size=4)), p.attn_dim)
-        assert out.alpha.data.tolist() == [[1.0]]
-        from objcap.layers import mlp_forward
-        projected = mlp_forward(g.proj, frame.objects)
-        assert np.max(np.abs(out.pooled.data - projected.data[0])) < 1e-12
+        projected = Tensor(rng.normal(size=(1, 3)))
+        alpha, pooled = group_attend(projected, Tensor(rng.normal(size=3)))
+        assert alpha.data.tolist() == [[1.0]]
+        assert np.max(np.abs(pooled.data - projected.data[0])) < 1e-12
 
     def test_identical_objects_give_uniform_attention(self):
         rng = np.random.default_rng(2)
-        p = make_params(2)
-        row = rng.normal(size=5)
-        frame = FrameObjects(objects=Tensor(np.tile(row, (3, 1))), count=3)
-        out = group_attend(p.groups[0], frame, Tensor(rng.normal(size=4)),
-                           Tensor(rng.normal(size=4)), p.attn_dim)
-        assert np.max(np.abs(out.alpha.data - 1.0 / 3)) < 1e-12
-        from objcap.layers import mlp_forward
-        projected = mlp_forward(p.groups[0].proj, Tensor(row[None, :]))
-        assert np.max(np.abs(out.pooled.data - projected.data[0])) < 1e-9
+        row = rng.normal(size=3)
+        alpha, pooled = group_attend(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
+        assert np.max(np.abs(alpha.data - 1.0 / 3)) < 1e-12
+        assert np.max(np.abs(pooled.data - row)) < 1e-9
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        p = make_params(3)
-        g = p.groups[1]
-        frame = make_frame(rng, 4)
-        v_ct = Tensor(rng.normal(size=4))
-        h_prev = Tensor(rng.normal(size=4))
-        out = group_attend(g, frame, v_ct, h_prev, p.attn_dim)
+        proj = rng.normal(size=(4, 3))
+        u = rng.normal(size=3)
+        alpha_t, pooled_t = group_attend(Tensor(proj), Tensor(u))
 
-        # explicit scalar recomputation: project, bias, score, softmax, pool
-        proj = np.tanh(frame.objects.data @ g.proj.layers[0][0].data.T
-                       + g.proj.layers[0][1].data)
-        u = g.w_h.data @ h_prev.data + g.w_c.data @ v_ct.data
+        # explicit scalar recomputation: bias, score, softmax, pool
         x = proj + u
         scores = np.empty((4, 4))
         for i in range(4):
             for j in range(4):
-                scores[i, j] = float(np.dot(x[i], x[j])) / math.sqrt(p.attn_dim)
+                scores[i, j] = float(np.dot(x[i], x[j])) / math.sqrt(3)
         alpha = np.array([scalar_softmax(r.tolist()) for r in scores])
-        weighted = alpha @ proj
-        pooled = weighted.mean(axis=0)
-        assert np.max(np.abs(out.alpha.data - alpha)) < 1e-12
-        assert np.max(np.abs(out.pooled.data - pooled)) < 1e-12
+        pooled = (alpha @ proj).mean(axis=0)
+        assert np.max(np.abs(alpha_t.data - alpha)) < 1e-12
+        assert np.max(np.abs(pooled_t.data - pooled)) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        p = make_params(4)
         for n in (1, 2, 5):
-            out = group_attend(p.groups[0], make_frame(rng, n),
-                               Tensor(rng.normal(size=4)),
-                               Tensor(rng.normal(size=4)), p.attn_dim)
-            sums = out.alpha.data.sum(axis=1)
+            alpha, _ = group_attend(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
+            sums = alpha.data.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
-            assert np.all(out.alpha.data > 0)
+            assert np.all(alpha.data > 0)
 
     def test_empty_frame_rejected(self):
-        p = make_params(5)
         with pytest.raises(ContractError):
-            group_attend(p.groups[0], FrameObjects(objects=None, count=0),
-                         Tensor(np.zeros(4)), Tensor(np.zeros(4)), p.attn_dim)
+            group_attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
 
     def test_score_scaling_uses_sqrt_attn_dim(self):
-        # same inputs, attention width 3: scores must equal unscaled oracle / sqrt(3)
+        # attention width 3: scores must equal the unscaled oracle / sqrt(3)
         rng = np.random.default_rng(6)
-        p = make_params(6)
-        g = p.groups[0]
-        frame = make_frame(rng, 3)
-        h_prev = Tensor(rng.normal(size=4))
-        v_ct = Tensor(rng.normal(size=4))
-        proj = np.tanh(frame.objects.data @ g.proj.layers[0][0].data.T
-                       + g.proj.layers[0][1].data)
-        x = proj + (g.w_h.data @ h_prev.data + g.w_c.data @ v_ct.data)
+        proj = rng.normal(size=(3, 3))
+        u = rng.normal(size=3)
+        x = proj + u
         unscaled = x @ x.T
-        out = group_attend(g, frame, v_ct, h_prev, p.attn_dim)
+        alpha, _ = group_attend(Tensor(proj), Tensor(u))
         expected = np.array([scalar_softmax(r.tolist())
-                             for r in unscaled * (1.0 / math.sqrt(p.attn_dim))])
-        assert np.max(np.abs(out.alpha.data - expected)) < 1e-12
+                             for r in unscaled * (1.0 / math.sqrt(3))])
+        assert np.max(np.abs(alpha.data - expected)) < 1e-12
 
 
 class TestInteractionStep:
+    """One frame of the recurrence, run as a one-frame sequence."""
+
     def test_zero_lstm_params_give_zero_state(self):
         rng = np.random.default_rng(7)
         p = make_params(7)
         for t in p.lstm.tensors().values():
             t.data[:] = 0.0
-        state, _ = interaction_step(p, make_frame(rng, 3),
-                                    Tensor(rng.normal(size=4)), zero_state())
-        assert np.array_equal(state.h.data, np.zeros(4))
-        assert np.array_equal(state.c.data, np.zeros(4))
+        hs, _ = interaction_sequence(p, *make_segment(rng, [3]))
+        assert np.array_equal(hs[0].data, np.zeros(4))
 
     def test_identical_groups_produce_identical_pooled(self):
         rng = np.random.default_rng(8)
         p = make_params(8)
         for name, t in p.groups[1].tensors().items():
             t.data[:] = p.groups[0].tensors()[name].data
-        _, record = interaction_step(p, make_frame(rng, 3),
-                                     Tensor(rng.normal(size=4)), zero_state())
-        assert np.array_equal(record.groups[0].pooled.data, record.groups[1].pooled.data)
+        image, objects = make_segment(rng, [3])
+        _, records = interaction_sequence(p, image, objects)
+        w, b = p.groups[0].proj.layers[0]
+        proj = np.tanh(objects[0] @ w.data.T + b.data)
+        pooled = [(alpha @ proj).mean(axis=0) for alpha in records[0]]
+        assert np.array_equal(records[0][0], records[0][1])
+        assert np.array_equal(pooled[0], pooled[1])
 
     def test_empty_frame_contributes_zero_pooled(self):
+        rng = np.random.default_rng(9)
         p = make_params(9)
-        state, record = interaction_step(p, FrameObjects(objects=None, count=0),
-                                         Tensor(np.zeros(4)), zero_state())
-        for entry in record.groups:
-            assert entry.alpha is None
-            assert np.array_equal(entry.pooled.data, np.zeros(3))
-        assert state.h.shape == (4,)
+        hs, records = interaction_sequence(p, *make_segment(rng, [0]))
+        assert records == [[None, None]]
+        zeros = Tensor(np.zeros(4))
+        h, _ = lstm_step(p.lstm, Tensor(np.zeros(6)), zeros, zeros)
+        assert np.array_equal(hs[0].data, h.data)
 
     def test_permutation_leaves_state_unchanged(self):
         rng = np.random.default_rng(10)
         p = make_params(10)
-        objs = rng.normal(size=(5, 5))
-        v_ct = Tensor(rng.normal(size=4))
-        s1, _ = interaction_step(p, FrameObjects(Tensor(objs), 5), v_ct, zero_state())
-        perm = rng.permutation(5)
-        s2, _ = interaction_step(p, FrameObjects(Tensor(objs[perm]), 5), v_ct, zero_state())
-        assert np.max(np.abs(s1.h.data - s2.h.data)) < 1e-12
-        assert np.max(np.abs(s1.c.data - s2.c.data)) < 1e-12
+        image, objects = make_segment(rng, [5])
+        hs1, _ = interaction_sequence(p, image, objects)
+        hs2, _ = interaction_sequence(p, image, [objects[0][rng.permutation(5)]])
+        assert np.max(np.abs(hs1[0].data - hs2[0].data)) < 1e-12
 
 
 class TestInteractionSequence:
     def test_single_frame_equals_single_step(self):
         rng = np.random.default_rng(11)
         p = make_params(11)
-        frame = make_frame(rng, 2)
-        v = Tensor(rng.normal(size=4))
-        hs, recs = interaction_sequence(p, [(frame, v)])
-        state, rec = interaction_step(p, frame, v, zero_state())
-        assert np.array_equal(hs[0].data, state.h.data)
-        assert len(recs) == 1 and len(rec.groups) == 2
+        image, objects = make_segment(rng, [2])
+        hs, recs = interaction_sequence(p, image, objects)
+        expected, _ = oracle_sequence(p, image.data, objects)
+        assert np.max(np.abs(hs[0].data - expected[0])) < 1e-12
+        assert len(recs) == 1 and len(recs[0]) == 2
 
     def test_all_zero_inputs_zero_params_give_zero_states(self):
         p = make_params(12)
         for t in p.tensors().values():
             t.data[:] = 0.0
-        frames = [(FrameObjects(Tensor(np.zeros((2, 5))), 2), Tensor(np.zeros(4)))
-                  for _ in range(3)]
-        hs, _ = interaction_sequence(p, frames)
+        hs, _ = interaction_sequence(p, Tensor(np.zeros((3, 4))), [np.zeros((2, 5))] * 3)
         for h in hs:
             assert np.array_equal(h.data, np.zeros(4))
 
     def test_three_frames_match_stepwise_fold(self):
+        # the middle frame is empty
         rng = np.random.default_rng(13)
         p = make_params(13)
-        frames = [(make_frame(rng, rng.integers(1, 4)), Tensor(rng.normal(size=4)))
-                  for _ in range(3)]
-        hs, _ = interaction_sequence(p, frames)
-        state = zero_state()
-        for i, (objects, v) in enumerate(frames):
-            state, _ = interaction_step(p, objects, v, state)
-            assert np.array_equal(hs[i].data, state.h.data)
+        image, objects = make_segment(rng, [2, 0, 3])
+        hs, records = interaction_sequence(p, image, objects)
+        expected_hs, expected_alphas = oracle_sequence(p, image.data, objects)
+        for h, expected in zip(hs, expected_hs, strict=True):
+            assert np.max(np.abs(h.data - expected)) < 1e-12
+        for frame, expected in zip(records, expected_alphas, strict=True):
+            for alpha, oracle in zip(frame, expected, strict=True):
+                if oracle is None:
+                    assert alpha is None
+                else:
+                    assert np.max(np.abs(alpha - oracle)) < 1e-12
+
+    def test_all_frames_empty(self):
+        rng = np.random.default_rng(17)
+        p = make_params(17)
+        image, objects = make_segment(rng, [0, 0, 0])
+        hs, records = interaction_sequence(p, image, objects)
+        assert records == [[None, None]] * 3
+        expected, _ = oracle_sequence(p, image.data, objects)
+        for h, oracle in zip(hs, expected, strict=True):
+            assert np.max(np.abs(h.data - oracle)) < 1e-12
+
+    def test_objects_projected_once_per_group(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        p = make_params(18)
+        calls = []
+        real = interaction.mlp_forward
+        monkeypatch.setattr(interaction, "mlp_forward",
+                            lambda proj, x: calls.append(x.shape) or real(proj, x))
+        interaction_sequence(p, *make_segment(rng, [2, 0, 3, 1]))
+        assert calls == [(6, 5), (6, 5)]
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            interaction_sequence(make_params(14), [])
+            interaction_sequence(make_params(14), Tensor(np.zeros((0, 4))), [])
 
     def test_permutation_invariance_across_sequence(self):
         rng = np.random.default_rng(15)
         p = make_params(15)
-        frames = [(rng.normal(size=(n, 5)), rng.normal(size=4)) for n in (3, 4, 2)]
-        hs1, _ = interaction_sequence(
-            p, [(FrameObjects(Tensor(o), o.shape[0]), Tensor(v)) for o, v in frames])
+        image, objects = make_segment(rng, [3, 4, 2])
+        hs1, _ = interaction_sequence(p, image, objects)
         hs2, _ = interaction_sequence(
-            p, [(FrameObjects(Tensor(o[rng.permutation(o.shape[0])]), o.shape[0]), Tensor(v))
-                for o, v in frames])
+            p, image, [o[rng.permutation(o.shape[0])] for o in objects])
         for h1, h2 in zip(hs1, hs2):
             assert np.max(np.abs(h1.data - h2.data)) < 1e-12
 
@@ -209,12 +223,11 @@ class TestInteractionSequence:
 def test_gradient_of_final_state_wrt_all_params():
     rng = np.random.default_rng(16)
     p = make_params(16)
-    frames = [(make_frame(rng, 2), Tensor(rng.normal(size=4))),
-              (make_frame(rng, 3), Tensor(rng.normal(size=4)))]
+    image, objects = make_segment(rng, [2, 0, 3])
     leaves = list(p.tensors().values())
 
     def loss_fn():
-        hs, _ = interaction_sequence(p, frames)
+        hs, _ = interaction_sequence(p, image, objects)
         return hs[-1].sum()
 
     assert max_fd_error(loss_fn, leaves) < FD_TOL

@@ -7,9 +7,9 @@ import numpy as np
 from objcap.captioner import BOS_ID, EOS_ID, decode_step, forward_teacher_forced, initial_state
 from objcap.model import ModelConfig, init_model, segment_context
 
-INTERACTION_MAX = 1410
-TEACHER_FORCED_MAX = 1144
-DECODE_STEP_MAX = 48
+INTERACTION_MAX = 1212
+TEACHER_FORCED_MAX = 1100
+DECODE_STEP_MAX = 46
 
 
 def op_nodes(roots, stop=()) -> int:
@@ -37,7 +37,7 @@ def test_tape_node_counts_at_paper_shapes():
     caption = [BOS_ID] + [int(w) for w in rng.integers(4, 1000, size=21)] + [EOS_ID]
 
     ctx, _ = segment_context(m, image, objects)
-    context = [ctx.frames, ctx.pooled, ctx.states]
+    context = [ctx.frames, ctx.pooled, ctx.states, ctx.keys]
     loss = forward_teacher_forced(m.captioner, ctx, caption).loss
     step = decode_step(m.captioner, ctx, BOS_ID, initial_state(m.captioner))
     step_roots = [step.word_logits, step.alpha_temp, step.state.h1, step.state.c1,

@@ -135,9 +135,6 @@ def _fd_case(name, rng):
     if name == "add_rowvec":
         a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=4))
         return lambda: ((a + b).tanh()).sum(), [a, b]
-    if name == "sub":
-        a, b = t(rng.normal(size=5)), t(rng.normal(size=5))
-        return lambda: ((a - b) * (a - b)).sum(), [a, b]
     if name == "mul":
         a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
         return lambda: (a * b).sum(), [a, b]
@@ -162,9 +159,6 @@ def _fd_case(name, rng):
     if name == "sigmoid":
         a = t(rng.normal(size=6))
         return lambda: a.sigmoid().sum(), [a]
-    if name == "relu":
-        a = t(rng.normal(size=6) + 0.3)  # keep entries away from the kink
-        return lambda: (a.relu() * a.relu()).sum(), [a]
     if name == "softmax":
         a = t(rng.normal(size=(3, 4)))
         w = t(rng.normal(size=(3, 4)), rg=False)
@@ -191,6 +185,9 @@ def _fd_case(name, rng):
     if name == "getitem":
         a = t(rng.normal(size=6))
         return lambda: a[1:4].tanh().sum() + a[0].tanh(), [a]
+    if name == "getitem_rows":
+        a = t(rng.normal(size=(4, 3)))
+        return lambda: a[1:3].tanh().sum() + a[0:2].tanh().sum(), [a]
     if name == "getitem_row":
         a = t(rng.normal(size=(3, 4)))
         return lambda: a[2].tanh().sum(), [a]
@@ -201,10 +198,10 @@ def _fd_case(name, rng):
 
 
 ALL_OPS = [
-    "add", "add_rowvec", "sub", "mul", "scale", "matmul", "matvec", "vecmat",
-    "dot", "tanh", "sigmoid", "relu", "softmax", "log_softmax", "mean",
+    "add", "add_rowvec", "mul", "scale", "matmul", "matvec", "vecmat",
+    "dot", "tanh", "sigmoid", "softmax", "log_softmax", "mean",
     "transpose", "concat", "stack_rows", "take_column", "getitem",
-    "getitem_row", "neg",
+    "getitem_rows", "getitem_row", "neg",
 ]
 
 
