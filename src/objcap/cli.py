@@ -26,14 +26,16 @@ from .data import (
 )
 from .metrics import evaluate_captions
 from .model import Model, segment_context
-from .tensor import ContractError, ShapeError
+from .tensor import ContractError, ShapeError, collector_paused
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
+@collector_paused()
 def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
                     with_trace: bool = False) -> tuple[dict, dict]:
     """Decode every segment; optionally collect per-word attention traces,
-    taken from the frame attention the beam search recorded."""
+    taken from the frame attention the beam search recorded. The cyclic
+    garbage collector is paused meanwhile."""
     predictions: dict[str, str] = {}
     traces: dict[str, list] = {}
     for seg in segments:

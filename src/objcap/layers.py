@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, matmul
+from .tensor import ContractError, ShapeError, Tensor, lstm_cell, matmul
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
@@ -64,19 +64,8 @@ def init_lstm(rng: np.random.Generator, input_size: int, hidden_size: int) -> Ls
 def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM recurrence step on vectors; returns (h, c)."""
     hs = p.hidden_size
-    if x.shape != (p.input_size,):
-        raise ShapeError(f"lstm_step input shape {x.shape}, expected ({p.input_size},)")
-    if h_prev.shape != (hs,) or c_prev.shape != (hs,):
-        raise ShapeError(
-            f"lstm_step state shapes {h_prev.shape}/{c_prev.shape}, expected ({hs},)")
-    gates = matmul(p.wx, x) + matmul(p.wh, h_prev) + p.b
-    i = gates[0:hs].sigmoid()
-    f = gates[hs:2 * hs].sigmoid()
-    g = gates[2 * hs:3 * hs].tanh()
-    o = gates[3 * hs:4 * hs].sigmoid()
-    c = f * c_prev + i * g
-    h = o * c.tanh()
-    return h, c
+    hc = lstm_cell(p.wx, p.wh, p.b, x, h_prev, c_prev)
+    return hc[0:hs], hc[hs:2 * hs]
 
 
 @dataclass

@@ -185,10 +185,18 @@ class MetricReport:
 def evaluate_captions(predictions: dict[str, str],
                       references: dict[str, list[str]]) -> MetricReport:
     """Score a predictions map against a references map; keys must align."""
+    if not isinstance(predictions, dict) or not isinstance(references, dict):
+        raise ContractError("predictions and references must be JSON objects")
     missing = sorted(set(references) - set(predictions))
     if missing:
         raise ContractError(f"predictions missing for segments: {missing[:5]}")
     segment_ids = sorted(references)
+    for s in segment_ids:
+        if not isinstance(predictions[s], str):
+            raise ContractError(f"prediction for segment {s!r} must be a string")
+        refs_s = references[s]
+        if not isinstance(refs_s, list) or not all(isinstance(r, str) for r in refs_s):
+            raise ContractError(f"references for segment {s!r} must be a list of strings")
     cands = [predictions[s].lower().split() for s in segment_ids]
     refs = [[r.lower().split() for r in references[s]] for s in segment_ids]
     bleu_scores = bleu(cands, refs)

@@ -14,7 +14,29 @@ called once per graph root and raises on a second call. Gradients persist on
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import numpy as np
+
+
+@contextmanager
+def collector_paused():
+    """Disable Python's cyclic garbage collector while the body runs, then
+    put back the caller's setting, also on an exception.
+
+    Safe around tape work because the tape holds no reference cycles:
+    reference counting frees every spent graph. It pays because a live
+    training graph holds tens of thousands of tracked objects, which each
+    collection would walk again. Also usable as a function decorator.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ShapeError(ValueError):
@@ -206,20 +228,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def sigmoid(self) -> "Tensor":
-        # split by sign so exp never overflows
-        x = self.data
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(y, requires_grad=self.requires_grad, _prev=(self,))
-
-        def _backward(out):
-            self._accumulate(out.data * (1.0 - out.data) * out.grad)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     # -- reductions & layout -----------------------------------------------
 
     def sum(self) -> "Tensor":
@@ -402,6 +410,59 @@ def take_column(m: Tensor, j: int) -> Tensor:
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
         m.grad[:, j] += out.grad
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
+def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
+              c_prev: Tensor) -> Tensor:
+    """One LSTM step as one node whose value is ``[h; c]`` (length 2H).
+
+    Gates are four stacked blocks of ``(wx @ x + wh @ h_prev) + b`` in the
+    order input, forget, cell candidate, output; ``c = f*c_prev + i*g`` and
+    ``h = o*tanh(c)``. The backward pass forms each factor in the order the
+    op-by-op chain of matmul, add, sigmoid, tanh and mul would.
+    """
+    if len(x.shape) != 1 or len(h_prev.shape) != 1:
+        raise ShapeError(f"lstm_cell needs vector x and h_prev, got {x.shape}, {h_prev.shape}")
+    hs = h_prev.shape[0]
+    if (wx.shape != (4 * hs, x.shape[0]) or wh.shape != (4 * hs, hs)
+            or b.shape != (4 * hs,) or c_prev.shape != (hs,)):
+        raise ShapeError(f"lstm_cell shape mismatch: wx {wx.shape}, wh {wh.shape}, "
+                         f"b {b.shape}, x {x.shape}, h_prev {h_prev.shape}, "
+                         f"c_prev {c_prev.shape}")
+    z = (wx.data @ x.data + wh.data @ h_prev.data) + b.data
+    # sigmoid split by sign so exp never overflows
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    i, f, o = s[:hs], s[hs:2 * hs], s[3 * hs:]
+    g = np.tanh(z[2 * hs:3 * hs])
+    c = f * c_prev.data + i * g
+    tc = np.tanh(c)
+    inputs = (wx, wh, b, x, h_prev, c_prev)
+    out = Tensor(np.concatenate([o * tc, c]),
+                 requires_grad=any(t.requires_grad for t in inputs), _prev=inputs)
+
+    def _backward(out):
+        dh = out.grad[:hs]
+        dc = out.grad[hs:] + (1.0 - tc * tc) * (dh * o)
+        slope = s * (1.0 - s)
+        slope[2 * hs:3 * hs] = 1.0 - g * g
+        dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc])
+        if wx.requires_grad:
+            wx._accumulate(np.outer(dz, x.data))
+        if wh.requires_grad:
+            wh._accumulate(np.outer(dz, h_prev.data))
+        if b.requires_grad:
+            b._accumulate(dz)
+        if x.requires_grad:
+            x._accumulate(wx.data.T @ dz)
+        if h_prev.requires_grad:
+            h_prev._accumulate(wh.data.T @ dz)
+        if c_prev.requires_grad:
+            c_prev._accumulate(dc * f)
 
     if out.requires_grad:
         out._backward = _backward

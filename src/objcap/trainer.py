@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption
 from .model import Model, ModelConfig, config_from_dict, init_model, segment_context
 from .captioner import forward_teacher_forced
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, Tensor, collector_paused
 
 CKPT_MAGIC = b"VCKP"
 CKPT_VERSION = 1
@@ -59,6 +59,12 @@ class TrainConfig:
             raise ContractError("plateau_factor must be in (0, 1)")
         if self.plateau_patience < 1:
             raise ContractError("plateau_patience must be at least 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ContractError("beta1 and beta2 must be in [0, 1)")
+        if not self.eps > 0.0:
+            raise ContractError("eps must be positive")
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
+            raise ContractError("grad_clip must be positive when set")
         return self
 
     def to_dict(self) -> dict:
@@ -130,6 +136,7 @@ def _mean_loss(model: Model, items) -> float:
     return total / count
 
 
+@collector_paused()
 def train(cfg: TrainConfig, dataset: Dataset,
           model_overrides: dict | None = None) -> TrainResult:
     """Teacher-forced training over the manifest's train split.
@@ -137,7 +144,7 @@ def train(cfg: TrainConfig, dataset: Dataset,
     The vocabulary comes from the training captions, feature widths from the
     data itself. Identical (config, dataset) pairs produce byte-identical
     checkpoints: shuffling, initialization and accumulation order all flow
-    from the seed.
+    from the seed. The cyclic garbage collector is paused meanwhile.
     """
     cfg.validate()
     if not dataset.train or not dataset.val:

@@ -79,6 +79,9 @@ class TestTrainCommand:
         ({"model": {"use_image": 1}}, "use_image"),
         ({"model": {"vocab_size": 9}}, "vocab_size"),
         ({"model": [1, 2]}, "model"),
+        ({"train": {"beta1": 1.0}}, "beta1"),
+        ({"train": {"eps": 0.0}}, "eps"),
+        ({"train": {"grad_clip": -1.0}}, "grad_clip"),
     ])
     def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
         cfg = tmp_path / "config.json"
@@ -264,6 +267,29 @@ class TestMalformedInputs:
             args = train_args(tmp_path, corpus) + (["--config", str(path)]
                                                    if target == "config" else [])
         assert_exit_2(args, capsys, "")
+
+    @pytest.mark.parametrize("target, value, fragment", [
+        ("pred", 5, "prediction for segment"),
+        ("pred", None, "prediction for segment"),
+        ("refs", [5], "references for segment"),
+        ("refs", "a b", "references for segment"),
+        ("pred_file", [], "JSON objects"),
+    ])
+    def test_eval_wrongly_typed_values_exit_2(self, tmp_path, corpus, capsys,
+                                              target, value, fragment):
+        refs = json.loads((corpus / "refs.json").read_text())
+        pred = {sid: caps[0] for sid, caps in refs.items()}
+        if target == "pred":
+            pred = {sid: value for sid in pred}
+        elif target == "refs":
+            refs = {sid: value for sid in refs}
+        else:
+            pred = value
+        (tmp_path / "pred.json").write_text(json.dumps(pred))
+        (tmp_path / "refs.json").write_text(json.dumps(refs))
+        assert_exit_2(["eval", "--pred", str(tmp_path / "pred.json"),
+                       "--refs", str(tmp_path / "refs.json"),
+                       "--out", str(tmp_path / "r.json")], capsys, fragment)
 
 
 class TestEvalCommand:

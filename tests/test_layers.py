@@ -48,6 +48,24 @@ class TestLstmStep:
         assert np.max(np.abs(ht.data - np.array(ho))) < 1e-12
         assert np.max(np.abs(ct.data - np.array(co))) < 1e-12
 
+    def test_matches_op_by_op_expression_bitwise(self):
+        def sigmoid(z):
+            e = np.exp(-np.abs(z))
+            return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+        rng = np.random.default_rng(5)
+        for d, hs, scale in [(3, 4, 1.0), (32, 32, 1.0), (5, 7, 40.0), (1, 1, 1.0)]:
+            p = init_lstm(rng, d, hs)
+            p.b.data[:] = rng.normal(scale=scale, size=4 * hs)
+            x, h, c = (rng.normal(size=n) for n in (d, hs, hs))
+            z = (p.wx.data @ x + p.wh.data @ h) + p.b.data
+            i, f = sigmoid(z[0:hs]), sigmoid(z[hs:2 * hs])
+            g, o = np.tanh(z[2 * hs:3 * hs]), sigmoid(z[3 * hs:])
+            c_ref = f * c + i * g
+            h_ref = o * np.tanh(c_ref)
+            h_t, c_t = lstm_step(p, Tensor(x), Tensor(h), Tensor(c))
+            assert np.array_equal(h_t.data, h_ref) and np.array_equal(c_t.data, c_ref)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         p = init_lstm(rng, 3, 4)

@@ -7,9 +7,10 @@ import numpy as np
 from objcap.captioner import BOS_ID, EOS_ID, decode_step, forward_teacher_forced, initial_state
 from objcap.model import ModelConfig, init_model, segment_context
 
-INTERACTION_MAX = 1212
-TEACHER_FORCED_MAX = 1100
-DECODE_STEP_MAX = 46
+INTERACTION_MAX = 791
+TEACHER_FORCED_MAX = 482
+DECODE_STEP_MAX = 18
+SEGMENT_MAX = 1281
 
 
 def op_nodes(roots, stop=()) -> int:
@@ -46,3 +47,4 @@ def test_tape_node_counts_at_paper_shapes():
     assert op_nodes(ctx.states._prev) <= INTERACTION_MAX
     assert op_nodes([loss], stop=context) <= TEACHER_FORCED_MAX
     assert op_nodes(step_roots, stop=context) <= DECODE_STEP_MAX
+    assert op_nodes([loss]) <= SEGMENT_MAX

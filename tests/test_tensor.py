@@ -9,6 +9,7 @@ from objcap.tensor import (
     Tensor,
     concat,
     log_softmax,
+    lstm_cell,
     matmul,
     softmax,
     stack_rows,
@@ -156,9 +157,14 @@ def _fd_case(name, rng):
     if name == "tanh":
         a = t(rng.normal(size=(2, 3)))
         return lambda: a.tanh().sum(), [a]
-    if name == "sigmoid":
-        a = t(rng.normal(size=6))
-        return lambda: a.sigmoid().sum(), [a]
+    if name == "lstm_cell":
+        hs, d = 2, 3
+        wx, wh = t(rng.normal(size=(4 * hs, d))), t(rng.normal(size=(4 * hs, hs)))
+        # a wide bias puts preactivations past |z| = 30 on both sigmoid branches
+        b = t(rng.normal(scale=rng.choice([1.0, 40.0]), size=4 * hs))
+        x, h, c = t(rng.normal(size=d)), t(rng.normal(size=hs)), t(rng.normal(size=hs))
+        w = t(rng.normal(size=2 * hs), rg=False)
+        return lambda: (lstm_cell(wx, wh, b, x, h, c) * w).sum(), [wx, wh, b, x, h, c]
     if name == "softmax":
         a = t(rng.normal(size=(3, 4)))
         w = t(rng.normal(size=(3, 4)), rg=False)
@@ -199,7 +205,7 @@ def _fd_case(name, rng):
 
 ALL_OPS = [
     "add", "add_rowvec", "mul", "scale", "matmul", "matvec", "vecmat",
-    "dot", "tanh", "sigmoid", "softmax", "log_softmax", "mean",
+    "dot", "tanh", "lstm_cell", "softmax", "log_softmax", "mean",
     "transpose", "concat", "stack_rows", "take_column", "getitem",
     "getitem_rows", "getitem_row", "neg",
 ]
@@ -224,7 +230,7 @@ def test_forward_chains_stay_finite():
         a = t(rng.normal(scale=50.0, size=(4, 5)))
         b = t(rng.normal(scale=50.0, size=(5, 3)))
         out = softmax(matmul(a, b).tanh(), axis=1)
-        out = matmul(out.T, out).sigmoid().mean(axis=0)
+        out = matmul(out.T, out).mean(axis=0)
         assert np.all(np.isfinite(out.data))
         total = out.sum()
         total.backward()

@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
+from objcap import trainer
 from objcap.captioner import decode_step, initial_state
+from objcap.cli import caption_dataset
 from objcap.data import SynthSpec, load_manifest, synth_dataset
 from objcap.model import init_model, segment_context
 from objcap.tensor import ContractError, Tensor
@@ -119,6 +123,65 @@ class TestTrainLoop:
         assert len(res.log) < 200
         assert res.log[-1]["train_loss"] < 1.0
 
+    def test_grad_clip_rescales_to_the_clip(self, tmp_path, monkeypatch):
+        ds = small_dataset(tmp_path)
+        seen = []
+
+        def recording_adam_step(params, grads, *args):
+            seen.append({n: g.copy() for n, g in grads.items()})
+            return adam_step(params, grads, *args)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+        clip = 1e-3
+        train(TrainConfig(max_epochs=1, batch_size=2, seed=3), ds, SMALL_MODEL)
+        free = seen[:]
+        seen.clear()
+        train(TrainConfig(max_epochs=1, batch_size=2, seed=3, grad_clip=clip), ds, SMALL_MODEL)
+
+        def norm(grads):
+            return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+        assert len(seen) == len(free) > 0
+        for grads in seen:
+            assert abs(norm(grads) - clip) < 1e-12
+        # the first step starts from the same parameters, so its gradients
+        # before clipping are the unclipped run's
+        scale = clip / norm(free[0])
+        assert scale < 1e-2
+        for name, g in free[0].items():
+            assert np.max(np.abs(seen[0][name] - g * scale), initial=0.0) < 1e-15
+
+
+class TestCollectorPause:
+    def test_train_and_caption_leave_no_cycles(self, tmp_path):
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=2, batch_size=2, seed=4, grad_clip=1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            res = train(cfg, ds, SMALL_MODEL)
+            caption_dataset(res.model, res.vocab, ds.val, 2, with_trace=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, tmp_path, enabled):
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=1, batch_size=2, seed=4)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            res = train(cfg, ds, SMALL_MODEL)
+            assert gc.isenabled() == enabled
+            caption_dataset(res.model, res.vocab, ds.val, 2)
+            assert gc.isenabled() == enabled
+            ds.val = []
+            with pytest.raises(ContractError):
+                train(cfg, ds, SMALL_MODEL)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
 
 class TestCheckpoint:
     def test_round_trip_reproduces_forward_bitwise(self, tmp_path):
@@ -191,8 +254,10 @@ class TestCheckpoint:
 
 
 def test_train_config_validation():
-    with pytest.raises(ContractError):
-        TrainConfig(plateau_factor=1.5).validate()
-    with pytest.raises(ContractError):
-        TrainConfig(lr=-1.0).validate()
+    for bad in ({"plateau_factor": 1.5}, {"lr": -1.0}, {"beta1": 1.0}, {"beta1": -0.1},
+                {"beta2": 1.0}, {"eps": 0.0}, {"eps": -1e-8}, {"grad_clip": 0.0},
+                {"grad_clip": -1.0}):
+        with pytest.raises(ContractError):
+            TrainConfig(**bad).validate()
     TrainConfig().validate()
+    TrainConfig(beta1=0.0, beta2=0.0, grad_clip=1e-6).validate()
