@@ -29,6 +29,8 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
+    gather,
+    linear,
     log_softmax,
     matmul,
     softmax,
@@ -138,7 +140,8 @@ def init_captioner(rng: np.random.Generator, *, image_dim: int, vocab_size: int,
 
 @dataclass
 class SegmentContext:
-    """Per-segment inputs precomputed once before decoding.
+    """Per-segment inputs precomputed once before decoding; for a padded
+    batch, each field gains a leading batch axis.
 
     ``frames``    projected image features, one row per frame (None without
                   the image pathway)
@@ -147,6 +150,8 @@ class SegmentContext:
                   the object pathway)
     ``keys``      the frame-attention keys, ``frames`` (or ``states`` without
                   the image pathway) times ``temporal_w_c.T``
+    ``frame_mask`` B x T, True at a segment's real frames; None when no
+                  frame is padded
     """
 
     frames: Tensor | None
@@ -154,6 +159,7 @@ class SegmentContext:
     states: Tensor | None
     keys: Tensor
     length: int
+    frame_mask: np.ndarray | None = None
 
 
 @dataclass
@@ -195,13 +201,23 @@ class Hypothesis:
         return list(body)
 
 
+def frame_mean(rows: Tensor, frame_mask: np.ndarray | None) -> Tensor:
+    """Mean of the per-frame rows (T x D, or B x T x D) over each segment's
+    real frames."""
+    if frame_mask is None:
+        return rows.mean(axis=-2)
+    return matmul(Tensor(frame_mask / frame_mask.sum(axis=-1, keepdims=True)), rows)
+
+
 def precompute_frames(p: CaptionerParams, v_c: Tensor,
-                      interactions: list[Tensor] | None) -> SegmentContext:
+                      interactions: list[Tensor] | None,
+                      frame_mask: np.ndarray | None = None) -> SegmentContext:
     """Project the frame features, pool them, stack interaction states, and
-    compute the frame-attention keys."""
-    if len(v_c.shape) != 2 or v_c.shape[0] < 1:
+    compute the frame-attention keys. ``v_c`` is T x D, or B x T x D for a
+    padded batch whose real frames ``frame_mask`` marks."""
+    if len(v_c.shape) < 2 or v_c.shape[-2] < 1:
         raise ContractError(f"frame features must be a T x D matrix with T >= 1, got {v_c.shape}")
-    length = v_c.shape[0]
+    length = v_c.shape[-2]
     if p.use_objects:
         if not interactions:
             raise ContractError("object pathway active but no interaction states given")
@@ -212,39 +228,37 @@ def precompute_frames(p: CaptionerParams, v_c: Tensor,
         states = None
     if p.use_image:
         frames = mlp_forward(p.img_proj, v_c)
-        pooled = frames.mean(axis=0)
+        pooled = frame_mean(frames, frame_mask)
     else:
         frames = None
-        pooled = Tensor(np.zeros(p.img_proj_dim))
-    keys = matmul(frames if p.use_image else states, p.temporal_w_c.T)
+        pooled = Tensor(np.zeros(v_c.shape[:-2] + (p.img_proj_dim,)))
+    keys = linear(frames if p.use_image else states, p.temporal_w_c)
     return SegmentContext(frames=frames, pooled=pooled, states=states, keys=keys,
-                          length=length)
+                          length=length, frame_mask=frame_mask)
 
 
-def initial_state(p: CaptionerParams) -> DecoderState:
-    return DecoderState(h1=Tensor(np.zeros(p.attn_hidden)),
-                        c1=Tensor(np.zeros(p.attn_hidden)),
-                        h2=Tensor(np.zeros(p.lang_hidden)),
-                        c2=Tensor(np.zeros(p.lang_hidden)))
+def initial_state(p: CaptionerParams, batch: tuple[int, ...] = ()) -> DecoderState:
+    """Zero LSTM states: vectors, or one row per segment of a batch."""
+    return DecoderState(h1=Tensor(np.zeros(batch + (p.attn_hidden,))),
+                        c1=Tensor(np.zeros(batch + (p.attn_hidden,))),
+                        h2=Tensor(np.zeros(batch + (p.lang_hidden,))),
+                        c2=Tensor(np.zeros(batch + (p.lang_hidden,))))
 
 
-def decode_step(p: CaptionerParams, ctx: SegmentContext, prev_word: int,
-                state: DecoderState) -> DecodeStep:
-    """Advance both LSTMs one word and score the vocabulary.
+def advance(p: CaptionerParams, ctx: SegmentContext, embedding: Tensor,
+            state: DecoderState) -> tuple[DecoderState, Tensor]:
+    """Advance both LSTMs one word, given the previous word's embedding (one
+    row per batch row). Returns the new state and the frame distribution.
 
     The frame distribution is computed once and reused for every aggregation
     in the step, so image evidence and interaction states are weighted by the
-    same attention.
+    same attention. Padded frames get exactly zero attention.
     """
-    if not 0 <= prev_word < p.vocab_size:
-        raise ContractError(f"word id {prev_word} outside vocabulary of {p.vocab_size}")
-    embedding = take_column(p.embed, prev_word)
     x1 = concat([state.h2, ctx.pooled, embedding])
     h1, c1 = lstm_step(p.attn_lstm, x1, state.h1, state.c1)
 
-    query = matmul(p.temporal_w_h, h1)
-    scores = matmul((ctx.keys + query).tanh(), p.temporal_w_a)
-    alpha = softmax(scores)
+    scores = matmul((ctx.keys + linear(h1, p.temporal_w_h)).tanh(), p.temporal_w_a)
+    alpha = softmax(scores, mask=ctx.frame_mask)
 
     parts = [h1]
     if p.use_image:
@@ -253,12 +267,37 @@ def decode_step(p: CaptionerParams, ctx: SegmentContext, prev_word: int,
         if p.use_coattention:
             parts.append(matmul(alpha, ctx.states))
         else:
-            parts.append(ctx.states.mean(axis=0))
+            parts.append(frame_mean(ctx.states, ctx.frame_mask))
     h2, c2 = lstm_step(p.lang_lstm, concat(parts), state.h2, state.c2)
+    return DecoderState(h1=h1, c1=c1, h2=h2, c2=c2), alpha
 
-    logits = matmul(p.out_w, h2) + p.out_b
-    return DecodeStep(state=DecoderState(h1=h1, c1=c1, h2=h2, c2=c2),
-                      alpha_temp=alpha, word_logits=logits)
+
+def decode_step(p: CaptionerParams, ctx: SegmentContext, prev_word: int,
+                state: DecoderState) -> DecodeStep:
+    """Advance both LSTMs one word (see ``advance``) and score the
+    vocabulary."""
+    if not 0 <= prev_word < p.vocab_size:
+        raise ContractError(f"word id {prev_word} outside vocabulary of {p.vocab_size}")
+    state, alpha = advance(p, ctx, take_column(p.embed, prev_word), state)
+    return DecodeStep(state=state, alpha_temp=alpha,
+                      word_logits=linear(state.h2, p.out_w, p.out_b))
+
+
+def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarray,
+                       targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+    """Summed negative log-likelihood of ``targets`` when each position is
+    fed its ``inputs`` word: L word ids per caption, or B x L for a padded
+    batch, where ``mask`` marks the scored positions (None: all of them).
+    Returns a scalar, or one sum per batch row; padded positions add nothing
+    to it or to any gradient."""
+    state = initial_state(p, inputs.shape[:-1])
+    embeddings = take_column(p.embed, inputs)      # ... x L x embed_dim
+    tops = []
+    for i in range(inputs.shape[-1]):
+        state, _ = advance(p, ctx, embeddings[..., i, :], state)
+        tops.append(state.h2)
+    logits = linear(stack_rows(tops), p.out_w, p.out_b)
+    return -gather(log_softmax(logits), targets, mask).sum(axis=-1)
 
 
 @dataclass
@@ -286,18 +325,12 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
     if len(stripped) < 2 or stripped[-1] != EOS_ID:
         raise ContractError("caption must end with EOS")
 
-    state = initial_state(p)
-    loss_sum = None
-    scored = 0
-    for i in range(len(caption) - 1):
-        gold = caption[i + 1]
-        if gold == PAD_ID:
-            break
-        step = decode_step(p, ctx, caption[i], state)
-        state = step.state
-        nll = -log_softmax(step.word_logits)[gold]
-        loss_sum = nll if loss_sum is None else loss_sum + nll
-        scored += 1
+    ids = np.array(caption)
+    pads = np.flatnonzero(ids[1:] == PAD_ID)
+    scored = int(pads[0]) if pads.size else len(caption) - 1
+    if scored == 0:
+        raise ContractError("caption scores no position")
+    loss_sum = teacher_forced_nll(p, ctx, ids[:scored], ids[1:scored + 1])
     return TeacherForcedResult(loss=loss_sum * (1.0 / scored), loss_sum=loss_sum,
                                scored_positions=scored)
 

@@ -12,6 +12,10 @@ Only the hidden-state term of the bias depends on the recurrence, so each
 group's object projections and frame contexts are computed once per segment,
 for all frames together, before the frame loop.
 
+A batch of segments runs as one recurrence over padded arrays: each frame
+attends over its widest object count, masks give padded object rows exactly
+zero attention, and frames past a segment's end see no objects.
+
 Object rows are an unordered set: no identity or cross-frame correspondence
 is assumed, and all outputs are invariant to row permutation.
 """
@@ -32,7 +36,16 @@ from .layers import (
     lstm_step,
     mlp_forward,
 )
-from .tensor import ContractError, ShapeError, Tensor, concat, matmul, softmax
+from .tensor import (
+    ContractError,
+    ShapeError,
+    Tensor,
+    concat,
+    linear,
+    matmul,
+    softmax,
+    unpack_rows,
+)
 
 
 @dataclass
@@ -92,28 +105,99 @@ def init_interaction(rng: np.random.Generator, *, image_dim: int, object_dim: in
     return InteractionParams(groups=groups, lstm=lstm, attn_dim=attn_dim)
 
 
-def group_attend(projected: Tensor, u: Tensor) -> tuple[Tensor, Tensor]:
+def group_attend(projected: Tensor, u: Tensor,
+                 mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Attend over one frame's projected object rows (n x attn_dim) with one
     group's context bias ``u``; returns the attention matrix and the pooled
-    vector.
+    vector. A batch gives B x n x attn_dim rows and one bias per batch row.
 
     Scores every pair of biased rows with a scaled dot product, normalizes
     each row with softmax, weights the projected rows, and averages them into
-    a single vector.
+    a single vector. ``mask`` (B x n) marks the real rows of a padded batch:
+    a padded row or column gets exactly zero attention, the average runs
+    over the real rows only, and a batch row without one pools to zeros.
     """
-    if len(projected.shape) != 2 or projected.shape[0] < 1:
+    if len(projected.shape) < 2 or projected.shape[-2] < 1:
         raise ContractError("group_attend needs at least one object row")
     x = projected + u                                      # u added to every row
-    scores = matmul(x, x.T) * (1.0 / math.sqrt(projected.shape[1]))  # n x n
-    alpha = softmax(scores, axis=1)
-    pooled = matmul(alpha, projected).mean(axis=0)
-    return alpha, pooled
+    scores = matmul(x, x.T) * (1.0 / math.sqrt(projected.shape[-1]))  # n x n
+    # mean over rows of (alpha @ projected), taken as (mean of alpha's rows)
+    # @ projected, which skips an n x n x attn_dim product
+    if mask is None:
+        alpha = softmax(scores)
+        return alpha, matmul(alpha.mean(axis=-2), projected)
+    alpha = softmax(scores, mask=mask[..., :, None] & mask[..., None, :])
+    weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+    return alpha, matmul(matmul(Tensor(weights), alpha), projected)
+
+
+def pack_objects(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out the per-frame object arrays of B segments for the recurrence.
+
+    Returns every object row stacked segment by segment and frame by frame,
+    and a B x T x N mask, padded to the most frames and objects, that is
+    True where those rows sit (in C order).
+    """
+    frames = max(len(objects) for objects in segments)
+    widest = max((objs.shape[0] for objects in segments for objs in objects), default=0)
+    mask = np.zeros((len(segments), frames, widest), dtype=bool)
+    for b, objects in enumerate(segments):
+        for t, objs in enumerate(objects):
+            mask[b, t, :objs.shape[0]] = True
+    rows = [objs for objects in segments for objs in objects if objs.shape[0]]
+    return (np.concatenate(rows) if rows else np.zeros((0, 0))), mask
+
+
+def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
+                       object_mask: np.ndarray,
+                       ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
+    """Run the recurrence from a zero initial state over a segment (image
+    T x image_dim, object_mask T x N) or a padded batch of them (B x T x
+    image_dim, B x T x N); ``objects`` holds the rows ``object_mask`` marks,
+    in its C order (see ``pack_objects``).
+
+    Returns the hidden state after each frame (H, or B x H) and, per frame,
+    each group's attention over the frame's widest object count n (n x n,
+    or B x n x n; None when the frame has no object in any segment, which
+    feeds zeros to the LSTM). Frames past a segment's end see no objects.
+    """
+    rows = Tensor(objects)
+    # state-independent work, once per call: every frame's projected objects
+    # and every frame's context term, for each group
+    projected = [unpack_rows(mlp_forward(g.proj, rows), object_mask) if objects.size else None
+                 for g in p.groups]
+    contexts = [linear(image, g.w_c) for g in p.groups]
+
+    batch = object_mask.shape[:-2]
+    h = Tensor(np.zeros(batch + (p.hidden_size,)))
+    c = Tensor(np.zeros(batch + (p.hidden_size,)))
+    empty = Tensor(np.zeros(batch + (len(p.groups) * p.attn_dim,)))
+    # per frame: the widest object count over the batch, and whether some
+    # segment has fewer (only then is there padding to mask)
+    counts = object_mask.sum(axis=-1).reshape(-1, object_mask.shape[-2])
+    widest = counts.max(axis=0)
+    padded = (counts != widest).any(axis=0).tolist()
+    hiddens: list[Tensor] = []
+    records: list[list[np.ndarray | None]] = []
+    for t, n in enumerate(widest.tolist()):
+        if n:
+            mask = object_mask[..., t, :n] if padded[t] else None
+            attended = [group_attend(proj[..., t, :n, :], linear(h, g.w_h, ctx[..., t, :]), mask)
+                        for g, proj, ctx in zip(p.groups, projected, contexts)]
+            pooled_all = concat([pooled for _, pooled in attended])
+            records.append([alpha.data for alpha, _ in attended])
+        else:
+            pooled_all = empty
+            records.append([None] * len(p.groups))
+        h, c = lstm_step(p.lstm, pooled_all, h, c)
+        hiddens.append(h)
+    return hiddens, records
 
 
 def interaction_sequence(p: InteractionParams, image_feats: Tensor,
                          object_feats: list[np.ndarray],
                          ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
-    """Run the recurrence over a segment from a zero initial state.
+    """Run the recurrence over one segment from a zero initial state.
 
     ``image_feats`` is T x image_dim; ``object_feats`` holds one n_t x
     object_dim array per frame (n_t may be 0). Returns the hidden state after
@@ -124,30 +208,5 @@ def interaction_sequence(p: InteractionParams, image_feats: Tensor,
         raise ContractError(f"image features must be T x D with T >= 1, got {image_feats.shape}")
     if len(object_feats) != image_feats.shape[0]:
         raise ContractError("one object array per frame required")
-    counts = [objs.shape[0] if objs.size else 0 for objs in object_feats]
-    rows = [objs for objs in object_feats if objs.size]
-    # state-independent work, once per segment: every frame's projected
-    # objects and every frame's context term, for each group
-    stacked = Tensor(np.concatenate(rows)) if rows else None
-    projected = [mlp_forward(g.proj, stacked) if rows else None for g in p.groups]
-    contexts = [matmul(image_feats, g.w_c.T) for g in p.groups]
-
-    h = Tensor(np.zeros(p.hidden_size))
-    c = Tensor(np.zeros(p.hidden_size))
-    empty = Tensor(np.zeros(len(p.groups) * p.attn_dim))
-    hiddens: list[Tensor] = []
-    records: list[list[np.ndarray | None]] = []
-    start = 0
-    for t, n in enumerate(counts):
-        if n:
-            attended = [group_attend(proj[start:start + n], matmul(g.w_h, h) + ctx[t])
-                        for g, proj, ctx in zip(p.groups, projected, contexts)]
-            pooled_all = concat([pooled for _, pooled in attended])
-            records.append([alpha.data for alpha, _ in attended])
-        else:
-            pooled_all = empty
-            records.append([None] * len(p.groups))
-        start += n
-        h, c = lstm_step(p.lstm, pooled_all, h, c)
-        hiddens.append(h)
-    return hiddens, records
+    objects, mask = pack_objects([object_feats])
+    return interaction_states(p, image_feats, objects, mask[0])

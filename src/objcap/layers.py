@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, lstm_cell, matmul
+from .tensor import ContractError, ShapeError, Tensor, linear, lstm_cell
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
@@ -62,10 +62,11 @@ def init_lstm(rng: np.random.Generator, input_size: int, hidden_size: int) -> Ls
 
 
 def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM recurrence step on vectors; returns (h, c)."""
+    """One LSTM recurrence step on vectors, or on a batch of them one per
+    row; returns (h, c)."""
     hs = p.hidden_size
     hc = lstm_cell(p.wx, p.wh, p.b, x, h_prev, c_prev)
-    return hc[0:hs], hc[hs:2 * hs]
+    return hc[..., 0:hs], hc[..., hs:2 * hs]
 
 
 @dataclass
@@ -110,11 +111,10 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    """Apply the MLP to a vector or, row by row, to a matrix."""
-    rank = len(x.shape)
-    if rank not in (1, 2) or x.shape[-1] != p.input_size:
+    """Apply the MLP to a vector or, row by row, along the last axis."""
+    if len(x.shape) < 1 or x.shape[-1] != p.input_size:
         raise ShapeError(f"mlp_forward input shape {x.shape}, expected width {p.input_size}")
     out = x
     for w, b in p.layers:
-        out = (matmul(w, out) + b if rank == 1 else matmul(out, w.T) + b).tanh()
+        out = linear(out, w, b).tanh()
     return out

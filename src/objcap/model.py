@@ -1,5 +1,6 @@
 """Whole-model bundle: configuration, seeded construction, named parameters,
-and the segment-level forward that feeds the decoder."""
+the segment-level forward that feeds the decoder, and the padded batch that
+training runs as one graph."""
 
 from __future__ import annotations
 
@@ -12,8 +13,15 @@ from .captioner import (
     SegmentContext,
     init_captioner,
     precompute_frames,
+    teacher_forced_nll,
 )
-from .interaction import InteractionParams, init_interaction, interaction_sequence
+from .interaction import (
+    InteractionParams,
+    init_interaction,
+    interaction_sequence,
+    interaction_states,
+    pack_objects,
+)
 from .tensor import ContractError, Tensor
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -126,3 +134,53 @@ def segment_context(model: Model, image_feats: np.ndarray,
         hiddens, records = interaction_sequence(model.interaction, v_c, object_feats)
     ctx = precompute_frames(model.captioner, v_c, hiddens)
     return ctx, records
+
+
+def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
+    """Teacher-forced negative log-likelihood of B (segment, encoded caption)
+    pairs as one graph; returns the per-row sums (B) and the number of
+    scored positions.
+
+    Segments are padded to the most frames and objects, captions to the
+    longest; padding changes no row's value or gradient. A batch of one runs
+    as its segment alone, without the batch axis, which saves per-op work. A
+    segment whose feature widths differ from the model's is rejected by id.
+    """
+    cfg = model.config
+    segments = [seg for seg, _ in items]
+    for seg in segments:
+        widths = {objs.shape[1] for objs in seg.object_feats if objs.shape[0]}
+        if seg.image_feats.shape[1] != cfg.image_dim or widths - {cfg.object_dim}:
+            raise ContractError(
+                f"segment {seg.segment_id}: feature widths image "
+                f"{seg.image_feats.shape[1]}, objects {sorted(widths)}; the model takes "
+                f"image {cfg.image_dim}, objects {cfg.object_dim}")
+    frames = max(seg.image_feats.shape[0] for seg in segments)
+    image = np.zeros((len(segments), frames, cfg.image_dim))
+    frame_mask = np.zeros((len(segments), frames), dtype=bool)
+    for b, seg in enumerate(segments):
+        image[b, :seg.image_feats.shape[0]] = seg.image_feats
+        frame_mask[b, :seg.image_feats.shape[0]] = True
+    objects, object_mask = pack_objects([seg.object_feats for seg in segments])
+
+    positions = max(len(ids) for _, ids in items) - 1
+    inputs = np.zeros((len(items), positions), dtype=np.int64)
+    targets = np.zeros((len(items), positions), dtype=np.int64)
+    scored = np.zeros((len(items), positions), dtype=bool)
+    for b, (_, ids) in enumerate(items):
+        inputs[b, :len(ids) - 1] = ids[:-1]
+        targets[b, :len(ids) - 1] = ids[1:]
+        scored[b, :len(ids) - 1] = True
+
+    alone = len(items) == 1     # nothing is padded
+    if alone:
+        image, object_mask, inputs, targets = image[0], object_mask[0], inputs[0], targets[0]
+    v_c = Tensor(image)
+    hiddens = None
+    if cfg.use_objects:
+        hiddens, _ = interaction_states(model.interaction, v_c, objects, object_mask)
+    ctx = precompute_frames(model.captioner, v_c, hiddens,
+                            None if frame_mask.all() else frame_mask)
+    rows = teacher_forced_nll(model.captioner, ctx, inputs, targets,
+                              None if scored.all() else scored)
+    return (rows[None] if alone else rows), int(scored.sum())

@@ -7,9 +7,15 @@ the sum of all its downstream contributions. A closure takes its node as an
 argument instead of closing over it, so the tape holds no reference cycles
 and a graph is freed as soon as its last reference goes.
 
+Batch axis: the ops that take vectors also take a batch of them, one per
+row of a matrix, and the ops that take matrices also take a batch of them
+along a leading axis. A segment alone runs the same code as a batch, without
+the leading axis. ``softmax`` and ``gather`` take a mask for padded entries.
+
 Tape policy: each forward pass builds a fresh graph; ``backward()`` may be
 called once per graph root and raises on a second call. Gradients persist on
-``requires_grad`` leaves until ``zero_grad()``.
+``requires_grad`` leaves until ``zero_grad()``; an interior node's gradient
+is dropped as soon as it has been passed on to the node's inputs.
 """
 
 from __future__ import annotations
@@ -55,9 +61,12 @@ class Tensor:
     node.
     """
 
+    __slots__ = ("data", "requires_grad", "grad", "_prev", "_backward", "_backward_done",
+                 "__weakref__")
+
     def __init__(self, data, requires_grad: bool = False, _prev: tuple = ()):
         arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:  # ascontiguousarray would distort 0-d
+        if not arr.flags.c_contiguous:  # ascontiguousarray would distort 0-d
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -120,22 +129,29 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node)
                 node._backward = None  # release closures, graph is spent
+                node.grad = None       # passed on to the inputs; free it now
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
+    def _check_axis(self, axis: int | None, op: str) -> None:
+        rank = len(self.shape)
+        if axis is not None and not -rank <= axis < rank:
+            raise ShapeError(f"{op} over axis {axis} unsupported for shape {self.shape}")
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Tensor") -> "Tensor":
+        """Element-wise sum of equal shapes, or a matrix plus a vector added
+        to every row (a batch of matrices plus one vector per matrix)."""
         if not isinstance(other, Tensor):
             raise TypeError("add expects a Tensor")
         a, b = self, other
         if a.shape == b.shape:
             out_data = a.data + b.data
             row_broadcast = False
-        elif len(a.shape) == 2 and b.shape == (a.shape[1],):
-            # matrix + row vector: the vector is added to every row
-            out_data = a.data + b.data
+        elif len(a.shape) >= 2 and b.shape == a.shape[:-2] + a.shape[-1:]:
+            out_data = a.data + (b.data if len(b.shape) == 1 else b.data[..., None, :])
             row_broadcast = True
         else:
             raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
@@ -146,7 +162,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
-                b._accumulate(g.sum(axis=0) if row_broadcast else g)
+                b._accumulate(g.sum(axis=-2) if row_broadcast else g)
 
         if out.requires_grad:
             out._backward = _backward
@@ -194,23 +210,23 @@ class Tensor:
         return self.__mul__(other)
 
     def __getitem__(self, key) -> "Tensor":
-        """Integer index (element of a vector, row of a matrix) or slice
-        (entries of a vector, rows of a matrix)."""
-        if isinstance(key, int):
-            if key < 0 or key >= self.shape[0]:
-                raise ShapeError(f"index {key} out of range for shape {self.shape}")
-            out = Tensor(self.data[key], requires_grad=self.requires_grad, _prev=(self,))
-            idx = key
-        elif isinstance(key, slice) and len(self.shape) in (1, 2):
-            out = Tensor(self.data[key], requires_grad=self.requires_grad, _prev=(self,))
-            idx = key
-        else:
-            raise ShapeError(f"unsupported index {key!r} for shape {self.shape}")
+        """Basic indexing: a non-negative int or a slice on the first axis,
+        ``None`` for a new axis of length 1, or a tuple of them with at most
+        one Ellipsis (``x[..., t, :]``)."""
+        for k in key if isinstance(key, tuple) else (key,):
+            if not (k is Ellipsis or k is None or isinstance(k, slice)
+                    or isinstance(k, (int, np.integer)) and k >= 0):
+                raise ShapeError(f"unsupported index {key!r} for shape {self.shape}")
+        try:
+            view = self.data[key]
+        except IndexError:
+            raise ShapeError(f"index {key!r} out of range for shape {self.shape}") from None
+        out = Tensor(view, requires_grad=self.requires_grad, _prev=(self,))
 
         def _backward(out):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            self.grad[idx] += out.grad
+            self.grad[key] += out.grad
 
         if out.requires_grad:
             out._backward = _backward
@@ -230,32 +246,31 @@ class Tensor:
 
     # -- reductions & layout -----------------------------------------------
 
-    def sum(self) -> "Tensor":
-        out = Tensor(np.sum(self.data), requires_grad=self.requires_grad, _prev=(self,))
+    def sum(self, axis: int | None = None) -> "Tensor":
+        """Sum of every entry, or along one axis."""
+        self._check_axis(axis, "sum")
+        out = Tensor(np.sum(self.data, axis=axis), requires_grad=self.requires_grad,
+                     _prev=(self,))
 
         def _backward(out):
-            self._accumulate(np.full_like(self.data, float(out.grad)))
+            g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         if out.requires_grad:
             out._backward = _backward
         return out
 
     def mean(self, axis: int | None = None) -> "Tensor":
-        if axis is None:
-            out = Tensor(np.mean(self.data), requires_grad=self.requires_grad, _prev=(self,))
+        """Mean of every entry, or along one axis."""
+        self._check_axis(axis, "mean")
+        n = self.data.size if axis is None else self.shape[axis]
+        out = Tensor(np.mean(self.data, axis=axis), requires_grad=self.requires_grad,
+                     _prev=(self,))
 
-            def _backward(out):
-                self._accumulate(np.full_like(self.data, float(out.grad) / self.data.size))
-
-        elif axis == 0 and len(self.shape) == 2:
-            n = self.shape[0]
-            out = Tensor(self.data.mean(axis=0), requires_grad=self.requires_grad, _prev=(self,))
-
-            def _backward(out):
-                self._accumulate(np.broadcast_to(out.grad / n, self.shape).copy())
-
-        else:
-            raise ShapeError(f"mean over axis {axis} unsupported for shape {self.shape}")
+        def _backward(out):
+            g = out.grad / n
+            self._accumulate(np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                             self.shape))
 
         if out.requires_grad:
             out._backward = _backward
@@ -263,12 +278,14 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        if len(self.shape) != 2:
+        """A matrix's transpose; for a batch, each matrix's."""
+        if len(self.shape) < 2:
             raise ShapeError(f"transpose needs a matrix, got shape {self.shape}")
-        out = Tensor(self.data.T, requires_grad=self.requires_grad, _prev=(self,))
+        out = Tensor(np.swapaxes(self.data, -1, -2), requires_grad=self.requires_grad,
+                     _prev=(self,))
 
         def _backward(out):
-            self._accumulate(out.grad.T)
+            self._accumulate(np.swapaxes(out.grad, -1, -2))
 
         if out.requires_grad:
             out._backward = _backward
@@ -278,51 +295,111 @@ class Tensor:
 # -- binary / n-ary operations ----------------------------------------------
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for (batches of) matrices. A product over an index of
+    length 1 is formed as a broadcast product: the same exact values,
+    without BLAS's slow path for it."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; accepts matrix@matrix, matrix@vector, vector@matrix
-    and vector@vector (dot product, scalar result)."""
-    if len(a.shape) == 0 or len(b.shape) == 0 or len(a.shape) > 2 or len(b.shape) > 2:
+    """Matrix product. Ranks 1 and 2 combine as in numpy: matrix@matrix,
+    matrix@vector, vector@matrix and vector@vector (dot product, scalar
+    result). With a leading batch axis: (B,n,d) @ (B,d,m) multiplies each
+    pair of matrices, (B,n,d) @ (d,) applies one vector to every matrix, and
+    (B,d) @ (B,d,m) multiplies each row by its own matrix."""
+    ar, br = len(a.shape), len(b.shape)
+    if ar in (1, 2) and br in (1, 2):
+        ok = a.shape[-1] == b.shape[0]
+    elif (ar, br) == (3, 3):
+        ok = a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]
+    elif (ar, br) == (3, 1):
+        ok = a.shape[2] == b.shape[0]
+    elif (ar, br) == (2, 3):
+        ok = a.shape[0] == b.shape[0] and a.shape[1] == b.shape[1]
+    else:
+        ok = False
+    if not ok:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
+    if (ar, br) == (2, 3):
+        out_data = (a.data[:, None, :] @ b.data)[:, 0, :]
+    else:
+        out_data = a.data @ b.data
+    out = Tensor(out_data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
 
     def _backward(out):
-        g = out.grad
-        ar, br = len(a.shape), len(b.shape)
+        # the operands as (batches of) matrices: a vector becomes a one-row
+        # (left) or one-column (right) matrix
+        pa = a.data[..., None, :] if ar == 1 or br == 3 and ar == 2 else a.data
+        pb = b.data[:, None] if br == 1 else b.data
+        lead = pa.shape[:-2] or pb.shape[:-2]
+        g = out.grad.reshape(lead + (pa.shape[-2], pb.shape[-1]))
         if a.requires_grad:
-            if ar == 2 and br == 2:
-                a._accumulate(g @ b.data.T)
-            elif ar == 2 and br == 1:
-                a._accumulate(np.outer(g, b.data))
-            elif ar == 1 and br == 2:
-                a._accumulate(b.data @ g)
-            else:
-                a._accumulate(g * b.data)
+            a._accumulate(_mm(g, np.swapaxes(pb, -1, -2)).reshape(a.shape))
         if b.requires_grad:
-            if ar == 2 and br == 2:
-                b._accumulate(a.data.T @ g)
-            elif ar == 2 and br == 1:
-                b._accumulate(a.data.T @ g)
-            elif ar == 1 and br == 2:
-                b._accumulate(np.outer(a.data, g))
-            else:
-                b._accumulate(g * a.data)
+            gb = _mm(np.swapaxes(pa, -1, -2), g)
+            if br < 3 and lead:    # one b shared by the batch
+                gb = gb.sum(axis=0)
+            b._accumulate(gb.reshape(b.shape))
 
     if out.requires_grad:
         out._backward = _backward
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w.T + b`` over the last axis of ``x``: ``w`` is out x in, one
+    row per output. ``b`` is a vector of outputs or has the output's shape."""
+    if len(w.shape) != 2 or len(x.shape) < 1 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape}.T")
+    out_data = x.data @ w.data.T
+    requires_grad = x.requires_grad or w.requires_grad
+    if b is None:
+        inputs = (x, w)
+    else:
+        if b.shape != out_data.shape and b.shape != (w.shape[0],):
+            raise ShapeError(f"linear bias shape {b.shape} for output {out_data.shape}")
+        out_data += b.data
+        inputs = (x, w, b)
+        requires_grad = requires_grad or b.requires_grad
+    out = Tensor(out_data, requires_grad=requires_grad, _prev=inputs)
+
+    def _backward(out):
+        g = out.grad
+        rows = g.reshape(-1, w.shape[0])
+        if x.requires_grad:
+            x._accumulate(g @ w.data)
+        if w.requires_grad:
+            w._accumulate(_mm(rows.T, x.data.reshape(-1, w.shape[1])))
+        if b is not None and b.requires_grad:
+            b._accumulate(g if b.shape == g.shape else rows.sum(axis=0))
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
+def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """Exponentials normalized along ``axis``, shifted by the slice maximum
-    so large scores cannot overflow."""
+    so large scores cannot overflow.
+
+    Where ``mask`` (x's shape) is False the result is exactly 0.0 and passes
+    no gradient; a slice with no True entry is all zeros.
+    """
     rank = len(x.shape)
     if rank == 0 or axis >= rank or axis < -rank:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    if mask is None:
+        e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+        y = e / np.sum(e, axis=axis, keepdims=True)
+    else:
+        if mask.shape != x.shape:
+            raise ShapeError(f"softmax mask shape {mask.shape} for scores {x.shape}")
+        kept = np.where(mask, x.data, -np.inf)
+        top = np.max(kept, axis=axis, keepdims=True)
+        e = np.exp(kept - np.where(np.isneginf(top), 0.0, top))   # exp(-inf) == 0.0
+        total = np.sum(e, axis=axis, keepdims=True)
+        y = e / np.where(total > 0.0, total, 1.0)
     out = Tensor(y, requires_grad=x.requires_grad, _prev=(x,))
 
     def _backward(out):
@@ -336,16 +413,46 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    """Log of softmax over a vector, computed with the max-shift trick."""
-    if len(x.shape) != 1:
+    """Log of softmax over a vector, or over each row along the last axis,
+    computed with the max-shift trick."""
+    if len(x.shape) < 1:
         raise ShapeError(f"log_softmax needs a vector, got shape {x.shape}")
-    shifted = x.data - np.max(x.data)
-    lse = np.log(np.sum(np.exp(shifted)))
+    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     out = Tensor(shifted - lse, requires_grad=x.requires_grad, _prev=(x,))
 
     def _backward(out):
         g = out.grad
-        x._accumulate(g - np.exp(out.data) * np.sum(g))
+        x._accumulate(g - np.exp(out.data) * np.sum(g, axis=-1, keepdims=True))
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
+def gather(x: Tensor, index, mask: np.ndarray | None = None) -> Tensor:
+    """One entry of each vector along the last axis: ``x[..., index]``, with
+    ``index`` shaped like ``x`` without its last axis. Where ``mask`` is
+    False the result is 0.0 and passes no gradient."""
+    index = np.asarray(index)
+    if len(x.shape) < 1 or index.shape != x.shape[:-1] \
+            or not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"gather index shape {index.shape} for shape {x.shape}")
+    if mask is not None and mask.shape != index.shape:
+        raise ShapeError(f"gather mask shape {mask.shape} for index shape {index.shape}")
+    if np.any((index < 0) | (index >= x.shape[-1])):
+        raise ShapeError(f"gather index out of range for shape {x.shape}")
+    at = index[..., None]
+    picked = np.take_along_axis(x.data, at, axis=-1)[..., 0]
+    if mask is not None:
+        picked = np.where(mask, picked, 0.0)
+    out = Tensor(picked, requires_grad=x.requires_grad, _prev=(x,))
+
+    def _backward(out):
+        g = out.grad if mask is None else np.where(mask, out.grad, 0.0)
+        grad = np.zeros_like(x.data)
+        np.put_along_axis(grad, at, g[..., None], axis=-1)
+        x._accumulate(grad)
 
     if out.requires_grad:
         out._backward = _backward
@@ -353,22 +460,24 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate vectors into one longer vector."""
+    """Join vectors end to end; for batches of vectors, row by row."""
     if not parts:
         raise ContractError("concat of an empty list")
-    for p in parts:
-        if len(p.shape) != 1:
-            raise ShapeError(f"concat needs vectors, got shape {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts]),
+    datas = [p.data for p in parts]
+    lead = datas[0].shape[:-1]
+    for d in datas:
+        if d.ndim < 1 or d.shape[:-1] != lead:
+            raise ShapeError(f"concat needs vectors with equal leading axes, got shape {d.shape}")
+    out = Tensor(np.concatenate(datas, axis=-1),
                  requires_grad=any(p.requires_grad for p in parts),
                  _prev=tuple(parts))
 
     def _backward(out):
         off = 0
         for p in parts:
-            n = p.shape[0]
+            n = p.shape[-1]
             if p.requires_grad:
-                p._accumulate(out.grad[off:off + n])
+                p._accumulate(out.grad[..., off:off + n])
             off += n
 
     if out.requires_grad:
@@ -377,39 +486,68 @@ def concat(parts: list[Tensor]) -> Tensor:
 
 
 def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one vector per row."""
+    """Stack equal-length vectors into a matrix, one vector per row; stack
+    batches of vectors (B x D each) into B x n x D."""
     if not rows:
         raise ContractError("stack_rows of an empty list")
-    width = rows[0].shape
+    shape = rows[0].shape
     for r in rows:
-        if len(r.shape) != 1 or r.shape != width:
-            raise ShapeError(f"stack_rows needs equal-length vectors, got {r.shape} vs {width}")
-    out = Tensor(np.stack([r.data for r in rows]),
+        if len(r.shape) < 1 or r.shape != shape:
+            raise ShapeError(f"stack_rows needs equal-length vectors, got {r.shape} vs {shape}")
+    out = Tensor(np.stack([r.data for r in rows], axis=-2),
                  requires_grad=any(r.requires_grad for r in rows),
                  _prev=tuple(rows))
 
     def _backward(out):
         for i, r in enumerate(rows):
             if r.requires_grad:
-                r._accumulate(out.grad[i])
+                r._accumulate(out.grad[..., i, :])
 
     if out.requires_grad:
         out._backward = _backward
     return out
 
 
-def take_column(m: Tensor, j: int) -> Tensor:
-    """Column ``j`` of a matrix; the gradient flows only into that column."""
+def unpack_rows(rows: Tensor, mask: np.ndarray) -> Tensor:
+    """Place the rows of a matrix, in order, at the True entries of
+    ``mask`` (taken in C order); every other position holds a zero row.
+    The result has shape ``mask.shape + (width,)``."""
+    if len(rows.shape) != 2 or rows.shape[0] != int(mask.sum()):
+        raise ShapeError(f"unpack_rows: {rows.shape} rows for {int(mask.sum())} places")
+    data = np.zeros(mask.shape + rows.shape[1:])
+    data[mask] = rows.data
+    out = Tensor(data, requires_grad=rows.requires_grad, _prev=(rows,))
+
+    def _backward(out):
+        rows._accumulate(out.grad[mask])
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
+def take_column(m: Tensor, j) -> Tensor:
+    """Column ``j`` of a matrix; for an int array of column ids, those
+    columns as rows, shaped ``ids.shape + (rows,)``. The gradient flows only
+    into the columns taken."""
     if len(m.shape) != 2:
         raise ShapeError(f"take_column needs a matrix, got shape {m.shape}")
-    if j < 0 or j >= m.shape[1]:
+    if not isinstance(j, (int, np.integer)):
+        j = np.asarray(j)
+        if not np.issubdtype(j.dtype, np.integer):
+            raise ShapeError(f"take_column needs an int or an array of ints, got {j!r}")
+    single = not isinstance(j, np.ndarray)
+    if (not 0 <= j < m.shape[1]) if single else np.any((j < 0) | (j >= m.shape[1])):
         raise ShapeError(f"column {j} out of range for shape {m.shape}")
-    out = Tensor(m.data[:, j], requires_grad=m.requires_grad, _prev=(m,))
+    out = Tensor(m.data.T[j], requires_grad=m.requires_grad, _prev=(m,))
 
     def _backward(out):
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
-        m.grad[:, j] += out.grad
+        if single:
+            m.grad[:, j] += out.grad
+        else:   # ids may repeat
+            np.add.at(m.grad.T, j, out.grad)
 
     if out.requires_grad:
         out._backward = _backward
@@ -418,49 +556,53 @@ def take_column(m: Tensor, j: int) -> Tensor:
 
 def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
               c_prev: Tensor) -> Tensor:
-    """One LSTM step as one node whose value is ``[h; c]`` (length 2H).
+    """One LSTM step as one node whose value is ``[h; c]`` (length 2H), or
+    one such row per row of a batch (x B x D, h_prev and c_prev B x H).
 
     Gates are four stacked blocks of ``(wx @ x + wh @ h_prev) + b`` in the
     order input, forget, cell candidate, output; ``c = f*c_prev + i*g`` and
     ``h = o*tanh(c)``. The backward pass forms each factor in the order the
     op-by-op chain of matmul, add, sigmoid, tanh and mul would.
     """
-    if len(x.shape) != 1 or len(h_prev.shape) != 1:
-        raise ShapeError(f"lstm_cell needs vector x and h_prev, got {x.shape}, {h_prev.shape}")
-    hs = h_prev.shape[0]
-    if (wx.shape != (4 * hs, x.shape[0]) or wh.shape != (4 * hs, hs)
-            or b.shape != (4 * hs,) or c_prev.shape != (hs,)):
+    x_shape, h_shape = x.data.shape, h_prev.data.shape
+    if len(x_shape) not in (1, 2) or x_shape[:-1] != h_shape[:-1]:
+        raise ShapeError(f"lstm_cell needs vector (or batched row) x and h_prev, "
+                         f"got {x_shape}, {h_shape}")
+    d, hs = x_shape[-1], h_shape[-1]
+    if (wx.data.shape != (4 * hs, d) or wh.data.shape != (4 * hs, hs)
+            or b.data.shape != (4 * hs,) or c_prev.data.shape != h_shape):
         raise ShapeError(f"lstm_cell shape mismatch: wx {wx.shape}, wh {wh.shape}, "
                          f"b {b.shape}, x {x.shape}, h_prev {h_prev.shape}, "
                          f"c_prev {c_prev.shape}")
-    z = (wx.data @ x.data + wh.data @ h_prev.data) + b.data
+    z = (x.data @ wx.data.T + h_prev.data @ wh.data.T) + b.data
     # sigmoid split by sign so exp never overflows
     e = np.exp(-np.abs(z))
     s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    i, f, o = s[:hs], s[hs:2 * hs], s[3 * hs:]
-    g = np.tanh(z[2 * hs:3 * hs])
+    i, f, o = s[..., :hs], s[..., hs:2 * hs], s[..., 3 * hs:]
+    g = np.tanh(z[..., 2 * hs:3 * hs])
     c = f * c_prev.data + i * g
     tc = np.tanh(c)
     inputs = (wx, wh, b, x, h_prev, c_prev)
-    out = Tensor(np.concatenate([o * tc, c]),
+    out = Tensor(np.concatenate([o * tc, c], axis=-1),
                  requires_grad=any(t.requires_grad for t in inputs), _prev=inputs)
 
     def _backward(out):
-        dh = out.grad[:hs]
-        dc = out.grad[hs:] + (1.0 - tc * tc) * (dh * o)
+        dh = out.grad[..., :hs]
+        dc = out.grad[..., hs:] + (1.0 - tc * tc) * (dh * o)
         slope = s * (1.0 - s)
-        slope[2 * hs:3 * hs] = 1.0 - g * g
-        dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc])
+        slope[..., 2 * hs:3 * hs] = 1.0 - g * g
+        dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc], axis=-1)
+        dz_rows = dz.reshape(-1, 4 * hs)
         if wx.requires_grad:
-            wx._accumulate(np.outer(dz, x.data))
+            wx._accumulate(_mm(dz_rows.T, x.data.reshape(-1, d)))
         if wh.requires_grad:
-            wh._accumulate(np.outer(dz, h_prev.data))
+            wh._accumulate(_mm(dz_rows.T, h_prev.data.reshape(-1, hs)))
         if b.requires_grad:
-            b._accumulate(dz)
+            b._accumulate(dz_rows.sum(axis=0))
         if x.requires_grad:
-            x._accumulate(wx.data.T @ dz)
+            x._accumulate(dz @ wx.data)
         if h_prev.requires_grad:
-            h_prev._accumulate(wh.data.T @ dz)
+            h_prev._accumulate(dz @ wh.data)
         if c_prev.requires_grad:
             c_prev._accumulate(dc * f)
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption
-from .model import Model, ModelConfig, config_from_dict, init_model, segment_context
-from .captioner import forward_teacher_forced
+from .model import Model, ModelConfig, batch_nll, config_from_dict, init_model
 from .tensor import ContractError, Tensor, collector_paused
 
 CKPT_MAGIC = b"VCKP"
@@ -53,6 +52,10 @@ class TrainConfig:
     stop_train_loss: float | None = None
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"train config {f.name!r} must be finite, got {value}")
         if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0:
             raise ContractError("lr, batch_size and max_epochs must be positive")
         if not 0.0 < self.plateau_factor < 1.0:
@@ -126,13 +129,12 @@ def _dataset_items(segments, vocab):
     return items
 
 
-def _mean_loss(model: Model, items) -> float:
+def _mean_loss(model: Model, items, batch_size: int) -> float:
     total, count = 0.0, 0
-    for seg, ids in items:
-        ctx, _ = segment_context(model, seg.image_feats, seg.object_feats)
-        res = forward_teacher_forced(model.captioner, ctx, ids)
-        total += res.loss_sum.item()
-        count += res.scored_positions
+    for start in range(0, len(items), batch_size):
+        rows, tokens = batch_nll(model, items[start:start + batch_size])
+        total += float(np.sum(rows.data))
+        count += tokens
     return total / count
 
 
@@ -142,9 +144,11 @@ def train(cfg: TrainConfig, dataset: Dataset,
     """Teacher-forced training over the manifest's train split.
 
     The vocabulary comes from the training captions, feature widths from the
-    data itself. Identical (config, dataset) pairs produce byte-identical
-    checkpoints: shuffling, initialization and accumulation order all flow
-    from the seed. The cyclic garbage collector is paused meanwhile.
+    data itself. Each batch, and each validation chunk of ``batch_size``
+    segments, runs as one padded graph (``model.batch_nll``). Identical
+    (config, dataset) pairs produce byte-identical checkpoints: shuffling,
+    initialization and accumulation order all flow from the seed. The cyclic
+    garbage collector is paused meanwhile.
     """
     cfg.validate()
     if not dataset.train or not dataset.val:
@@ -177,13 +181,8 @@ def train(cfg: TrainConfig, dataset: Dataset,
             batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
             for p in params.values():
                 p.zero_grad()
-            loss_sum = None
-            tokens = 0
-            for seg, ids in batch:
-                ctx, _ = segment_context(model, seg.image_feats, seg.object_feats)
-                res = forward_teacher_forced(model.captioner, ctx, ids)
-                loss_sum = res.loss_sum if loss_sum is None else loss_sum + res.loss_sum
-                tokens += res.scored_positions
+            rows, tokens = batch_nll(model, batch)
+            loss_sum = rows.sum()
             batch_loss = loss_sum * (1.0 / tokens)
             batch_loss.backward()
             epoch_total += loss_sum.item()
@@ -198,7 +197,7 @@ def train(cfg: TrainConfig, dataset: Dataset,
             adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
 
         train_loss = epoch_total / epoch_count
-        val_loss = _mean_loss(model, val_items)
+        val_loss = _mean_loss(model, val_items, cfg.batch_size)
         log.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
                     "val_loss": val_loss})
 

@@ -17,6 +17,7 @@ from objcap.captioner import (
     initial_state,
     precompute_frames,
 )
+from objcap.data import PAD_ID
 from objcap.model import ModelConfig, init_model, segment_context
 from objcap.tensor import ContractError, Tensor, log_softmax
 
@@ -197,7 +198,7 @@ class TestTeacherForcing:
     def test_empty_and_malformed_captions_rejected(self):
         m = tiny_model(13)
         ctx = make_ctx(m, np.random.default_rng(13))
-        for bad in ([], [BOS_ID], [BOS_ID, 4], [4, EOS_ID]):
+        for bad in ([], [BOS_ID], [BOS_ID, 4], [4, EOS_ID], [BOS_ID, PAD_ID, 4, EOS_ID]):
             with pytest.raises(ContractError):
                 forward_teacher_forced(m.captioner, ctx, bad)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from objcap.cli import main
+from objcap.data import load_segment, save_segment
 from objcap.tensor import Tensor
 from objcap.trainer import load_checkpoint, save_checkpoint
 
@@ -82,6 +83,10 @@ class TestTrainCommand:
         ({"train": {"beta1": 1.0}}, "beta1"),
         ({"train": {"eps": 0.0}}, "eps"),
         ({"train": {"grad_clip": -1.0}}, "grad_clip"),
+        ({"train": {"lr": float("nan")}}, "lr"),
+        ({"train": {"lr": float("inf")}}, "lr"),
+        ({"train": {"min_improvement": float("nan")}}, "min_improvement"),
+        ({"train": {"stop_train_loss": float("-inf")}}, "stop_train_loss"),
     ])
     def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
         cfg = tmp_path / "config.json"
@@ -191,6 +196,18 @@ def rewrite_blob(ckpt, edit):
 
 
 class TestMalformedInputs:
+    @pytest.mark.parametrize("which", ["image", "objects"])
+    def test_mixed_feature_widths_exit_2(self, tmp_path, corpus, capsys, which):
+        path = corpus / "seg_0002.seg"
+        seg = load_segment(path)
+        if which == "image":
+            seg.image_feats = np.zeros((seg.image_feats.shape[0], 7))
+        else:
+            seg.object_feats = [np.zeros((objs.shape[0], 7)) for objs in seg.object_feats]
+        seg.segment_id = "odd_widths"
+        save_segment(path, seg)
+        assert_exit_2(train_args(tmp_path, corpus), capsys, "segment odd_widths")
+
     @pytest.mark.parametrize("where", ["segment_id", "caption"])
     def test_segment_text_invalid_utf8_exits_2(self, tmp_path, corpus, capsys, where):
         seg = corpus / "seg_0000.seg"

@@ -5,12 +5,14 @@ depend on the graph's structure only, so their bounds hold on any machine."""
 import numpy as np
 
 from objcap.captioner import BOS_ID, EOS_ID, decode_step, forward_teacher_forced, initial_state
-from objcap.model import ModelConfig, init_model, segment_context
+from objcap.data import SegmentFeatures
+from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 
-INTERACTION_MAX = 791
-TEACHER_FORCED_MAX = 482
-DECODE_STEP_MAX = 18
-SEGMENT_MAX = 1281
+INTERACTION_MAX = 727
+TEACHER_FORCED_MAX = 358
+DECODE_STEP_MAX = 17
+SEGMENT_MAX = 1090
+BATCH_MAX = 1090
 
 
 def op_nodes(roots, stop=()) -> int:
@@ -48,3 +50,27 @@ def test_tape_node_counts_at_paper_shapes():
     assert op_nodes([loss], stop=context) <= TEACHER_FORCED_MAX
     assert op_nodes(step_roots, stop=context) <= DECODE_STEP_MAX
     assert op_nodes([loss]) <= SEGMENT_MAX
+
+
+def batch_nodes(m, batch_size, rng) -> int:
+    """Op nodes of one padded training batch whose first segment has the
+    paper's largest shapes and whose others are ragged and smaller."""
+    items = []
+    for b in range(batch_size):
+        frames = 30 if b == 0 else int(rng.integers(1, 31))
+        counts = [15] * 30 if b == 0 else rng.integers(0, 16, size=frames).tolist()
+        words = 21 if b == 0 else int(rng.integers(0, 22))
+        seg = SegmentFeatures(segment_id=f"s{b}", image_feats=rng.normal(size=(frames, 32)),
+                              object_feats=[rng.normal(size=(n, 32)) for n in counts],
+                              captions=["unused"])
+        caption = [BOS_ID] + [int(w) for w in rng.integers(4, 1000, size=words)] + [EOS_ID]
+        items.append((seg, caption))
+    rows, _ = batch_nll(m, items)
+    return op_nodes([rows.sum()])
+
+
+def test_batch_node_count_does_not_depend_on_batch_size():
+    rng = np.random.default_rng(1)
+    m = init_model(ModelConfig(vocab_size=1000), seed=0)
+    pair, full = batch_nodes(m, 2, rng), batch_nodes(m, 32, rng)
+    assert pair == full <= BATCH_MAX

@@ -8,12 +8,15 @@ from objcap.tensor import (
     ShapeError,
     Tensor,
     concat,
+    gather,
+    linear,
     log_softmax,
     lstm_cell,
     matmul,
     softmax,
     stack_rows,
     take_column,
+    unpack_rows,
 )
 
 from helpers import FD_TOL, max_fd_error
@@ -91,6 +94,32 @@ class TestSoftmax:
             out = softmax(t(m), axis=1).data
             assert np.all(out > 0) and np.all(out < 1)
             assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+
+
+    def test_masked_entries_are_exactly_zero(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            x = t(rng.normal(scale=5.0, size=(3, 4, 5)))
+            mask = rng.random(size=(3, 4, 5)) < 0.5
+            mask[0, 0] = False
+            mask[1, 1] = True
+            out = softmax(x, mask=mask)
+            assert np.all(out.data[~mask] == 0.0)
+            sums = out.data.sum(axis=-1)[mask.any(axis=-1)]
+            assert np.max(np.abs(sums - 1.0)) < 1e-12
+            assert np.array_equal(out.data[1, 1], softmax(t(x.data[1, 1])).data)
+            (out * t(rng.normal(size=(3, 4, 5)), rg=False)).sum().backward()
+            assert np.all(x.grad[~mask] == 0.0) and np.all(x.grad[0, 0] == 0.0)
+
+    def test_mask_matches_the_valid_entries_alone(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=3.0, size=(20, 6))
+        mask = rng.random(size=(20, 6)) < 0.7
+        out = softmax(t(x), mask=mask).data
+        for row, keep, scores in zip(out, mask, x):
+            if keep.any():
+                alone = softmax(t(scores[keep])).data
+                assert np.max(np.abs(row[keep] - alone)) < 1e-15
 
 
 class TestBackward:
@@ -200,6 +229,78 @@ def _fd_case(name, rng):
     if name == "neg":
         a = t(rng.normal(size=4))
         return lambda: (-a).tanh().sum(), [a]
+    # batch axis and masks
+    if name == "add_rows_batched":
+        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4)))
+        return lambda: (a + b).tanh().sum(), [a, b]
+    if name == "matmul_batched":
+        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4, 2)))
+        return lambda: matmul(a, b).tanh().sum(), [a, b]
+    if name == "matvec_batched":
+        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=4))
+        return lambda: matmul(a, b).tanh().sum(), [a, b]
+    if name == "vecmat_batched":
+        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3, 4)))
+        return lambda: matmul(a, b).tanh().sum(), [a, b]
+    if name == "linear":
+        lead = [(), (3,), (2, 3)][rng.integers(3)]
+        x, w = t(rng.normal(size=lead + (4,))), t(rng.normal(size=(2, 4)))
+        b = [None, t(rng.normal(size=2)), t(rng.normal(size=lead + (2,)))][rng.integers(3)]
+        leaves = [x, w] + ([] if b is None else [b])
+        return lambda: linear(x, w, b).tanh().sum(), leaves
+    if name == "softmax_masked":
+        a = t(rng.normal(size=(2, 3, 4)))
+        mask = rng.random(size=(2, 3, 4)) < 0.6
+        mask[0, 1] = False                      # a row with no valid entry
+        w = t(rng.normal(size=(2, 3, 4)), rg=False)
+        return lambda: (softmax(a, mask=mask) * w).sum(), [a]
+    if name == "lstm_cell_rows":
+        hs, d, rows = 2, 3, 3
+        wx, wh = t(rng.normal(size=(4 * hs, d))), t(rng.normal(size=(4 * hs, hs)))
+        b = t(rng.normal(scale=rng.choice([1.0, 40.0]), size=4 * hs))
+        x, h = t(rng.normal(size=(rows, d))), t(rng.normal(size=(rows, hs)))
+        c = t(rng.normal(size=(rows, hs)))
+        w = t(rng.normal(size=(rows, 2 * hs)), rg=False)
+        return lambda: (lstm_cell(wx, wh, b, x, h, c) * w).sum(), [wx, wh, b, x, h, c]
+    if name == "log_softmax_rows":
+        a = t(rng.normal(size=(2, 3, 5)))
+        w = t(rng.normal(size=(2, 3, 5)), rg=False)
+        return lambda: (log_softmax(a) * w).sum(), [a]
+    if name == "gather":
+        a = t(rng.normal(size=(2, 3, 5)))
+        index = rng.integers(0, 5, size=(2, 3))
+        mask = rng.random(size=(2, 3)) < 0.7
+        return lambda: gather(log_softmax(a), index, mask).sum(), [a]
+    if name == "take_columns":
+        a = t(rng.normal(size=(3, 5)))
+        ids = rng.integers(0, 5, size=[(4,), (2, 3)][rng.integers(2)])   # ids may repeat
+        return lambda: take_column(a, ids).tanh().sum(), [a]
+    if name == "unpack_rows":
+        mask = rng.random(size=(2, 3)) < 0.5
+        a = t(rng.normal(size=(int(mask.sum()), 3)))
+        w = t(rng.normal(size=(2, 3, 3)), rg=False)
+        return lambda: (unpack_rows(a, mask).tanh() * w).sum(), [a]
+    if name == "sum_axis":
+        a, axis = t(rng.normal(size=(2, 3, 4))), int(rng.integers(-3, 3))
+        return lambda: a.sum(axis=axis).tanh().sum(), [a]
+    if name == "mean_axis":
+        a = t(rng.normal(size=(2, 3, 4)))
+        return lambda: a.mean(axis=-2).tanh().sum(), [a]
+    if name == "transpose_batched":
+        a = t(rng.normal(size=(2, 3, 4)))
+        w = t(rng.normal(size=(2, 4, 3)), rg=False)
+        return lambda: (a.T * w).sum(), [a]
+    if name == "concat_rows":
+        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 2)))
+        return lambda: concat([a, b]).tanh().sum(), [a, b]
+    if name == "stack_rows_batched":
+        a, b = t(rng.normal(size=(2, 4))), t(rng.normal(size=(2, 4)))
+        w = t(rng.normal(size=(2, 2, 4)), rg=False)
+        return lambda: (stack_rows([a, b]) * w).sum(), [a, b]
+    if name == "getitem_tuple":
+        a = t(rng.normal(size=(2, 3, 4)))
+        return lambda: (a[..., 1, :].tanh().sum() + a[..., 0:2].tanh().sum()
+                        + a[None, 1].tanh().sum()), [a]
     raise AssertionError(name)
 
 
@@ -208,6 +309,10 @@ ALL_OPS = [
     "dot", "tanh", "lstm_cell", "softmax", "log_softmax", "mean",
     "transpose", "concat", "stack_rows", "take_column", "getitem",
     "getitem_rows", "getitem_row", "neg",
+    "add_rows_batched", "matmul_batched", "matvec_batched", "vecmat_batched", "linear",
+    "softmax_masked", "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
+    "unpack_rows", "sum_axis", "mean_axis", "transpose_batched", "concat_rows",
+    "stack_rows_batched", "getitem_tuple",
 ]
 
 

@@ -254,9 +254,13 @@ class TestCheckpoint:
 
 
 def test_train_config_validation():
+    nan, inf = float("nan"), float("inf")
     for bad in ({"plateau_factor": 1.5}, {"lr": -1.0}, {"beta1": 1.0}, {"beta1": -0.1},
                 {"beta2": 1.0}, {"eps": 0.0}, {"eps": -1e-8}, {"grad_clip": 0.0},
-                {"grad_clip": -1.0}):
+                {"grad_clip": -1.0}, {"lr": nan}, {"lr": inf}, {"plateau_factor": nan},
+                {"min_improvement": nan}, {"min_improvement": inf}, {"beta1": nan},
+                {"beta2": nan}, {"eps": inf}, {"grad_clip": inf}, {"grad_clip": nan},
+                {"stop_train_loss": nan}, {"stop_train_loss": -inf}):
         with pytest.raises(ContractError):
             TrainConfig(**bad).validate()
     TrainConfig().validate()
