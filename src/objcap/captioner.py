@@ -150,8 +150,8 @@ class SegmentContext:
                   the object pathway)
     ``keys``      the frame-attention keys, ``frames`` (or ``states`` without
                   the image pathway) times ``temporal_w_c.T``
-    ``frame_mask`` B x T, True at a segment's real frames; None when no
-                  frame is padded
+    ``frame_mask`` B x T, True at a segment's real frames; None for a
+                  segment alone
     """
 
     frames: Tensor | None
@@ -324,6 +324,9 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
     stripped = [w for w in caption if w != PAD_ID]
     if len(stripped) < 2 or stripped[-1] != EOS_ID:
         raise ContractError("caption must end with EOS")
+    for w in caption:
+        if not 0 <= w < p.vocab_size:
+            raise ContractError(f"word id {w} outside vocabulary of {p.vocab_size}")
 
     ids = np.array(caption)
     pads = np.flatnonzero(ids[1:] == PAD_ID)

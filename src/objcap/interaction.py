@@ -172,16 +172,13 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     h = Tensor(np.zeros(batch + (p.hidden_size,)))
     c = Tensor(np.zeros(batch + (p.hidden_size,)))
     empty = Tensor(np.zeros(batch + (len(p.groups) * p.attn_dim,)))
-    # per frame: the widest object count over the batch, and whether some
-    # segment has fewer (only then is there padding to mask)
-    counts = object_mask.sum(axis=-1).reshape(-1, object_mask.shape[-2])
-    widest = counts.max(axis=0)
-    padded = (counts != widest).any(axis=0).tolist()
+    # per frame: the widest object count over the batch
+    widest = object_mask.sum(axis=-1).reshape(-1, object_mask.shape[-2]).max(axis=0)
     hiddens: list[Tensor] = []
     records: list[list[np.ndarray | None]] = []
     for t, n in enumerate(widest.tolist()):
         if n:
-            mask = object_mask[..., t, :n] if padded[t] else None
+            mask = object_mask[..., t, :n] if object_mask.ndim == 3 else None
             attended = [group_attend(proj[..., t, :n, :], linear(h, g.w_h, ctx[..., t, :]), mask)
                         for g, proj, ctx in zip(p.groups, projected, contexts)]
             pooled_all = concat([pooled for _, pooled in attended])

@@ -172,15 +172,13 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
         targets[b, :len(ids) - 1] = ids[1:]
         scored[b, :len(ids) - 1] = True
 
-    alone = len(items) == 1     # nothing is padded
+    alone = len(items) == 1     # nothing is padded: no batch axis, no masks
     if alone:
         image, object_mask, inputs, targets = image[0], object_mask[0], inputs[0], targets[0]
     v_c = Tensor(image)
     hiddens = None
     if cfg.use_objects:
         hiddens, _ = interaction_states(model.interaction, v_c, objects, object_mask)
-    ctx = precompute_frames(model.captioner, v_c, hiddens,
-                            None if frame_mask.all() else frame_mask)
-    rows = teacher_forced_nll(model.captioner, ctx, inputs, targets,
-                              None if scored.all() else scored)
+    ctx = precompute_frames(model.captioner, v_c, hiddens, None if alone else frame_mask)
+    rows = teacher_forced_nll(model.captioner, ctx, inputs, targets, None if alone else scored)
     return (rows[None] if alone else rows), int(scored.sum())

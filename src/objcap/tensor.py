@@ -249,7 +249,7 @@ class Tensor:
     def sum(self, axis: int | None = None) -> "Tensor":
         """Sum of every entry, or along one axis."""
         self._check_axis(axis, "sum")
-        out = Tensor(np.sum(self.data, axis=axis), requires_grad=self.requires_grad,
+        out = Tensor(self.data.sum(axis=axis), requires_grad=self.requires_grad,
                      _prev=(self,))
 
         def _backward(out):
@@ -264,7 +264,7 @@ class Tensor:
         """Mean of every entry, or along one axis."""
         self._check_axis(axis, "mean")
         n = self.data.size if axis is None else self.shape[axis]
-        out = Tensor(np.mean(self.data, axis=axis), requires_grad=self.requires_grad,
+        out = Tensor(self.data.mean(axis=axis), requires_grad=self.requires_grad,
                      _prev=(self,))
 
         def _backward(out):
@@ -293,13 +293,6 @@ class Tensor:
 
 
 # -- binary / n-ary operations ----------------------------------------------
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for (batches of) matrices. A product over an index of
-    length 1 is formed as a broadcast product: the same exact values,
-    without BLAS's slow path for it."""
-    return a * b if a.shape[-1] == 1 else a @ b
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -335,9 +328,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         lead = pa.shape[:-2] or pb.shape[:-2]
         g = out.grad.reshape(lead + (pa.shape[-2], pb.shape[-1]))
         if a.requires_grad:
-            a._accumulate(_mm(g, np.swapaxes(pb, -1, -2)).reshape(a.shape))
+            a._accumulate((g @ np.swapaxes(pb, -1, -2)).reshape(a.shape))
         if b.requires_grad:
-            gb = _mm(np.swapaxes(pa, -1, -2), g)
+            gb = np.swapaxes(pa, -1, -2) @ g
             if br < 3 and lead:    # one b shared by the batch
                 gb = gb.sum(axis=0)
             b._accumulate(gb.reshape(b.shape))
@@ -370,7 +363,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             x._accumulate(g @ w.data)
         if w.requires_grad:
-            w._accumulate(_mm(rows.T, x.data.reshape(-1, w.shape[1])))
+            w._accumulate(rows.T @ x.data.reshape(-1, w.shape[1]))
         if b is not None and b.requires_grad:
             b._accumulate(g if b.shape == g.shape else rows.sum(axis=0))
 
@@ -390,21 +383,21 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     if rank == 0 or axis >= rank or axis < -rank:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
     if mask is None:
-        e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
-        y = e / np.sum(e, axis=axis, keepdims=True)
+        e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+        y = e / e.sum(axis=axis, keepdims=True)
     else:
         if mask.shape != x.shape:
             raise ShapeError(f"softmax mask shape {mask.shape} for scores {x.shape}")
         kept = np.where(mask, x.data, -np.inf)
-        top = np.max(kept, axis=axis, keepdims=True)
+        top = kept.max(axis=axis, keepdims=True)
         e = np.exp(kept - np.where(np.isneginf(top), 0.0, top))   # exp(-inf) == 0.0
-        total = np.sum(e, axis=axis, keepdims=True)
+        total = e.sum(axis=axis, keepdims=True)
         y = e / np.where(total > 0.0, total, 1.0)
     out = Tensor(y, requires_grad=x.requires_grad, _prev=(x,))
 
     def _backward(out):
         g = out.grad
-        dot = np.sum(g * out.data, axis=axis, keepdims=True)
+        dot = (g * out.data).sum(axis=axis, keepdims=True)
         x._accumulate(out.data * (g - dot))
 
     if out.requires_grad:
@@ -417,13 +410,13 @@ def log_softmax(x: Tensor) -> Tensor:
     computed with the max-shift trick."""
     if len(x.shape) < 1:
         raise ShapeError(f"log_softmax needs a vector, got shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(shifted - lse, requires_grad=x.requires_grad, _prev=(x,))
 
     def _backward(out):
         g = out.grad
-        x._accumulate(g - np.exp(out.data) * np.sum(g, axis=-1, keepdims=True))
+        x._accumulate(g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
 
     if out.requires_grad:
         out._backward = _backward
@@ -532,22 +525,17 @@ def take_column(m: Tensor, j) -> Tensor:
     into the columns taken."""
     if len(m.shape) != 2:
         raise ShapeError(f"take_column needs a matrix, got shape {m.shape}")
-    if not isinstance(j, (int, np.integer)):
-        j = np.asarray(j)
-        if not np.issubdtype(j.dtype, np.integer):
-            raise ShapeError(f"take_column needs an int or an array of ints, got {j!r}")
-    single = not isinstance(j, np.ndarray)
-    if (not 0 <= j < m.shape[1]) if single else np.any((j < 0) | (j >= m.shape[1])):
+    j = np.asarray(j)
+    if j.dtype.kind not in "iu":
+        raise ShapeError(f"take_column needs an int or an array of ints, got {j!r}")
+    if j.size and (j.min() < 0 or j.max() >= m.shape[1]):
         raise ShapeError(f"column {j} out of range for shape {m.shape}")
     out = Tensor(m.data.T[j], requires_grad=m.requires_grad, _prev=(m,))
 
     def _backward(out):
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
-        if single:
-            m.grad[:, j] += out.grad
-        else:   # ids may repeat
-            np.add.at(m.grad.T, j, out.grad)
+        np.add.at(m.grad.T, j, out.grad)    # ids may repeat
 
     if out.requires_grad:
         out._backward = _backward
@@ -594,9 +582,9 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
         dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc], axis=-1)
         dz_rows = dz.reshape(-1, 4 * hs)
         if wx.requires_grad:
-            wx._accumulate(_mm(dz_rows.T, x.data.reshape(-1, d)))
+            wx._accumulate(dz_rows.T @ x.data.reshape(-1, d))
         if wh.requires_grad:
-            wh._accumulate(_mm(dz_rows.T, h_prev.data.reshape(-1, hs)))
+            wh._accumulate(dz_rows.T @ h_prev.data.reshape(-1, hs))
         if b.requires_grad:
             b._accumulate(dz_rows.sum(axis=0))
         if x.requires_grad:

@@ -201,6 +201,9 @@ class TestTeacherForcing:
         for bad in ([], [BOS_ID], [BOS_ID, 4], [4, EOS_ID], [BOS_ID, PAD_ID, 4, EOS_ID]):
             with pytest.raises(ContractError):
                 forward_teacher_forced(m.captioner, ctx, bad)
+        for word in (m.captioner.vocab_size, -1):
+            with pytest.raises(ContractError, match=f"word id {word} outside vocabulary"):
+                forward_teacher_forced(m.captioner, ctx, [BOS_ID, word, EOS_ID])
 
     def test_gradient_matches_finite_differences(self):
         m = tiny_model(14)
