@@ -179,7 +179,7 @@ class DecodeStep:
 
 @dataclass
 class Hypothesis:
-    """A beam-search partial caption.
+    """The caption a beam search returns.
 
     ``tokens`` starts with BOS and may end with EOS; ``log_prob`` is the
     plain sum of word log-probabilities (no length normalization);
@@ -189,7 +189,6 @@ class Hypothesis:
 
     tokens: tuple[int, ...]
     log_prob: float
-    state: DecoderState
     finished: bool
     alphas: tuple[np.ndarray, ...] = ()
 
@@ -355,39 +354,99 @@ def decode_greedy(p: CaptionerParams, ctx: SegmentContext,
     return words
 
 
+def tile_context(ctx: SegmentContext, rows: int) -> SegmentContext:
+    """A segment's context repeated as ``rows`` identical batch rows, in
+    plain tensors off the tape, so that ``advance`` steps ``rows``
+    hypotheses at once."""
+    def tile(t: Tensor | None) -> Tensor | None:
+        return None if t is None else Tensor(np.broadcast_to(t.data, (rows,) + t.shape))
+
+    return SegmentContext(frames=tile(ctx.frames), pooled=tile(ctx.pooled),
+                          states=tile(ctx.states), keys=tile(ctx.keys), length=ctx.length)
+
+
+def beam_step(p: CaptionerParams, ctx: SegmentContext, words: np.ndarray,
+              state: DecoderState) -> tuple[DecoderState, Tensor, Tensor]:
+    """One decode step for a batch of hypotheses, one per row: ``words``
+    holds each row's previous word and ``ctx`` is tiled to as many rows.
+    Returns the new state, the frame distributions and the word
+    log-probabilities, one row each."""
+    state, alpha = advance(p, ctx, take_column(p.embed, words), state)
+    return state, alpha, log_softmax(linear(state.h2, p.out_w, p.out_b))
+
+
+def beam_select(logp: np.ndarray, log_prob: np.ndarray, finished: np.ndarray,
+                rank: np.ndarray, beam_width: int) -> tuple[np.ndarray, ...]:
+    """The next beam pool: the ``beam_width`` best of the finished entries
+    and of every one-word extension of a live entry, by log-probability and
+    then by token order, smaller first.
+
+    ``logp`` holds one row of word log-probabilities per pool entry (rows
+    past the pool are ignored) and ``rank`` each entry's place in token
+    order. Returns, best first, each new entry's backpointer into the pool,
+    its new word (-1 for a finished entry carried over), log-probability and
+    rank. Only candidates scoring at least the ``beam_width``-th best score,
+    ties included, are sorted, which keeps the same pool as sorting every
+    candidate. Token order is the parent's order, then the new word's: no
+    entry's tokens are a prefix of another's (each ends in EOS, or all reach
+    the cap at once), and a carried entry has no siblings.
+    """
+    live, done = np.flatnonzero(~finished), np.flatnonzero(finished)
+    scores = log_prob[live, None] + logp[live]
+    every = np.concatenate([log_prob[done], scores.ravel()])
+    kth = max(every.size - beam_width, 0)
+    cut = np.partition(every, kth)[kth]
+    kept = done[log_prob[done] >= cut]
+    vocab = logp.shape[1]
+    at, grown = np.divmod(np.flatnonzero(scores >= cut), vocab)
+    parent = np.concatenate([kept, live[at]])
+    word = np.concatenate([np.full(kept.size, -1), grown])
+    cand_lp = np.concatenate([log_prob[kept], scores[at, grown]])
+    key = rank[parent] * (vocab + 1) + word
+    order = np.lexsort((key, -cand_lp))[:beam_width]
+    return parent[order], word[order], cand_lp[order], np.argsort(np.argsort(key[order]))
+
+
 def beam_search(p: CaptionerParams, ctx: SegmentContext, beam_width: int,
                 max_words: int = MAX_CAPTION_WORDS) -> Hypothesis:
     """Breadth-limited search by accumulated log-probability.
 
-    Finished hypotheses stay in the pool and compete with fresh expansions;
-    ties break on the smaller token sequence so width 1 reproduces greedy
-    decoding exactly. Hypotheses are built only for candidates scoring at
-    least the ``beam_width``-th best score, ties included, which keeps the
-    same pool as sorting every candidate.
+    Finished hypotheses stay in the pool and compete with fresh expansions
+    (``beam_select``); ties break on the smaller token sequence so width 1
+    reproduces greedy decoding exactly.
+
+    Each step runs the whole pool through one ``beam_step`` at
+    ``beam_width`` rows. Row i holds pool entry i modulo the pool size, so
+    spare rows hold copies that are never scored, and every step of a
+    search makes the same BLAS calls. The pool is kept in arrays, and each
+    step records its backpointers, new words and frame attention, from
+    which the best entry's tokens and alphas are read back at the end.
     """
     if beam_width < 1:
         raise ContractError("beam width must be at least 1")
-    pool = [Hypothesis(tokens=(BOS_ID,), log_prob=0.0, state=initial_state(p),
-                       finished=False)]
-    while any(not h.finished for h in pool):
-        finished = [h for h in pool if h.finished]
-        live = [h for h in pool if not h.finished]
-        steps = [decode_step(p, ctx, h.tokens[-1], h.state) for h in live]
-        scores = np.stack([h.log_prob + log_softmax(step.word_logits).data
-                           for h, step in zip(live, steps)])
-        every = np.concatenate([[h.log_prob for h in finished], scores.ravel()])
-        kth = max(every.size - beam_width, 0)
-        cut = np.partition(every, kth)[kth]
-        candidates = [h for h in finished if h.log_prob >= cut]
-        for i, w in np.argwhere(scores >= cut).tolist():
-            hyp, step = live[i], steps[i]
-            candidates.append(Hypothesis(
-                tokens=hyp.tokens + (w,),
-                log_prob=float(scores[i, w]),
-                state=step.state,
-                finished=w == EOS_ID or len(hyp.tokens) >= max_words,
-                alphas=hyp.alphas + (step.alpha_temp.data,),
-            ))
-        candidates.sort(key=lambda h: (-h.log_prob, h.tokens))
-        pool = candidates[:beam_width]
-    return pool[0]
+    rows = tile_context(ctx, beam_width)
+    ring = np.arange(beam_width)
+    state = initial_state(p, (beam_width,))
+    word = np.full(1, BOS_ID)
+    log_prob = np.zeros(1)
+    finished = np.zeros(1, dtype=bool)
+    rank = np.zeros(1, dtype=np.int64)
+    history = []
+    while not finished.all():
+        feed = np.where(finished, PAD_ID, word)
+        state, alpha, logp = beam_step(p, rows, feed[ring % feed.size], state)
+        parent, word, log_prob, rank = beam_select(logp.data, log_prob, finished, rank,
+                                                   beam_width)
+        history.append((parent, word, alpha.data))
+        finished = (word < 0) | (word == EOS_ID) | (len(history) >= max_words)
+        source = parent[ring % parent.size]
+        state = DecoderState(*(Tensor(s.data[source])
+                               for s in (state.h1, state.c1, state.h2, state.c2)))
+    tokens, alphas, k = [], [], 0
+    for parent, word, alpha in reversed(history):
+        if word[k] >= 0:
+            tokens.append(int(word[k]))
+            alphas.append(alpha[parent[k]])
+        k = parent[k]
+    return Hypothesis(tokens=(BOS_ID, *tokens[::-1]), log_prob=float(log_prob[0]),
+                      finished=True, alphas=tuple(alphas[::-1]))

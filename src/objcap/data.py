@@ -271,6 +271,8 @@ def synth_dataset(seed: int, spec: SynthSpec, out_dir: str | Path) -> Path:
     the object features, so the mapping is learnable. Returns the manifest
     path; the same seed always produces identical bytes."""
     spec.validate()
+    if seed < 0:
+        raise ValidationError("seed", "must be non-negative")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = planted_projection(seed, spec)

@@ -15,6 +15,7 @@ from .captioner import (
     precompute_frames,
     teacher_forced_nll,
 )
+from .data import MAX_CAPTION_WORDS
 from .interaction import (
     InteractionParams,
     init_interaction,
@@ -65,12 +66,24 @@ class ModelConfig:
     use_objects: bool = True
     use_coattention: bool = True
 
+    def validate(self) -> "ModelConfig":
+        if not 1 <= self.max_words <= MAX_CAPTION_WORDS:
+            raise ContractError(f"model config 'max_words' must be in 1..{MAX_CAPTION_WORDS}, "
+                                f"got {self.max_words}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ContractError(f"model config {f.name!r} must be at least 1, got {value}")
+        return self
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return config_from_dict(cls, d, "model")
+        """A checked config: the keys and types of ``config_from_dict``, then
+        ``validate``."""
+        return config_from_dict(cls, d, "model").validate()
 
 
 @dataclass

@@ -94,9 +94,13 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` (this tensor's shape) to the gradient; the first one is
+        stored as a C-ordered copy, since ``g`` may be a view of another
+        array or a ``broadcast_to``."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate gradients of all tape ancestors of this scalar."""

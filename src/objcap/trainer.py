@@ -58,6 +58,8 @@ class TrainConfig:
                 raise ContractError(f"train config {f.name!r} must be finite, got {value}")
         if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0:
             raise ContractError("lr, batch_size and max_epochs must be positive")
+        if self.seed < 0:
+            raise ContractError(f"train config 'seed' must be non-negative, got {self.seed}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ContractError("plateau_factor must be in (0, 1)")
         if self.plateau_patience < 1:

@@ -100,3 +100,35 @@ def scalar_mlp(layers, x):
             nxt.append(math.tanh(acc))
         out = nxt
     return out
+
+
+def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
+    """Reference beam search that steps each live hypothesis on its own with
+    the vector ``decode_step`` and keeps the pool as Python objects. Returns
+    ``(tokens, log_prob, finished, alphas)`` of the best hypothesis, under
+    the same selection (the ``np.partition`` cut) and the same tie rule
+    (``(-log_prob, tokens)``) as ``captioner.beam_search``."""
+    from objcap.captioner import BOS_ID, EOS_ID, decode_step, initial_state
+    from objcap.tensor import log_softmax
+
+    # pool entries: (tokens, log_prob, state, finished, alphas)
+    pool = [((BOS_ID,), 0.0, initial_state(p), False, ())]
+    while any(not h[3] for h in pool):
+        finished = [h for h in pool if h[3]]
+        live = [h for h in pool if not h[3]]
+        steps = [decode_step(p, ctx, h[0][-1], h[2]) for h in live]
+        scores = np.stack([h[1] + log_softmax(step.word_logits).data
+                           for h, step in zip(live, steps)])
+        every = np.concatenate([[h[1] for h in finished], scores.ravel()])
+        kth = max(every.size - beam_width, 0)
+        cut = np.partition(every, kth)[kth]
+        candidates = [h for h in finished if h[1] >= cut]
+        for i, w in np.argwhere(scores >= cut).tolist():
+            (tokens, _, _, _, alphas), step = live[i], steps[i]
+            candidates.append((tokens + (w,), float(scores[i, w]), step.state,
+                               w == EOS_ID or len(tokens) >= max_words,
+                               alphas + (step.alpha_temp.data,)))
+        candidates.sort(key=lambda h: (-h[1], h[0]))
+        pool = candidates[:beam_width]
+    tokens, log_prob, _, finished, alphas = pool[0]
+    return tokens, log_prob, finished, alphas

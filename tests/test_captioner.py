@@ -11,11 +11,14 @@ from objcap.captioner import (
     Hypothesis,
     SegmentContext,
     beam_search,
+    beam_select,
+    beam_step,
     decode_greedy,
     decode_step,
     forward_teacher_forced,
     initial_state,
     precompute_frames,
+    tile_context,
 )
 from objcap.data import PAD_ID
 from objcap.model import ModelConfig, init_model, segment_context
@@ -23,6 +26,7 @@ from objcap.tensor import ContractError, Tensor, log_softmax
 
 from helpers import (
     FD_TOL,
+    beam_search_by_hypothesis,
     max_fd_error,
     scalar_lstm_step,
     scalar_mlp,
@@ -319,6 +323,73 @@ class TestBeamSearch:
             for a, b in zip(lps, lps[1:]):
                 assert b >= a - 1e-12, f"seed {seed}: {lps}"
 
+    def test_matches_per_hypothesis_oracle(self):
+        # 512 cases over the four mode rows, V 3-200, widths 1-8, caps 1-7;
+        # every second model is tie-heavy: all parameters zeroed and a planted
+        # output bias with few distinct values, so every step scores the
+        # same exact ties and only the token order decides
+        modes = (dict(use_image=True, use_objects=False),
+                 dict(use_image=False, use_objects=True),
+                 dict(),
+                 dict(use_coattention=False))
+        rng = np.random.default_rng(31)
+        for case in range(512):
+            vocab = int(rng.integers(3, 201))
+            width, cap = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+            m = tiny_model(seed=case, vocab_size=vocab, **modes[case % 4])
+            if case % 2:
+                for t in m.named_parameters().values():
+                    t.data[:] = 0.0
+                m.captioner.out_b.data[:] = rng.integers(-2, 2, size=vocab)
+            ctx = make_ctx(m, rng, t=int(rng.integers(1, 4)), n=int(rng.integers(0, 3)))
+            hyp = beam_search(m.captioner, ctx, beam_width=width, max_words=cap)
+            tokens, log_prob, finished, alphas = beam_search_by_hypothesis(
+                m.captioner, ctx, width, cap)
+            where = f"case {case}: V={vocab} width={width} cap={cap}"
+            assert hyp.tokens == tokens, where
+            assert hyp.finished == finished, where
+            assert abs(hyp.log_prob - log_prob) <= 1e-12, where
+            assert len(hyp.alphas) == len(alphas), where
+            for a, b in zip(hyp.alphas, alphas):
+                assert np.max(np.abs(a - b)) <= 1e-12, where
+
+    def test_select_matches_sorting_every_candidate(self):
+        # pools shaped as beam search makes them (live entries: EOS-free
+        # tokens of one length; finished ones no longer, ending in EOS),
+        # with integer log-probabilities, so exact ties across parents,
+        # words and finished entries are common
+        rng = np.random.default_rng(32)
+        for case in range(400):
+            vocab, width = int(rng.integers(3, 9)), int(rng.integers(1, 9))
+            length = int(rng.integers(1, 5))
+            others = [w for w in range(vocab) if w != EOS_ID]
+            pool = set()
+            while len(pool) < int(rng.integers(1, width + 1)):
+                if length > 1 and rng.random() < 0.4:
+                    body = rng.choice(others, size=int(rng.integers(0, length - 1)))
+                    pool.add((BOS_ID, *body.tolist(), EOS_ID))
+                else:
+                    pool.add((BOS_ID, *rng.choice(others, size=length - 1).tolist()))
+            tokens = [pool.pop() for _ in range(len(pool))]
+            finished = np.array([t[-1] == EOS_ID for t in tokens])
+            log_prob = rng.integers(-6, 1, size=len(tokens)).astype(float)
+            logp = rng.integers(-3, 1, size=(width, vocab)).astype(float)
+            rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
+
+            candidates = [(log_prob[i], t) for i, t in enumerate(tokens) if finished[i]]
+            candidates += [(log_prob[i] + logp[i, w], t + (w,))
+                           for i, t in enumerate(tokens) if not finished[i]
+                           for w in range(vocab)]
+            expected = sorted(candidates, key=lambda c: (-c[0], c[1]))[:width]
+
+            parent, word, new_lp, new_rank = beam_select(logp, log_prob, finished,
+                                                         rank, width)
+            got = [(lp, tokens[i] + ((w,) if w >= 0 else ()))
+                   for i, w, lp in zip(parent.tolist(), word.tolist(), new_lp.tolist())]
+            assert got == expected, f"case {case}"
+            order = sorted(range(len(got)), key=lambda k: got[k][1])
+            assert np.array_equal(new_rank, np.argsort(order)), f"case {case}"
+
     def test_hypothesis_invariants(self):
         m = tiny_model(20)
         ctx = make_ctx(m, np.random.default_rng(20))
@@ -402,11 +473,13 @@ class TestCoattentionSharing:
             ctx = make_ctx(m, np.random.default_rng(seed), t=4)
             hyp = beam_search(m.captioner, ctx, beam_width=width, max_words=5)
             assert len(hyp.alphas) == len(hyp.tokens) - 1
-            # reference: re-run the decoder over the returned tokens
-            state = initial_state(m.captioner)
+            # reference: re-run the decoder over the returned tokens at the
+            # beam's row count, every row the same, and read row 0; products
+            # over several rows may differ from a vector's in the last bits
+            rows = tile_context(ctx, width)
+            state = initial_state(m.captioner, (width,))
             for prev, alpha in zip(hyp.tokens, hyp.alphas):
-                step = decode_step(m.captioner, ctx, prev, state)
-                state = step.state
+                state, replay, _ = beam_step(m.captioner, rows, np.full(width, prev), state)
                 assert alpha.shape == (4,)
                 assert abs(alpha.sum() - 1.0) < 1e-9
-                assert np.array_equal(alpha, step.alpha_temp.data)
+                assert np.array_equal(alpha, replay.data[0])

@@ -46,6 +46,12 @@ class TestSynth:
         for p in sorted((tmp_path / "a").iterdir()):
             assert p.read_bytes() == (tmp_path / "b" / p.name).read_bytes()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = main(["synth", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and err.count("\n") == 1
+
     def test_object_cap_violation_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--objects", "16", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -87,6 +93,13 @@ class TestTrainCommand:
         ({"train": {"lr": float("inf")}}, "lr"),
         ({"train": {"min_improvement": float("nan")}}, "min_improvement"),
         ({"train": {"stop_train_loss": float("-inf")}}, "stop_train_loss"),
+        ({"train": {"seed": -1}}, "seed"),
+        ({"model": {"max_words": 0}}, "max_words"),
+        ({"model": {"max_words": -5}}, "max_words"),
+        ({"model": {"max_words": 40}}, "max_words"),
+        ({"model": {"attn_dim": -3}}, "attn_dim"),
+        ({"model": {"num_groups": 0}}, "num_groups"),
+        ({"model": {"embed_dim": 0}}, "embed_dim"),
     ])
     def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
         cfg = tmp_path / "config.json"
@@ -248,6 +261,20 @@ class TestMalformedInputs:
         ckpt = run_train(tmp_path, corpus) / "model.ckpt"
         rewrite_blob(ckpt, edit)
         assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, fragment)
+
+    @pytest.mark.parametrize("key, value", [("max_words", 0), ("max_words", 40),
+                                            ("attn_dim", -3), ("num_groups", 0)])
+    def test_checkpoint_model_config_out_of_range_exits_2(self, tmp_path, corpus, capsys,
+                                                          key, value):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+
+        def edit(blob):
+            config = json.loads(blob)
+            config["model"][key] = value
+            return json.dumps(config).encode()
+
+        rewrite_blob(ckpt, edit)
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, f"{key!r}")
 
     @pytest.mark.parametrize("kind, shape", [("param", (1,)), ("param", (3,)),
                                              ("adam_m", (1,))],

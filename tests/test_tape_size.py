@@ -4,13 +4,22 @@ depend on the graph's structure only, so their bounds hold on any machine."""
 
 import numpy as np
 
-from objcap.captioner import BOS_ID, EOS_ID, decode_step, forward_teacher_forced, initial_state
+from objcap.captioner import (
+    BOS_ID,
+    EOS_ID,
+    beam_step,
+    decode_step,
+    forward_teacher_forced,
+    initial_state,
+    tile_context,
+)
 from objcap.data import SegmentFeatures
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 
 INTERACTION_MAX = 727
 TEACHER_FORCED_MAX = 358
 DECODE_STEP_MAX = 17
+BEAM_STEP_MAX = 18
 SEGMENT_MAX = 1090
 BATCH_MAX = 1090
 
@@ -74,3 +83,17 @@ def test_batch_node_count_does_not_depend_on_batch_size():
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
     pair, full = batch_nodes(m, 2, rng), batch_nodes(m, 32, rng)
     assert pair == full <= BATCH_MAX
+
+
+def test_beam_step_node_count_does_not_depend_on_width():
+    rng = np.random.default_rng(2)
+    m = init_model(ModelConfig(vocab_size=1000), seed=0)
+    ctx, _ = segment_context(m, rng.normal(size=(30, 32)),
+                             [rng.normal(size=(15, 32)) for _ in range(30)])
+    counts = []
+    for width in (1, 5):
+        state, alpha, logp = beam_step(m.captioner, tile_context(ctx, width),
+                                       np.full(width, BOS_ID),
+                                       initial_state(m.captioner, (width,)))
+        counts.append(op_nodes([logp, alpha, state.h1, state.c1, state.h2, state.c2]))
+    assert counts[0] == counts[1] <= BEAM_STEP_MAX
