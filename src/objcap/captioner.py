@@ -28,12 +28,12 @@ from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
+    additive_attention,
     concat,
     gather,
     linear,
     log_softmax,
     matmul,
-    softmax,
     stack_rows,
     take_column,
 )
@@ -256,8 +256,8 @@ def advance(p: CaptionerParams, ctx: SegmentContext, embedding: Tensor,
     x1 = concat([state.h2, ctx.pooled, embedding])
     h1, c1 = lstm_step(p.attn_lstm, x1, state.h1, state.c1)
 
-    scores = matmul((ctx.keys + linear(h1, p.temporal_w_h)).tanh(), p.temporal_w_a)
-    alpha = softmax(scores, mask=ctx.frame_mask)
+    alpha = additive_attention(ctx.keys, linear(h1, p.temporal_w_h), p.temporal_w_a,
+                               ctx.frame_mask)
 
     parts = [h1]
     if p.use_image:
@@ -296,7 +296,7 @@ def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarr
         state, _ = advance(p, ctx, embeddings[..., i, :], state)
         tops.append(state.h2)
     logits = linear(stack_rows(tops), p.out_w, p.out_b)
-    return -gather(log_softmax(logits), targets, mask).sum(axis=-1)
+    return gather(log_softmax(logits), targets, mask).sum(axis=-1) * -1.0
 
 
 @dataclass

@@ -22,7 +22,6 @@ is assumed, and all outputs are invariant to row permutation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,7 @@ from .tensor import (
     Tensor,
     concat,
     linear,
-    matmul,
-    softmax,
+    pair_attention,
     unpack_rows,
 )
 
@@ -106,29 +104,11 @@ def init_interaction(rng: np.random.Generator, *, image_dim: int, object_dim: in
 
 
 def group_attend(projected: Tensor, u: Tensor,
-                 mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Attend over one frame's projected object rows (n x attn_dim) with one
-    group's context bias ``u``; returns the attention matrix and the pooled
-    vector. A batch gives B x n x attn_dim rows and one bias per batch row.
-
-    Scores every pair of biased rows with a scaled dot product, normalizes
-    each row with softmax, weights the projected rows, and averages them into
-    a single vector. ``mask`` (B x n) marks the real rows of a padded batch:
-    a padded row or column gets exactly zero attention, the average runs
-    over the real rows only, and a batch row without one pools to zeros.
-    """
-    if len(projected.shape) < 2 or projected.shape[-2] < 1:
-        raise ContractError("group_attend needs at least one object row")
-    x = projected + u                                      # u added to every row
-    scores = matmul(x, x.T) * (1.0 / math.sqrt(projected.shape[-1]))  # n x n
-    # mean over rows of (alpha @ projected), taken as (mean of alpha's rows)
-    # @ projected, which skips an n x n x attn_dim product
-    if mask is None:
-        alpha = softmax(scores)
-        return alpha, matmul(alpha.mean(axis=-2), projected)
-    alpha = softmax(scores, mask=mask[..., :, None] & mask[..., None, :])
-    weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
-    return alpha, matmul(matmul(Tensor(weights), alpha), projected)
+                 mask: np.ndarray | None = None) -> tuple[np.ndarray, Tensor]:
+    """One group's attention over a frame's projected object rows, biased by
+    the group's context ``u`` (``tensor.pair_attention``): the attention
+    matrix, kept for traces, and the pooled vector."""
+    return pair_attention(projected, u, mask)
 
 
 def pack_objects(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +162,7 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
             attended = [group_attend(proj[..., t, :n, :], linear(h, g.w_h, ctx[..., t, :]), mask)
                         for g, proj, ctx in zip(p.groups, projected, contexts)]
             pooled_all = concat([pooled for _, pooled in attended])
-            records.append([alpha.data for alpha, _ in attended])
+            records.append([alpha for alpha, _ in attended])
         else:
             pooled_all = empty
             records.append([None] * len(p.groups))

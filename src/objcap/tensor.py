@@ -10,7 +10,8 @@ and a graph is freed as soon as its last reference goes.
 Batch axis: the ops that take vectors also take a batch of them, one per
 row of a matrix, and the ops that take matrices also take a batch of them
 along a leading axis. A segment alone runs the same code as a batch, without
-the leading axis. ``softmax`` and ``gather`` take a mask for padded entries.
+the leading axis. ``pair_attention``, ``additive_attention`` and ``gather``
+take a mask for padded entries.
 
 Tape policy: each forward pass builds a fresh graph; ``backward()`` may be
 called once per graph root and raises on a second call. Gradients persist on
@@ -21,6 +22,7 @@ is dropped as soon as it has been passed on to the node's inputs.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -172,16 +174,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, requires_grad=self.requires_grad, _prev=(self,))
-
-        def _backward(out):
-            self._accumulate(-out.grad)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             s = float(other)
@@ -280,21 +272,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    @property
-    def T(self) -> "Tensor":
-        """A matrix's transpose; for a batch, each matrix's."""
-        if len(self.shape) < 2:
-            raise ShapeError(f"transpose needs a matrix, got shape {self.shape}")
-        out = Tensor(np.swapaxes(self.data, -1, -2), requires_grad=self.requires_grad,
-                     _prev=(self,))
-
-        def _backward(out):
-            self._accumulate(np.swapaxes(out.grad, -1, -2))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
 
 # -- binary / n-ary operations ----------------------------------------------
 
@@ -302,46 +279,40 @@ class Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Ranks 1 and 2 combine as in numpy: matrix@matrix,
     matrix@vector, vector@matrix and vector@vector (dot product, scalar
-    result). With a leading batch axis: (B,n,d) @ (B,d,m) multiplies each
-    pair of matrices, (B,n,d) @ (d,) applies one vector to every matrix, and
-    (B,d) @ (B,d,m) multiplies each row by its own matrix."""
+    result). With a leading batch axis, (B,d) @ (B,d,m) multiplies each row
+    by its own matrix."""
     ar, br = len(a.shape), len(b.shape)
     if ar in (1, 2) and br in (1, 2):
         ok = a.shape[-1] == b.shape[0]
-    elif (ar, br) == (3, 3):
-        ok = a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]
-    elif (ar, br) == (3, 1):
-        ok = a.shape[2] == b.shape[0]
     elif (ar, br) == (2, 3):
         ok = a.shape[0] == b.shape[0] and a.shape[1] == b.shape[1]
     else:
         ok = False
     if not ok:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if (ar, br) == (2, 3):
-        out_data = (a.data[:, None, :] @ b.data)[:, 0, :]
-    else:
-        out_data = a.data @ b.data
+    out_data = _rows_times(a.data, b.data) if br == 3 else a.data @ b.data
     out = Tensor(out_data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
 
     def _backward(out):
         # the operands as (batches of) matrices: a vector becomes a one-row
         # (left) or one-column (right) matrix
-        pa = a.data[..., None, :] if ar == 1 or br == 3 and ar == 2 else a.data
+        pa = a.data[..., None, :] if ar == 1 or br == 3 else a.data
         pb = b.data[:, None] if br == 1 else b.data
-        lead = pa.shape[:-2] or pb.shape[:-2]
-        g = out.grad.reshape(lead + (pa.shape[-2], pb.shape[-1]))
+        g = out.grad.reshape(pa.shape[:-1] + pb.shape[-1:])
         if a.requires_grad:
             a._accumulate((g @ np.swapaxes(pb, -1, -2)).reshape(a.shape))
         if b.requires_grad:
-            gb = np.swapaxes(pa, -1, -2) @ g
-            if br < 3 and lead:    # one b shared by the batch
-                gb = gb.sum(axis=0)
-            b._accumulate(gb.reshape(b.shape))
+            b._accumulate((np.swapaxes(pa, -1, -2) @ g).reshape(b.shape))
 
     if out.requires_grad:
         out._backward = _backward
     return out
+
+
+def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` (B x n) times its own matrix of ``m`` (B x n x d),
+    as one-row matrix products; a vector ``v`` times a matrix ``m``."""
+    return (v[:, None, :] @ m)[:, 0, :] if v.ndim == 2 else v @ m
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -376,33 +347,107 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Exponentials normalized along ``axis``, shifted by the slice maximum
-    so large scores cannot overflow.
+def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Exponentials normalized along the last axis, shifted by each row's
+    maximum so large scores cannot overflow.
 
-    Where ``mask`` (x's shape) is False the result is exactly 0.0 and passes
-    no gradient; a slice with no True entry is all zeros.
+    Where ``mask`` (x's shape) is False the result is exactly 0.0; a row
+    with no True entry is all zeros.
     """
-    rank = len(x.shape)
-    if rank == 0 or axis >= rank or axis < -rank:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
     if mask is None:
-        e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-        y = e / e.sum(axis=axis, keepdims=True)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    if mask.shape != x.shape:
+        raise ShapeError(f"softmax mask shape {mask.shape} for scores {x.shape}")
+    kept = np.where(mask, x, -np.inf)
+    top = kept.max(axis=-1, keepdims=True)
+    e = np.exp(kept - np.where(np.isneginf(top), 0.0, top))   # exp(-inf) == 0.0
+    total = e.sum(axis=-1, keepdims=True)
+    return e / np.where(total > 0.0, total, 1.0)
+
+
+def pair_attention(projected: Tensor, u: Tensor,
+                   mask: np.ndarray | None = None) -> tuple[np.ndarray, Tensor]:
+    """Pairwise self-attention over object rows, pooled, as one node.
+
+    ``projected`` is n x d (or B x n x d) and ``u`` one bias of width d (or
+    one per batch row). With ``x = projected + u`` on every row, ``alpha =
+    softmax(x @ x.T / sqrt(d))`` row by row and the result is the mean over
+    rows of ``alpha @ projected``, taken as (mean of alpha's rows) @
+    projected. ``mask`` (n, or B x n) marks the real rows: a padded row or
+    column gets exactly zero attention, the mean runs over the real rows
+    only, and a batch row without one pools to zeros.
+
+    Returns ``alpha``, an array off the tape, and the pooled vector (d, or B
+    x d). The forward repeats the op-by-op chain's numpy operations in order,
+    the transpose as a contiguous copy, so it is the same bit for bit.
+    """
+    p_shape = projected.shape
+    if len(p_shape) not in (2, 3) or u.shape != p_shape[:-2] + p_shape[-1:]:
+        raise ShapeError(f"pair_attention shape mismatch: rows {p_shape}, bias {u.shape}")
+    if p_shape[-2] < 1:
+        raise ContractError("pair_attention needs at least one object row")
+    p = projected.data
+    x = p + u.data[..., None, :]
+    scale = 1.0 / math.sqrt(p_shape[-1])
+    scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
+    if mask is None:
+        alpha, weights = masked_softmax(scores), None
+        mean = alpha.mean(axis=-2)
     else:
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} for scores {x.shape}")
-        kept = np.where(mask, x.data, -np.inf)
-        top = kept.max(axis=axis, keepdims=True)
-        e = np.exp(kept - np.where(np.isneginf(top), 0.0, top))   # exp(-inf) == 0.0
-        total = e.sum(axis=axis, keepdims=True)
-        y = e / np.where(total > 0.0, total, 1.0)
-    out = Tensor(y, requires_grad=x.requires_grad, _prev=(x,))
+        alpha = masked_softmax(scores, mask[..., :, None] & mask[..., None, :])
+        weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+        mean = _rows_times(weights, alpha)
+    out = Tensor(_rows_times(mean, p), requires_grad=projected.requires_grad or u.requires_grad,
+                 _prev=(projected, u))
 
     def _backward(out):
         g = out.grad
-        dot = (g * out.data).sum(axis=axis, keepdims=True)
-        x._accumulate(out.data * (g - dot))
+        g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
+        g_alpha = (np.broadcast_to(g_mean[..., None, :] / p_shape[-2], alpha.shape)
+                   if weights is None else weights[..., :, None] * g_mean[..., None, :])
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
+        g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x     # x feeds both sides of x @ x.T
+        if projected.requires_grad:
+            projected._accumulate(g_x + mean[..., :, None] * g[..., None, :])
+        if u.requires_grad:
+            u._accumulate(g_x.sum(axis=-2))
+
+    if out.requires_grad:
+        out._backward = _backward
+    return alpha, out
+
+
+def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
+                       mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(tanh(keys + query) @ w_a)`` as one node: a distribution
+    over the T rows of ``keys`` (T x A, or B x T x A with one query row per
+    batch row), scored against ``query`` (A, or B x A) through ``w_a`` (A).
+
+    Where ``mask`` (T, or B x T) is False the weight is exactly 0.0 and
+    passes no gradient. The forward repeats the op-by-op chain's numpy
+    operations in its order, so the result is the same bit for bit.
+    """
+    k_shape = keys.shape
+    if (len(k_shape) not in (2, 3) or query.shape != k_shape[:-2] + k_shape[-1:]
+            or w_a.shape != k_shape[-1:]):
+        raise ShapeError(f"additive_attention shape mismatch: keys {k_shape}, "
+                         f"query {query.shape}, w_a {w_a.shape}")
+    hidden = np.tanh(keys.data + query.data[..., None, :])
+    alpha = masked_softmax(hidden @ w_a.data, mask)
+    inputs = (keys, query, w_a)
+    out = Tensor(alpha, requires_grad=any(t.requires_grad for t in inputs), _prev=inputs)
+
+    def _backward(out):
+        g = out.grad
+        g_scores = alpha * (g - (g * alpha).sum(axis=-1, keepdims=True))
+        g_z = (1.0 - hidden * hidden) * (g_scores[..., None] * w_a.data)
+        if keys.requires_grad:
+            keys._accumulate(g_z)
+        if query.requires_grad:
+            query._accumulate(g_z.sum(axis=-2))
+        if w_a.requires_grad:
+            w_a._accumulate(g_scores.reshape(-1) @ hidden.reshape(-1, k_shape[-1]))
 
     if out.requires_grad:
         out._backward = _backward

@@ -132,3 +132,80 @@ def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
         pool = candidates[:beam_width]
     tokens, log_prob, _, finished, alphas = pool[0]
     return tokens, log_prob, finished, alphas
+
+
+# -- the op-by-op attention chains that tensor.pair_attention and
+# tensor.additive_attention fused, kept as references. The transpose,
+# softmax and batched product ops they used are no longer in the core, so
+# each is rebuilt here from its former code.
+
+def _node(data, parents, grads):
+    """A tape node over ``parents`` whose backward hands ``grads(out_grad)``
+    (one array per parent) to the parents."""
+    from objcap.tensor import Tensor
+
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
+                 _prev=tuple(parents))
+
+    def _backward(out):
+        for p, g in zip(parents, grads(out.grad)):
+            if p.requires_grad:
+                p._accumulate(g)
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
+def transpose_op(x):
+    """A matrix's transpose, or each matrix's of a batch; the Tensor stores
+    it as a contiguous copy."""
+    return _node(np.swapaxes(x.data, -1, -2), [x], lambda g: [np.swapaxes(g, -1, -2)])
+
+
+def softmax_op(x, mask=None):
+    """Max-shifted softmax over the last axis; masked entries are 0.0."""
+    if mask is None:
+        e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+    else:
+        kept = np.where(mask, x.data, -np.inf)
+        top = kept.max(axis=-1, keepdims=True)
+        e = np.exp(kept - np.where(np.isneginf(top), 0.0, top))
+        total = e.sum(axis=-1, keepdims=True)
+        y = e / np.where(total > 0.0, total, 1.0)
+    return _node(y, [x], lambda g: [y * (g - (g * y).sum(axis=-1, keepdims=True))])
+
+
+def matmul_op(a, b):
+    """A matrix (or a batch of them) times a matrix (a batch of them) or
+    one vector shared by the batch."""
+    vec = b.data.ndim == 1
+    pb = b.data[:, None] if vec else b.data
+
+    def grads(g):
+        g = g[..., None] if vec else g
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        return [g @ np.swapaxes(pb, -1, -2),
+                gb.reshape(-1, b.shape[0]).sum(axis=0) if vec else gb]
+
+    return _node(a.data @ b.data, [a, b], grads)
+
+
+def pair_attention_chain(projected, u, mask=None):
+    """``tensor.pair_attention`` as the chain of ops it replaced."""
+    from objcap.tensor import Tensor, matmul
+
+    x = projected + u
+    scores = matmul_op(x, transpose_op(x)) * (1.0 / math.sqrt(projected.shape[-1]))
+    if mask is None:
+        alpha = softmax_op(scores)
+        return alpha.data, matmul(alpha.mean(axis=-2), projected)
+    alpha = softmax_op(scores, mask[..., :, None] & mask[..., None, :])
+    weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+    return alpha.data, matmul(matmul(Tensor(weights), alpha), projected)
+
+
+def additive_attention_chain(keys, query, w_a, mask=None):
+    """``tensor.additive_attention`` as the chain of ops it replaced."""
+    return softmax_op(matmul_op((keys + query).tanh(), w_a), mask)

@@ -57,14 +57,14 @@ class TestGroupAttend:
         rng = np.random.default_rng(1)
         projected = Tensor(rng.normal(size=(1, 3)))
         alpha, pooled = group_attend(projected, Tensor(rng.normal(size=3)))
-        assert alpha.data.tolist() == [[1.0]]
+        assert alpha.tolist() == [[1.0]]
         assert np.max(np.abs(pooled.data - projected.data[0])) < 1e-12
 
     def test_identical_objects_give_uniform_attention(self):
         rng = np.random.default_rng(2)
         row = rng.normal(size=3)
         alpha, pooled = group_attend(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
-        assert np.max(np.abs(alpha.data - 1.0 / 3)) < 1e-12
+        assert np.max(np.abs(alpha - 1.0 / 3)) < 1e-12
         assert np.max(np.abs(pooled.data - row)) < 1e-9
 
     def test_matches_loop_oracle(self):
@@ -81,16 +81,16 @@ class TestGroupAttend:
                 scores[i, j] = float(np.dot(x[i], x[j])) / math.sqrt(3)
         alpha = np.array([scalar_softmax(r.tolist()) for r in scores])
         pooled = (alpha @ proj).mean(axis=0)
-        assert np.max(np.abs(alpha_t.data - alpha)) < 1e-12
+        assert np.max(np.abs(alpha_t - alpha)) < 1e-12
         assert np.max(np.abs(pooled_t.data - pooled)) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 5):
             alpha, _ = group_attend(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
-            sums = alpha.data.sum(axis=1)
+            sums = alpha.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
-            assert np.all(alpha.data > 0)
+            assert np.all(alpha > 0)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ContractError):
@@ -106,7 +106,7 @@ class TestGroupAttend:
         alpha, _ = group_attend(Tensor(proj), Tensor(u))
         expected = np.array([scalar_softmax(r.tolist())
                              for r in unscaled * (1.0 / math.sqrt(3))])
-        assert np.max(np.abs(alpha.data - expected)) < 1e-12
+        assert np.max(np.abs(alpha - expected)) < 1e-12
 
 
 class TestInteractionStep:

@@ -16,12 +16,12 @@ from objcap.captioner import (
 from objcap.data import SegmentFeatures
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 
-INTERACTION_MAX = 727
-TEACHER_FORCED_MAX = 358
-DECODE_STEP_MAX = 17
-BEAM_STEP_MAX = 18
-SEGMENT_MAX = 1090
-BATCH_MAX = 1090
+INTERACTION_MAX = 367
+TEACHER_FORCED_MAX = 292
+DECODE_STEP_MAX = 14
+BEAM_STEP_MAX = 15
+SEGMENT_MAX = 664
+BATCH_MAX = 664
 
 
 def op_nodes(roots, stop=()) -> int:

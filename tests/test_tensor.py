@@ -7,19 +7,21 @@ from objcap.tensor import (
     ContractError,
     ShapeError,
     Tensor,
+    additive_attention,
     concat,
     gather,
     linear,
     log_softmax,
     lstm_cell,
+    masked_softmax,
     matmul,
-    softmax,
+    pair_attention,
     stack_rows,
     take_column,
     unpack_rows,
 )
 
-from helpers import FD_TOL, max_fd_error
+from helpers import FD_TOL, additive_attention_chain, max_fd_error, pair_attention_chain
 
 
 def t(data, rg=True):
@@ -71,55 +73,134 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    """The masked softmax both attention ops share."""
+
     def test_symmetry(self):
-        out = softmax(t([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = masked_softmax(np.zeros(3))
+        assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_large_scores_do_not_overflow(self):
-        out = softmax(t([1000.0, 0.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] > 1 - 1e-12 and out.data[1] < 1e-12
+        out = masked_softmax(np.array([1000.0, 0.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] > 1 - 1e-12 and out[1] < 1e-12
 
     def test_matches_extended_precision_formula(self):
         x = np.array([1.0, 2.0, 3.0])
         hi = np.exp(x.astype(np.longdouble))
         expected = (hi / hi.sum()).astype(np.float64)
-        out = softmax(t(x)).data
+        out = masked_softmax(x)
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            m = rng.normal(scale=5.0, size=(4, 6))
-            out = softmax(t(m), axis=1).data
+            out = masked_softmax(rng.normal(scale=5.0, size=(4, 6)))
             assert np.all(out > 0) and np.all(out < 1)
             assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
-
 
     def test_masked_entries_are_exactly_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            x = t(rng.normal(scale=5.0, size=(3, 4, 5)))
+            x = rng.normal(scale=5.0, size=(3, 4, 5))
             mask = rng.random(size=(3, 4, 5)) < 0.5
             mask[0, 0] = False
             mask[1, 1] = True
-            out = softmax(x, mask=mask)
-            assert np.all(out.data[~mask] == 0.0)
-            sums = out.data.sum(axis=-1)[mask.any(axis=-1)]
+            out = masked_softmax(x, mask)
+            assert np.all(out[~mask] == 0.0)
+            sums = out.sum(axis=-1)[mask.any(axis=-1)]
             assert np.max(np.abs(sums - 1.0)) < 1e-12
-            assert np.array_equal(out.data[1, 1], softmax(t(x.data[1, 1])).data)
-            (out * t(rng.normal(size=(3, 4, 5)), rg=False)).sum().backward()
-            assert np.all(x.grad[~mask] == 0.0) and np.all(x.grad[0, 0] == 0.0)
+            assert np.array_equal(out[1, 1], masked_softmax(x[1, 1]))
+
+    def test_all_masked_row_is_all_zeros(self):
+        x = np.random.default_rng(6).normal(size=(2, 4))
+        out = masked_softmax(x, np.array([[False] * 4, [True, False, True, False]]))
+        assert np.array_equal(out[0], np.zeros(4))
+        assert abs(out[1, 0] + out[1, 2] - 1.0) < 1e-15 and out[1, 1] == out[1, 3] == 0.0
 
     def test_mask_matches_the_valid_entries_alone(self):
         rng = np.random.default_rng(5)
         x = rng.normal(scale=3.0, size=(20, 6))
         mask = rng.random(size=(20, 6)) < 0.7
-        out = softmax(t(x), mask=mask).data
+        out = masked_softmax(x, mask)
         for row, keep, scores in zip(out, mask, x):
             if keep.any():
-                alone = softmax(t(scores[keep])).data
+                alone = masked_softmax(scores[keep])
                 assert np.max(np.abs(row[keep] - alone)) < 1e-15
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ShapeError, match="mask shape"):
+            masked_softmax(np.zeros((2, 3)), np.ones(3, dtype=bool))
+
+
+def _attention_case(op, rng, wide=False):
+    """Random inputs for one fused attention op: a vector or a batch of 3
+    layout, 1 to 4 entries of width 1 to 3 to attend over (``wide``: up to
+    15 entries of width 32, the paper's shapes), and a mask or none; a
+    batch's mask has an all-masked row. Returns (leaves, mask)."""
+    lead = [(), (3,)][rng.integers(2)]
+    n, d = (int(rng.integers(1, 16)), 32) if wide else (int(rng.integers(1, 5)),
+                                                          int(rng.integers(1, 4)))
+    mask = None
+    if rng.integers(2):
+        mask = rng.random(size=lead + (n,)) < 0.6
+        if lead:
+            mask[0] = False           # a segment with nothing to attend to
+            mask[1, 0] = True
+    rows, query = t(rng.normal(size=lead + (n, d))), t(rng.normal(size=lead + (d,)))
+    leaves = [rows, query] + ([t(rng.normal(size=d))] if op == "additive" else [])
+    return leaves, mask
+
+
+class TestFusedAttention:
+    """Each fused op against the op-by-op chain it replaced."""
+
+    @pytest.mark.parametrize("op", ["pair", "additive"])
+    def test_forward_bitwise_and_gradients_match_the_chain(self, op):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            leaves, mask = _attention_case(op, rng, wide=trial % 2 == 1)
+            w = rng.normal(size=leaves[1].shape if op == "pair" else leaves[0].shape[:-1])
+            runs = []
+            for fused in (True, False):
+                for leaf in leaves:
+                    leaf.zero_grad()
+                if op == "pair":
+                    alpha, out = (pair_attention if fused else pair_attention_chain)(
+                        *leaves, mask)
+                else:
+                    out = (additive_attention if fused else additive_attention_chain)(
+                        *leaves, mask)
+                    alpha = out.data
+                (out * t(w, rg=False)).sum().backward()
+                runs.append((alpha, out.data, [leaf.grad.copy() for leaf in leaves]))
+            (a1, o1, g1), (a2, o2, g2) = runs
+            assert np.array_equal(a1, a2) and np.array_equal(o1, o2)
+            for x, y in zip(g1, g2):
+                assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
+
+    def test_padding_gets_zero_attention_and_no_gradient(self):
+        rng = np.random.default_rng(9)
+        mask = np.array([[True, False, True, True], [False] * 4])
+        rows, query = t(rng.normal(size=(2, 4, 3))), t(rng.normal(size=(2, 3)))
+        alpha = additive_attention(rows, query, t(rng.normal(size=3)), mask)
+        assert np.all(alpha.data[~mask] == 0.0)
+        (alpha * t(rng.normal(size=(2, 4)), rg=False)).sum().backward()
+        assert np.all(rows.grad[~mask] == 0.0) and np.all(query.grad[1] == 0.0)
+        rows.zero_grad()
+        pairs, pooled = pair_attention(rows, query, mask)
+        pair_mask = mask[:, :, None] & mask[:, None, :]
+        assert np.all(pairs[~pair_mask] == 0.0) and np.array_equal(pooled.data[1], np.zeros(3))
+        (pooled * t(rng.normal(size=(2, 3)), rg=False)).sum().backward()
+        assert np.all(rows.grad[~mask] == 0.0)
+
+    def test_shapes_checked(self):
+        z = t(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            pair_attention(z, t(np.zeros(2)))
+        with pytest.raises(ContractError):
+            pair_attention(t(np.zeros((0, 3))), t(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            additive_attention(z, t(np.zeros(3)), t(np.zeros(2)))
 
 
 class TestBackward:
@@ -194,10 +275,6 @@ def _fd_case(name, rng):
         x, h, c = t(rng.normal(size=d)), t(rng.normal(size=hs)), t(rng.normal(size=hs))
         w = t(rng.normal(size=2 * hs), rg=False)
         return lambda: (lstm_cell(wx, wh, b, x, h, c) * w).sum(), [wx, wh, b, x, h, c]
-    if name == "softmax":
-        a = t(rng.normal(size=(3, 4)))
-        w = t(rng.normal(size=(3, 4)), rg=False)
-        return lambda: (softmax(a, axis=1) * w).sum(), [a]
     if name == "log_softmax":
         a = t(rng.normal(size=5))
         w = t(rng.normal(size=5), rg=False)
@@ -205,9 +282,6 @@ def _fd_case(name, rng):
     if name == "mean":
         a = t(rng.normal(size=(3, 4)))
         return lambda: (a.mean(axis=0).tanh()).sum() + a.mean(), [a]
-    if name == "transpose":
-        a = t(rng.normal(size=(2, 5)))
-        return lambda: (a.T * a.T).sum(), [a]
     if name == "concat":
         a, b = t(rng.normal(size=3)), t(rng.normal(size=2))
         return lambda: concat([a, b]).tanh().sum(), [a, b]
@@ -226,19 +300,10 @@ def _fd_case(name, rng):
     if name == "getitem_row":
         a = t(rng.normal(size=(3, 4)))
         return lambda: a[2].tanh().sum(), [a]
-    if name == "neg":
-        a = t(rng.normal(size=4))
-        return lambda: (-a).tanh().sum(), [a]
     # batch axis and masks
     if name == "add_rows_batched":
         a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4)))
         return lambda: (a + b).tanh().sum(), [a, b]
-    if name == "matmul_batched":
-        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4, 2)))
-        return lambda: matmul(a, b).tanh().sum(), [a, b]
-    if name == "matvec_batched":
-        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=4))
-        return lambda: matmul(a, b).tanh().sum(), [a, b]
     if name == "vecmat_batched":
         a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3, 4)))
         return lambda: matmul(a, b).tanh().sum(), [a, b]
@@ -248,12 +313,6 @@ def _fd_case(name, rng):
         b = [None, t(rng.normal(size=2)), t(rng.normal(size=lead + (2,)))][rng.integers(3)]
         leaves = [x, w] + ([] if b is None else [b])
         return lambda: linear(x, w, b).tanh().sum(), leaves
-    if name == "softmax_masked":
-        a = t(rng.normal(size=(2, 3, 4)))
-        mask = rng.random(size=(2, 3, 4)) < 0.6
-        mask[0, 1] = False                      # a row with no valid entry
-        w = t(rng.normal(size=(2, 3, 4)), rg=False)
-        return lambda: (softmax(a, mask=mask) * w).sum(), [a]
     if name == "lstm_cell_rows":
         hs, d, rows = 2, 3, 3
         wx, wh = t(rng.normal(size=(4 * hs, d))), t(rng.normal(size=(4 * hs, hs)))
@@ -286,10 +345,6 @@ def _fd_case(name, rng):
     if name == "mean_axis":
         a = t(rng.normal(size=(2, 3, 4)))
         return lambda: a.mean(axis=-2).tanh().sum(), [a]
-    if name == "transpose_batched":
-        a = t(rng.normal(size=(2, 3, 4)))
-        w = t(rng.normal(size=(2, 4, 3)), rg=False)
-        return lambda: (a.T * w).sum(), [a]
     if name == "concat_rows":
         a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 2)))
         return lambda: concat([a, b]).tanh().sum(), [a, b]
@@ -301,18 +356,25 @@ def _fd_case(name, rng):
         a = t(rng.normal(size=(2, 3, 4)))
         return lambda: (a[..., 1, :].tanh().sum() + a[..., 0:2].tanh().sum()
                         + a[None, 1].tanh().sum()), [a]
+    if name in ("pair_attention", "additive_attention"):
+        leaves, mask = _attention_case(name.split("_")[0], rng)
+        if name == "pair_attention":
+            w = t(rng.normal(size=leaves[1].shape), rg=False)
+            return lambda: (pair_attention(*leaves, mask)[1] * w).sum(), leaves
+        w = t(rng.normal(size=leaves[0].shape[:-1]), rg=False)
+        return lambda: (additive_attention(*leaves, mask) * w).sum(), leaves
     raise AssertionError(name)
 
 
 ALL_OPS = [
     "add", "add_rowvec", "mul", "scale", "matmul", "matvec", "vecmat",
-    "dot", "tanh", "lstm_cell", "softmax", "log_softmax", "mean",
-    "transpose", "concat", "stack_rows", "take_column", "getitem",
-    "getitem_rows", "getitem_row", "neg",
-    "add_rows_batched", "matmul_batched", "matvec_batched", "vecmat_batched", "linear",
-    "softmax_masked", "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
-    "unpack_rows", "sum_axis", "mean_axis", "transpose_batched", "concat_rows",
-    "stack_rows_batched", "getitem_tuple",
+    "dot", "tanh", "lstm_cell", "log_softmax", "mean",
+    "concat", "stack_rows", "take_column", "getitem",
+    "getitem_rows", "getitem_row",
+    "add_rows_batched", "vecmat_batched", "linear",
+    "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
+    "unpack_rows", "sum_axis", "mean_axis", "concat_rows",
+    "stack_rows_batched", "getitem_tuple", "pair_attention", "additive_attention",
 ]
 
 
@@ -333,9 +395,9 @@ def test_forward_chains_stay_finite():
     rng = np.random.default_rng(99)
     for _ in range(50):
         a = t(rng.normal(scale=50.0, size=(4, 5)))
-        b = t(rng.normal(scale=50.0, size=(5, 3)))
-        out = softmax(matmul(a, b).tanh(), axis=1)
-        out = matmul(out.T, out).mean(axis=0)
+        b = t(rng.normal(scale=50.0, size=5))
+        _, pooled = pair_attention(a, b)
+        out = matmul(additive_attention(a, pooled, b), a).tanh()
         assert np.all(np.isfinite(out.data))
         total = out.sum()
         total.backward()
