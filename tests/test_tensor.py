@@ -21,7 +21,15 @@ from objcap.tensor import (
     unpack_rows,
 )
 
-from helpers import FD_TOL, additive_attention_chain, max_fd_error, pair_attention_chain
+from helpers import (
+    FD_TOL,
+    additive_attention_chain,
+    matmul_op,
+    max_fd_error,
+    pair_attention_chain,
+    softmax_op,
+    transpose_op,
+)
 
 
 def t(data, rg=True):
@@ -356,6 +364,31 @@ def _fd_case(name, rng):
         a = t(rng.normal(size=(2, 3, 4)))
         return lambda: (a[..., 1, :].tanh().sum() + a[..., 0:2].tanh().sum()
                         + a[None, 1].tanh().sum()), [a]
+    # the reference ops the attention chains in helpers.py are built from:
+    # the fused ops' gradients are held to those chains, so each is checked
+    if name == "softmax":
+        a = t(rng.normal(size=(3, 4)))
+        w = t(rng.normal(size=(3, 4)), rg=False)
+        return lambda: (softmax_op(a) * w).sum(), [a]
+    if name == "softmax_masked":
+        a = t(rng.normal(size=(2, 3, 4)))
+        mask = rng.random(size=(2, 3, 4)) < 0.6
+        mask[0, 1] = False                      # a row with no valid entry
+        w = t(rng.normal(size=(2, 3, 4)), rg=False)
+        return lambda: (softmax_op(a, mask) * w).sum(), [a]
+    if name == "transpose":
+        a = t(rng.normal(size=(2, 5)))
+        return lambda: (transpose_op(a) * transpose_op(a)).sum(), [a]
+    if name == "transpose_batched":
+        a = t(rng.normal(size=(2, 3, 4)))
+        w = t(rng.normal(size=(2, 4, 3)), rg=False)
+        return lambda: (transpose_op(a) * w).sum(), [a]
+    if name == "matmul_batched":
+        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4, 2)))
+        return lambda: matmul_op(a, b).tanh().sum(), [a, b]
+    if name == "matvec_batched":
+        a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=4))
+        return lambda: matmul_op(a, b).tanh().sum(), [a, b]
     if name in ("pair_attention", "additive_attention"):
         leaves, mask = _attention_case(name.split("_")[0], rng)
         if name == "pair_attention":
@@ -375,6 +408,8 @@ ALL_OPS = [
     "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
     "unpack_rows", "sum_axis", "mean_axis", "concat_rows",
     "stack_rows_batched", "getitem_tuple", "pair_attention", "additive_attention",
+    "softmax", "softmax_masked", "transpose", "transpose_batched",
+    "matmul_batched", "matvec_batched",
 ]
 
 
