@@ -50,29 +50,13 @@ class CaptionerParams:
     lang_lstm: LstmParams
     out_w: Tensor                # vocab_size x lang_hidden
     out_b: Tensor                # vocab_size
-    img_proj_dim: int
-    interaction_hidden: int
     use_image: bool = True
     use_objects: bool = True
     use_coattention: bool = True
 
-    def __post_init__(self):
-        if not (self.use_image or self.use_objects):
-            raise ContractError("at least one of the image/object pathways must be active")
-        if self.vocab_size < 3:
-            raise ContractError("vocabulary must cover at least PAD, BOS, EOS")
-        expected_attn_in = self.lang_hidden + self.img_proj_dim + self.embed_dim
-        if self.attn_lstm.input_size != expected_attn_in:
-            raise ShapeError(
-                f"attention LSTM input width {self.attn_lstm.input_size}, "
-                f"expected {expected_attn_in}")
-        expected_lang_in = self.attn_hidden \
-            + (self.img_proj_dim if self.use_image else 0) \
-            + (self.interaction_hidden if self.use_objects else 0)
-        if self.lang_lstm.input_size != expected_lang_in:
-            raise ShapeError(
-                f"language LSTM input width {self.lang_lstm.input_size}, "
-                f"expected {expected_lang_in}")
+    @property
+    def img_proj_dim(self) -> int:
+        return self.temporal_w_a.shape[0]
 
     @property
     def vocab_size(self) -> int:
@@ -113,13 +97,11 @@ def init_captioner(rng: np.random.Generator, *, image_dim: int, vocab_size: int,
                    lang_hidden: int, interaction_hidden: int,
                    use_image: bool = True, use_objects: bool = True,
                    use_coattention: bool = True) -> CaptionerParams:
-    if not (use_image or use_objects):
-        raise ContractError("at least one of the image/object pathways must be active")
     key_dim = img_proj_dim if use_image else interaction_hidden
     lang_in = attn_hidden + (img_proj_dim if use_image else 0) \
         + (interaction_hidden if use_objects else 0)
     return CaptionerParams(
-        img_proj=init_mlp(rng, [image_dim, img_proj_dim]) if use_image else None,
+        img_proj=init_mlp(rng, image_dim, img_proj_dim) if use_image else None,
         attn_lstm=init_lstm(rng, lang_hidden + img_proj_dim + embed_dim, attn_hidden),
         temporal_w_h=glorot_uniform(rng, img_proj_dim, attn_hidden),
         temporal_w_c=glorot_uniform(rng, img_proj_dim, key_dim),
@@ -130,8 +112,6 @@ def init_captioner(rng: np.random.Generator, *, image_dim: int, vocab_size: int,
         lang_lstm=init_lstm(rng, lang_in, lang_hidden),
         out_w=glorot_uniform(rng, vocab_size, lang_hidden),
         out_b=Tensor(np.zeros(vocab_size), requires_grad=True),
-        img_proj_dim=img_proj_dim,
-        interaction_hidden=interaction_hidden,
         use_image=use_image,
         use_objects=use_objects,
         use_coattention=use_coattention,

@@ -37,7 +37,6 @@ from .layers import (
 )
 from .tensor import (
     ContractError,
-    ShapeError,
     Tensor,
     concat,
     linear,
@@ -63,18 +62,6 @@ class GroupParams:
 class InteractionParams:
     groups: list[GroupParams]
     lstm: LstmParams
-    attn_dim: int
-
-    def __post_init__(self):
-        if not self.groups:
-            raise ContractError("at least one attention group required")
-        for g in self.groups:
-            if g.w_h.shape[0] != self.attn_dim or g.proj.output_size != self.attn_dim:
-                raise ShapeError("all groups must share the attention width")
-        if self.lstm.input_size != len(self.groups) * self.attn_dim:
-            raise ShapeError(
-                f"LSTM input width {self.lstm.input_size} != "
-                f"{len(self.groups)} * {self.attn_dim}")
 
     @property
     def hidden_size(self) -> int:
@@ -97,18 +84,10 @@ def init_interaction(rng: np.random.Generator, *, image_dim: int, object_dim: in
         groups.append(GroupParams(
             w_h=glorot_uniform(rng, attn_dim, hidden_size),
             w_c=glorot_uniform(rng, attn_dim, image_dim),
-            proj=init_mlp(rng, [object_dim, attn_dim]),
+            proj=init_mlp(rng, object_dim, attn_dim),
         ))
     lstm = init_lstm(rng, num_groups * attn_dim, hidden_size)
-    return InteractionParams(groups=groups, lstm=lstm, attn_dim=attn_dim)
-
-
-def group_attend(projected: Tensor, u: Tensor,
-                 mask: np.ndarray | None = None) -> tuple[np.ndarray, Tensor]:
-    """One group's attention over a frame's projected object rows, biased by
-    the group's context ``u`` (``tensor.pair_attention``): the attention
-    matrix, kept for traces, and the pooled vector."""
-    return pair_attention(projected, u, mask)
+    return InteractionParams(groups=groups, lstm=lstm)
 
 
 def pack_objects(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +130,7 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     batch = object_mask.shape[:-2]
     h = Tensor(np.zeros(batch + (p.hidden_size,)))
     c = Tensor(np.zeros(batch + (p.hidden_size,)))
-    empty = Tensor(np.zeros(batch + (len(p.groups) * p.attn_dim,)))
+    empty = Tensor(np.zeros(batch + (p.lstm.wx.shape[1],)))   # K pooled vectors
     # per frame: the widest object count over the batch
     widest = object_mask.sum(axis=-1).reshape(-1, object_mask.shape[-2]).max(axis=0)
     hiddens: list[Tensor] = []
@@ -159,7 +138,7 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     for t, n in enumerate(widest.tolist()):
         if n:
             mask = object_mask[..., t, :n] if object_mask.ndim == 3 else None
-            attended = [group_attend(proj[..., t, :n, :], linear(h, g.w_h, ctx[..., t, :]), mask)
+            attended = [pair_attention(proj[..., t, :n, :], linear(h, g.w_h, ctx[..., t, :]), mask)
                         for g, proj, ctx in zip(p.groups, projected, contexts)]
             pooled_all = concat([pooled for _, pooled in attended])
             records.append([alpha for alpha, _ in attended])

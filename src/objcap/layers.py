@@ -1,4 +1,4 @@
-"""Reusable learned layers: the LSTM cell and the small MLP.
+"""Reusable learned layers: the LSTM cell and the one-layer tanh MLP.
 
 Gate layout in ``LstmParams`` is fixed as four stacked blocks in the order
 input, forget, cell-candidate, output. The forget-gate bias block is
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, linear, lstm_cell
+from .tensor import Tensor, linear, lstm_cell
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
@@ -28,24 +28,9 @@ class LstmParams:
     wh: Tensor
     b: Tensor
 
-    def __post_init__(self):
-        if len(self.wx.shape) != 2 or len(self.wh.shape) != 2 or len(self.b.shape) != 1:
-            raise ShapeError("LstmParams expects wx, wh matrices and a bias vector")
-        four_h, _ = self.wx.shape
-        if four_h % 4 != 0:
-            raise ShapeError(f"LSTM weight rows must be 4*H, got {four_h}")
-        h = four_h // 4
-        if self.wh.shape != (four_h, h) or self.b.shape != (four_h,):
-            raise ShapeError(
-                f"inconsistent LSTM shapes: wx {self.wx.shape}, wh {self.wh.shape}, b {self.b.shape}")
-
     @property
     def hidden_size(self) -> int:
         return self.wx.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.wx.shape[1]
 
     def tensors(self) -> dict[str, Tensor]:
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
@@ -71,50 +56,21 @@ def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple
 
 @dataclass
 class MlpParams:
-    """Chained affine layers, each followed by tanh."""
+    """One affine layer followed by tanh: ``w`` (out x in), ``b`` (out),
+    stored in checkpoints as ``l0.w`` and ``l0.b``."""
 
-    layers: list[tuple[Tensor, Tensor]]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ContractError("MlpParams needs at least one layer")
-        for (w, b) in self.layers:
-            if len(w.shape) != 2 or b.shape != (w.shape[0],):
-                raise ShapeError(f"bad MLP layer shapes: w {w.shape}, b {b.shape}")
-        for (w_prev, _), (w_next, _) in zip(self.layers, self.layers[1:]):
-            if w_next.shape[1] != w_prev.shape[0]:
-                raise ShapeError(
-                    f"MLP layers do not chain: {w_prev.shape} then {w_next.shape}")
-
-    @property
-    def input_size(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def output_size(self) -> int:
-        return self.layers[-1][0].shape[0]
+    w: Tensor
+    b: Tensor
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(self.layers):
-            out[f"l{i}.w"] = w
-            out[f"l{i}.b"] = b
-        return out
+        return {"l0.w": self.w, "l0.b": self.b}
 
 
-def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
-    layers = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        layers.append((glorot_uniform(rng, fan_out, fan_in),
-                       Tensor(np.zeros(fan_out), requires_grad=True)))
-    return MlpParams(layers=layers)
+def init_mlp(rng: np.random.Generator, input_size: int, output_size: int) -> MlpParams:
+    return MlpParams(w=glorot_uniform(rng, output_size, input_size),
+                     b=Tensor(np.zeros(output_size), requires_grad=True))
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     """Apply the MLP to a vector or, row by row, along the last axis."""
-    if len(x.shape) < 1 or x.shape[-1] != p.input_size:
-        raise ShapeError(f"mlp_forward input shape {x.shape}, expected width {p.input_size}")
-    out = x
-    for w, b in p.layers:
-        out = linear(out, w, b).tanh()
-    return out
+    return linear(x, p.w, p.b).tanh()

@@ -74,6 +74,11 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.type == "int" and value < 1:
                 raise ContractError(f"model config {f.name!r} must be at least 1, got {value}")
+        if self.vocab_size < 3:
+            raise ContractError(f"model config 'vocab_size' must cover PAD, BOS and EOS, "
+                                f"got {self.vocab_size}")
+        if not (self.use_image or self.use_objects):
+            raise ContractError("model config needs 'use_image' or 'use_objects'")
         return self
 
     def to_dict(self) -> dict:
@@ -81,9 +86,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """A checked config: the keys and types of ``config_from_dict``, then
-        ``validate``."""
-        return config_from_dict(cls, d, "model").validate()
+        """Keys and types as ``config_from_dict`` checks them; ``init_model``
+        validates the values."""
+        return config_from_dict(cls, d, "model")
 
 
 @dataclass
@@ -102,6 +107,7 @@ class Model:
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
+    config.validate()
     rng = np.random.default_rng(seed)
     interaction = init_interaction(
         rng,

@@ -289,6 +289,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     vocab = Vocabulary.from_list(blob["vocab"])
     model = init_model(ModelConfig.from_dict(blob["model"]), seed=0)
+    if vocab.size != model.config.vocab_size:
+        raise ContractError(f"checkpoint vocabulary has {vocab.size} words, its model "
+                            f"config 'vocab_size' {model.config.vocab_size}")
     adam = AdamState(step=step)
     params = model.named_parameters()
     expected = {f"{kind}/{name}" for name in params for kind in ("param", "adam_m", "adam_v")}

@@ -134,7 +134,7 @@ class TestDecodeStep:
         vhat = [alpha[0] * ctx.frames.data[0][j] + alpha[1] * ctx.frames.data[1][j]
                 for j in range(p.img_proj_dim)]
         hhat = [alpha[0] * ctx.states.data[0][j] + alpha[1] * ctx.states.data[1][j]
-                for j in range(p.interaction_hidden)]
+                for j in range(ctx.states.shape[1])]
         x2 = h1 + vhat + hhat
         h2, _ = scalar_lstm_step(p.lang_lstm.wx.data.tolist(),
                                  p.lang_lstm.wh.data.tolist(),

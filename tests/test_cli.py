@@ -100,6 +100,7 @@ class TestTrainCommand:
         ({"model": {"attn_dim": -3}}, "attn_dim"),
         ({"model": {"num_groups": 0}}, "num_groups"),
         ({"model": {"embed_dim": 0}}, "embed_dim"),
+        ({"model": {"use_image": False, "use_objects": False}}, "use_objects"),
     ])
     def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
         cfg = tmp_path / "config.json"
@@ -290,6 +291,18 @@ class TestMalformedInputs:
         save_checkpoint(bad, ckpt.model, ckpt.vocab, ckpt.adam, ckpt.train_config)
         assert_exit_2(caption_args(tmp_path, corpus, bad), capsys,
                       f"{kind}/captioner.out.b has shape {shape}")
+
+    def test_checkpoint_vocabulary_size_mismatch_exits_2(self, tmp_path, corpus, capsys):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+
+        def shrink(blob):
+            config = json.loads(blob)
+            config["vocab"] = config["vocab"][:5]
+            return json.dumps(config).encode()
+
+        rewrite_blob(ckpt, shrink)
+        args = caption_args(tmp_path, corpus, ckpt) + ["--trace", str(tmp_path / "t.json")]
+        assert_exit_2(args, capsys, "vocabulary has 5 words")
 
     def test_manifest_split_entry_not_a_string_exits_2(self, tmp_path, corpus, capsys):
         manifest = corpus / "manifest.json"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from objcap import interaction
-from objcap.interaction import group_attend, init_interaction, interaction_sequence
+from objcap.interaction import init_interaction, interaction_sequence
 from objcap.layers import lstm_step
-from objcap.tensor import ContractError, Tensor
+from objcap.tensor import ContractError, Tensor, pair_attention
 
 from helpers import FD_TOL, max_fd_error, scalar_lstm_step, scalar_mlp, scalar_softmax
 
@@ -26,24 +26,25 @@ def oracle_sequence(p, image, object_feats):
     """Pure-numpy fold of the recurrence: per frame and group, project,
     bias, score, softmax and pool, then one scalar LSTM step."""
     h, c = [0.0] * p.hidden_size, [0.0] * p.hidden_size
+    attn_dim = p.groups[0].w_h.shape[0]
     hiddens, alphas = [], []
     for v, objs in zip(image, object_feats):
         pooled, frame_alphas = [], []
         for g in p.groups:
             if objs.shape[0] == 0:
-                pooled += [0.0] * p.attn_dim
+                pooled += [0.0] * attn_dim
                 frame_alphas.append(None)
                 continue
-            layers = [(w.data.tolist(), b.data.tolist()) for w, b in g.proj.layers]
-            proj = np.array([scalar_mlp(layers, row.tolist()) for row in objs])
+            layer = (g.proj.w.data.tolist(), g.proj.b.data.tolist())
+            proj = np.array([scalar_mlp([layer], row.tolist()) for row in objs])
             u = g.w_h.data @ np.array(h) + g.w_c.data @ v
             x = proj + u
             n = objs.shape[0]
-            scores = [[float(np.dot(x[i], x[j])) / math.sqrt(p.attn_dim) for j in range(n)]
+            scores = [[float(np.dot(x[i], x[j])) / math.sqrt(attn_dim) for j in range(n)]
                       for i in range(n)]
             alpha = np.array([scalar_softmax(row) for row in scores])
             pooled += [sum(alpha[i] @ proj[:, k] for i in range(n)) / n
-                       for k in range(p.attn_dim)]
+                       for k in range(attn_dim)]
             frame_alphas.append(alpha)
         h, c = scalar_lstm_step(p.lstm.wx.data.tolist(), p.lstm.wh.data.tolist(),
                                 p.lstm.b.data.tolist(), pooled, h, c)
@@ -56,14 +57,14 @@ class TestGroupAttend:
     def test_single_object(self):
         rng = np.random.default_rng(1)
         projected = Tensor(rng.normal(size=(1, 3)))
-        alpha, pooled = group_attend(projected, Tensor(rng.normal(size=3)))
+        alpha, pooled = pair_attention(projected, Tensor(rng.normal(size=3)))
         assert alpha.tolist() == [[1.0]]
         assert np.max(np.abs(pooled.data - projected.data[0])) < 1e-12
 
     def test_identical_objects_give_uniform_attention(self):
         rng = np.random.default_rng(2)
         row = rng.normal(size=3)
-        alpha, pooled = group_attend(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
+        alpha, pooled = pair_attention(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
         assert np.max(np.abs(alpha - 1.0 / 3)) < 1e-12
         assert np.max(np.abs(pooled.data - row)) < 1e-9
 
@@ -71,7 +72,7 @@ class TestGroupAttend:
         rng = np.random.default_rng(3)
         proj = rng.normal(size=(4, 3))
         u = rng.normal(size=3)
-        alpha_t, pooled_t = group_attend(Tensor(proj), Tensor(u))
+        alpha_t, pooled_t = pair_attention(Tensor(proj), Tensor(u))
 
         # explicit scalar recomputation: bias, score, softmax, pool
         x = proj + u
@@ -87,14 +88,14 @@ class TestGroupAttend:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 5):
-            alpha, _ = group_attend(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
+            alpha, _ = pair_attention(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
             sums = alpha.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
             assert np.all(alpha > 0)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ContractError):
-            group_attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
+            pair_attention(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
 
     def test_score_scaling_uses_sqrt_attn_dim(self):
         # attention width 3: scores must equal the unscaled oracle / sqrt(3)
@@ -103,7 +104,7 @@ class TestGroupAttend:
         u = rng.normal(size=3)
         x = proj + u
         unscaled = x @ x.T
-        alpha, _ = group_attend(Tensor(proj), Tensor(u))
+        alpha, _ = pair_attention(Tensor(proj), Tensor(u))
         expected = np.array([scalar_softmax(r.tolist())
                              for r in unscaled * (1.0 / math.sqrt(3))])
         assert np.max(np.abs(alpha - expected)) < 1e-12
@@ -127,8 +128,8 @@ class TestInteractionStep:
             t.data[:] = p.groups[0].tensors()[name].data
         image, objects = make_segment(rng, [3])
         _, records = interaction_sequence(p, image, objects)
-        w, b = p.groups[0].proj.layers[0]
-        proj = np.tanh(objects[0] @ w.data.T + b.data)
+        mlp = p.groups[0].proj
+        proj = np.tanh(objects[0] @ mlp.w.data.T + mlp.b.data)
         pooled = [(alpha @ proj).mean(axis=0) for alpha in records[0]]
         assert np.array_equal(records[0][0], records[0][1])
         assert np.array_equal(pooled[0], pooled[1])

@@ -95,25 +95,23 @@ class TestLstmStep:
 
 class TestMlp:
     def test_zero_tanh_layer_gives_zero(self):
-        p = MlpParams(
-            layers=[(Tensor(np.zeros((4, 3)), requires_grad=True),
-                     Tensor(np.zeros(4), requires_grad=True))],
-        )
+        p = MlpParams(w=Tensor(np.zeros((4, 3)), requires_grad=True),
+                      b=Tensor(np.zeros(4), requires_grad=True))
         out = mlp_forward(p, Tensor(np.ones(3)))
         assert np.array_equal(out.data, np.zeros(4))
 
-    def test_two_layer_matches_scalar_oracle(self):
+    def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
-        p = init_mlp(rng, [4, 5, 3])
+        p = init_mlp(rng, 4, 5)
+        p.b.data[:] = rng.normal(size=5)
         x = rng.normal(size=4)
-        expected = scalar_mlp(
-            [(w.data.tolist(), b.data.tolist()) for w, b in p.layers], x.tolist())
+        expected = scalar_mlp([(p.w.data.tolist(), p.b.data.tolist())], x.tolist())
         out = mlp_forward(p, Tensor(x))
         assert np.max(np.abs(out.data - np.array(expected))) < 1e-12
 
     def test_matrix_input_applies_row_wise(self):
         rng = np.random.default_rng(6)
-        p = init_mlp(rng, [3, 4])
+        p = init_mlp(rng, 3, 4)
         m = rng.normal(size=(5, 3))
         out = mlp_forward(p, Tensor(m))
         for i in range(5):
@@ -122,25 +120,18 @@ class TestMlp:
 
     def test_gradient(self):
         rng = np.random.default_rng(8)
-        p = init_mlp(rng, [3, 4, 2])
+        p = init_mlp(rng, 3, 4)
+        p.b.data[:] = rng.normal(size=4)
         x = Tensor(rng.normal(size=(4, 3)) + 0.2, requires_grad=True)
-        leaves = [x] + [t for w_b in p.layers for t in w_b]
+        leaves = [x, p.w, p.b]
 
         def loss_fn():
             return mlp_forward(p, x).sum()
 
         assert max_fd_error(loss_fn, leaves) < FD_TOL
 
-    def test_bad_chaining_rejected(self):
-        w1 = Tensor(np.zeros((4, 3)), requires_grad=True)
-        b1 = Tensor(np.zeros(4), requires_grad=True)
-        w2 = Tensor(np.zeros((2, 5)), requires_grad=True)
-        b2 = Tensor(np.zeros(2), requires_grad=True)
-        with pytest.raises(ShapeError):
-            MlpParams(layers=[(w1, b1), (w2, b2)])
-
     def test_input_width_mismatch(self):
-        p = init_mlp(np.random.default_rng(0), [3, 2])
+        p = init_mlp(np.random.default_rng(0), 3, 2)
         with pytest.raises(ShapeError):
             mlp_forward(p, Tensor(np.zeros(4)))
 
