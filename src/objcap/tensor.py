@@ -302,11 +302,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate((g @ np.swapaxes(pb, -1, -2)).reshape(a.shape))
         if b.requires_grad:
-            b._accumulate((np.swapaxes(pa, -1, -2) @ g).reshape(b.shape))
+            gb = _t_times(pa, g) if br != 3 else np.swapaxes(pa, -1, -2) @ g
+            b._accumulate(gb.reshape(b.shape))
 
     if out.requires_grad:
         out._backward = _backward
     return out
+
+
+def _t_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` for two matrices with equal row counts. With one row it
+    is an outer product: ``@`` forms that in numpy's own loop, several
+    times slower than ``np.dot`` through BLAS, and each entry is a single
+    product either way, so the bits are the same. With two or more rows
+    ``@`` calls BLAS itself and stays; ``np.dot`` was slower there on the
+    widest weights."""
+    return np.dot(a.T, b) if a.shape[0] == 1 else a.T @ b
 
 
 def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -338,7 +349,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             x._accumulate(g @ w.data)
         if w.requires_grad:
-            w._accumulate(rows.T @ x.data.reshape(-1, w.shape[1]))
+            w._accumulate(_t_times(rows, x.data.reshape(-1, w.shape[1])))
         if b is not None and b.requires_grad:
             b._accumulate(g if b.shape == g.shape else rows.sum(axis=0))
 
@@ -631,9 +642,9 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
         dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc], axis=-1)
         dz_rows = dz.reshape(-1, 4 * hs)
         if wx.requires_grad:
-            wx._accumulate(dz_rows.T @ x.data.reshape(-1, d))
+            wx._accumulate(_t_times(dz_rows, x.data.reshape(-1, d)))
         if wh.requires_grad:
-            wh._accumulate(dz_rows.T @ h_prev.data.reshape(-1, hs))
+            wh._accumulate(_t_times(dz_rows, h_prev.data.reshape(-1, hs)))
         if b.requires_grad:
             b._accumulate(dz_rows.sum(axis=0))
         if x.requires_grad:

@@ -109,9 +109,14 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), built in place in that order
+        den = v / (1.0 - beta2 ** t)
+        np.sqrt(den, out=den)
+        den += eps
+        step = m / (1.0 - beta1 ** t)
+        step *= lr
+        step /= den
+        p.data -= step
     return state
 
 

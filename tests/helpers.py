@@ -134,6 +134,12 @@ def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
     return tokens, log_prob, finished, alphas
 
 
+def t_times_reference(a, b):
+    """``a.T @ b`` as ``@`` forms it at any row count: the reference for
+    the core's one-row weight gradients, which go through ``np.dot``."""
+    return a.T @ b
+
+
 # -- the op-by-op attention chains that tensor.pair_attention and
 # tensor.additive_attention fused, kept as references. The transpose,
 # softmax and batched product ops they used are no longer in the core, so

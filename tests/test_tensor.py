@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from objcap import tensor
 from objcap.tensor import (
     ContractError,
     ShapeError,
@@ -29,6 +30,7 @@ from helpers import (
     max_fd_error,
     pair_attention_chain,
     softmax_op,
+    t_times_reference,
     transpose_op,
 )
 
@@ -245,6 +247,54 @@ class TestBackward:
         x.sum().backward()
         x.sum().backward()
         assert np.array_equal(x.grad, 2 * np.ones(2))
+
+
+def _signed_zeros(rng, shape, share=0.2):
+    """Normal draws with about ``share`` of the entries set to exact zeros,
+    half of them ``-0.0``."""
+    x = rng.normal(size=shape)
+    u = rng.random(shape)
+    x[u < share] = 0.0
+    x[u < share / 2] = -0.0
+    return x
+
+
+def _weight_grad_case(op, lead, rng):
+    """(forward, leaves) for one weight-gradient case whose inputs have
+    ``lead`` as their leading shape: ``()`` is a vector, one row."""
+    def draw(*shape, share=0.2):
+        return t(_signed_zeros(rng, shape, share))
+
+    if op == "linear":
+        leaves = [draw(*lead, 6), draw(3, 6), draw(3)]
+        return lambda: linear(*leaves), leaves
+    if op == "lstm_cell":
+        # h_prev is all zeros in some cases, as on a first step
+        h_share = 1.0 if rng.random() < 0.3 else 0.2
+        leaves = [draw(16, 5), draw(16, 4), draw(16), draw(*lead, 5),
+                  draw(*lead, 4, share=h_share), draw(*lead, 4)]
+        return lambda: lstm_cell(*leaves), leaves
+    leaves = [draw(*lead, 6), draw(6, 3)]     # matmul: vector or matrix on the left
+    return lambda: matmul(*leaves), leaves
+
+
+@pytest.mark.parametrize("op", ["linear", "lstm_cell", "matmul"])
+def test_one_row_weight_gradients_keep_their_bits(op, monkeypatch):
+    """A one-row ``a.T @ b`` takes ``np.dot``; every gradient must equal the
+    one formed with ``@`` from the same factors, zero signs included."""
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
+    fast = tensor._t_times
+    for lead in [(), (1,), (2,), (3,), (32,)] * 10:
+        forward, leaves = _weight_grad_case(op, lead, rng)
+        upstream = t(_signed_zeros(rng, forward().shape), rg=False)
+        grads = []
+        for t_times in (fast, t_times_reference):
+            monkeypatch.setattr(tensor, "_t_times", t_times)
+            for leaf in leaves:
+                leaf.zero_grad()
+            (forward() * upstream).sum().backward()
+            grads.append([leaf.grad.tobytes() for leaf in leaves])
+        assert grads[0] == grads[1], f"{op} rows {lead}"
 
 
 def _fd_case(name, rng):

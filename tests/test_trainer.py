@@ -7,7 +7,7 @@ from objcap import trainer
 from objcap.captioner import decode_step, initial_state
 from objcap.cli import caption_dataset
 from objcap.data import SynthSpec, load_manifest, synth_dataset
-from objcap.model import init_model, segment_context
+from objcap.model import ModelConfig, init_model, segment_context
 from objcap.tensor import ContractError, Tensor
 from objcap.trainer import (
     AdamState,
@@ -67,6 +67,44 @@ class TestAdamStep:
         p = {"w": Tensor(np.zeros(3), requires_grad=True)}
         with pytest.raises(ContractError):
             adam_step(p, {"w": np.zeros(4)}, AdamState(), lr=1e-3)
+
+    def test_in_place_update_keeps_the_expression_bits(self):
+        """Five steps over the desk model's 25 parameters, with zero and
+        tiny gradients, equal the plain expression byte for byte."""
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(17)
+        model = init_model(ModelConfig(vocab_size=14), seed=0)
+        params = {name: Tensor(p.data.copy(), requires_grad=True)
+                  for name, p in model.named_parameters().items()}
+        assert len(params) == 25
+        ref = {name: p.data.copy() for name, p in params.items()}
+        ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
+        ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
+        state = AdamState()
+        for t in range(1, 6):
+            grads = {}
+            for name, p in ref.items():
+                g = rng.normal(size=p.shape)
+                u = rng.random(p.shape)
+                g[u < 0.2] = 0.0
+                g[u < 0.05] = rng.normal() * 1e-160    # g * g underflows
+                g[u > 0.95] *= 1e-310                  # subnormal
+                grads[name] = g
+            grads["captioner.out.b"][:] = 0.0
+            adam_step(params, grads, state, lr, b1, b2, eps)
+            for name, p in ref.items():
+                g, m, v = grads[name], ref_m[name], ref_v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name, p in ref.items():
+                assert params[name].data.tobytes() == p.tobytes(), (t, name)
+                assert state.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
+                assert state.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
 
 
 class TestTrainLoop:
