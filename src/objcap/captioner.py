@@ -19,6 +19,7 @@ Mode flags cut pathways out:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from .tensor import (
     stack_rows,
     take_column,
 )
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass
@@ -92,29 +96,23 @@ class CaptionerParams:
         return out
 
 
-def init_captioner(rng: np.random.Generator, *, image_dim: int, vocab_size: int,
-                   img_proj_dim: int, embed_dim: int, attn_hidden: int,
-                   lang_hidden: int, interaction_hidden: int,
-                   use_image: bool = True, use_objects: bool = True,
-                   use_coattention: bool = True) -> CaptionerParams:
-    key_dim = img_proj_dim if use_image else interaction_hidden
-    lang_in = attn_hidden + (img_proj_dim if use_image else 0) \
-        + (interaction_hidden if use_objects else 0)
+def init_captioner(rng: np.random.Generator, cfg: ModelConfig) -> CaptionerParams:
+    proj, hidden = cfg.img_proj_dim, cfg.lang_hidden
+    key_dim = proj if cfg.use_image else cfg.interaction_hidden
+    lang_in = cfg.attn_hidden + (proj if cfg.use_image else 0) \
+        + (cfg.interaction_hidden if cfg.use_objects else 0)
     return CaptionerParams(
-        img_proj=init_mlp(rng, image_dim, img_proj_dim) if use_image else None,
-        attn_lstm=init_lstm(rng, lang_hidden + img_proj_dim + embed_dim, attn_hidden),
-        temporal_w_h=glorot_uniform(rng, img_proj_dim, attn_hidden),
-        temporal_w_c=glorot_uniform(rng, img_proj_dim, key_dim),
-        temporal_w_a=Tensor(rng.uniform(-np.sqrt(6.0 / (img_proj_dim + 1)),
-                                        np.sqrt(6.0 / (img_proj_dim + 1)),
-                                        size=img_proj_dim), requires_grad=True),
-        embed=glorot_uniform(rng, embed_dim, vocab_size),
-        lang_lstm=init_lstm(rng, lang_in, lang_hidden),
-        out_w=glorot_uniform(rng, vocab_size, lang_hidden),
-        out_b=Tensor(np.zeros(vocab_size), requires_grad=True),
-        use_image=use_image,
-        use_objects=use_objects,
-        use_coattention=use_coattention,
+        img_proj=init_mlp(rng, cfg.image_dim, proj) if cfg.use_image else None,
+        attn_lstm=init_lstm(rng, hidden + proj + cfg.embed_dim, cfg.attn_hidden),
+        temporal_w_h=glorot_uniform(rng, proj, cfg.attn_hidden),
+        temporal_w_c=glorot_uniform(rng, proj, key_dim),
+        temporal_w_a=Tensor(rng.uniform(-np.sqrt(6.0 / (proj + 1)), np.sqrt(6.0 / (proj + 1)),
+                                        size=proj), requires_grad=True),
+        embed=glorot_uniform(rng, cfg.embed_dim, cfg.vocab_size),
+        lang_lstm=init_lstm(rng, lang_in, hidden),
+        out_w=glorot_uniform(rng, cfg.vocab_size, hidden),
+        out_b=Tensor(np.zeros(cfg.vocab_size), requires_grad=True),
+        use_image=cfg.use_image, use_objects=cfg.use_objects, use_coattention=cfg.use_coattention,
     )
 
 
@@ -138,7 +136,6 @@ class SegmentContext:
     pooled: Tensor
     states: Tensor | None
     keys: Tensor
-    length: int
     frame_mask: np.ndarray | None = None
 
 
@@ -161,15 +158,14 @@ class DecodeStep:
 class Hypothesis:
     """The caption a beam search returns.
 
-    ``tokens`` starts with BOS and may end with EOS; ``log_prob`` is the
-    plain sum of word log-probabilities (no length normalization);
-    ``alphas`` holds the frame attention of the step that produced each
-    token after BOS.
+    ``tokens`` starts with BOS and ends with EOS or at the word cap;
+    ``log_prob`` is the plain sum of word log-probabilities (no length
+    normalization); ``alphas`` holds the frame attention of the step that
+    produced each token after BOS.
     """
 
     tokens: tuple[int, ...]
     log_prob: float
-    finished: bool
     alphas: tuple[np.ndarray, ...] = ()
 
     @property
@@ -213,7 +209,7 @@ def precompute_frames(p: CaptionerParams, v_c: Tensor,
         pooled = Tensor(np.zeros(v_c.shape[:-2] + (p.img_proj_dim,)))
     keys = linear(frames if p.use_image else states, p.temporal_w_c)
     return SegmentContext(frames=frames, pooled=pooled, states=states, keys=keys,
-                          length=length, frame_mask=frame_mask)
+                          frame_mask=frame_mask)
 
 
 def initial_state(p: CaptionerParams, batch: tuple[int, ...] = ()) -> DecoderState:
@@ -281,18 +277,16 @@ def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarr
 
 @dataclass
 class TeacherForcedResult:
-    loss: Tensor            # mean negative log-likelihood over scored positions
+    loss: Tensor            # mean negative log-likelihood over the caption's positions
     loss_sum: Tensor
-    scored_positions: int
 
 
 def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
                            caption: list[int]) -> TeacherForcedResult:
     """Cross-entropy of a gold caption under teacher forcing.
 
-    ``caption`` must run BOS ... EOS; trailing PAD (from external batching)
-    stops scoring. Every non-PAD target position contributes one term to the
-    mean.
+    ``caption`` must run BOS ... EOS without PAD; every target position
+    contributes one term to the mean.
     """
     if not caption:
         raise ContractError("empty caption")
@@ -300,21 +294,17 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
         raise ContractError("caption must start with BOS")
     if len(caption) > MAX_CAPTION_WORDS + 2:
         raise ContractError(f"caption longer than {MAX_CAPTION_WORDS} words plus sentinels")
-    stripped = [w for w in caption if w != PAD_ID]
-    if len(stripped) < 2 or stripped[-1] != EOS_ID:
+    if PAD_ID in caption:
+        raise ContractError("caption holds PAD; teacher forcing takes one unpadded caption")
+    if len(caption) < 2 or caption[-1] != EOS_ID:
         raise ContractError("caption must end with EOS")
     for w in caption:
         if not 0 <= w < p.vocab_size:
             raise ContractError(f"word id {w} outside vocabulary of {p.vocab_size}")
 
     ids = np.array(caption)
-    pads = np.flatnonzero(ids[1:] == PAD_ID)
-    scored = int(pads[0]) if pads.size else len(caption) - 1
-    if scored == 0:
-        raise ContractError("caption scores no position")
-    loss_sum = teacher_forced_nll(p, ctx, ids[:scored], ids[1:scored + 1])
-    return TeacherForcedResult(loss=loss_sum * (1.0 / scored), loss_sum=loss_sum,
-                               scored_positions=scored)
+    loss_sum = teacher_forced_nll(p, ctx, ids[:-1], ids[1:])
+    return TeacherForcedResult(loss=loss_sum * (1.0 / (len(caption) - 1)), loss_sum=loss_sum)
 
 
 def decode_greedy(p: CaptionerParams, ctx: SegmentContext,
@@ -342,7 +332,7 @@ def tile_context(ctx: SegmentContext, rows: int) -> SegmentContext:
         return None if t is None else Tensor(np.broadcast_to(t.data, (rows,) + t.shape))
 
     return SegmentContext(frames=tile(ctx.frames), pooled=tile(ctx.pooled),
-                          states=tile(ctx.states), keys=tile(ctx.keys), length=ctx.length)
+                          states=tile(ctx.states), keys=tile(ctx.keys))
 
 
 def beam_step(p: CaptionerParams, ctx: SegmentContext, words: np.ndarray,
@@ -429,4 +419,4 @@ def beam_search(p: CaptionerParams, ctx: SegmentContext, beam_width: int,
             alphas.append(alpha[parent[k]])
         k = parent[k]
     return Hypothesis(tokens=(BOS_ID, *tokens[::-1]), log_prob=float(log_prob[0]),
-                      finished=True, alphas=tuple(alphas[::-1]))
+                      alphas=tuple(alphas[::-1]))

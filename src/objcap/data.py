@@ -192,17 +192,16 @@ class Vocabulary:
         return v
 
 
-def build_vocab(captions: list[str], min_count: int = 1) -> Vocabulary:
-    """Frequency-descending id assignment, ties by lexicographic order;
-    words under min_count fall back to UNK."""
+def build_vocab(captions: list[str]) -> Vocabulary:
+    """Every corpus word gets an id: frequency-descending, ties by
+    lexicographic order."""
     if not captions:
         raise ValidationError("captions", "empty corpus")
     counts: dict[str, int] = {}
     for cap in captions:
         for word in cap.lower().split():
             counts[word] = counts.get(word, 0) + 1
-    kept = sorted((w for w, c in counts.items() if c >= min_count),
-                  key=lambda w: (-counts[w], w))
+    kept = sorted(counts, key=lambda w: (-counts[w], w))
     vocab = Vocabulary()
     for w in kept:
         vocab.word_to_id[w] = len(vocab.id_to_word)
@@ -307,7 +306,6 @@ def synth_dataset(seed: int, spec: SynthSpec, out_dir: str | Path) -> Path:
 
 @dataclass
 class Dataset:
-    root: Path
     train: list[SegmentFeatures]
     val: list[SegmentFeatures]
 
@@ -322,11 +320,8 @@ def load_manifest(manifest_path: str | Path) -> Dataset:
         split = manifest.get(key)
         if not isinstance(split, list) or not all(isinstance(p, str) for p in split):
             raise ValidationError("manifest", f"{key!r} split must be a list of file names")
-    return Dataset(
-        root=root,
-        train=[load_segment(root / p) for p in manifest["train"]],
-        val=[load_segment(root / p) for p in manifest["val"]],
-    )
+    return Dataset(train=[load_segment(root / p) for p in manifest["train"]],
+                   val=[load_segment(root / p) for p in manifest["val"]])
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -23,6 +23,7 @@ is assumed, and all outputs are invariant to row permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from .tensor import (
     pair_attention,
     unpack_rows,
 )
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass
@@ -77,16 +81,15 @@ class InteractionParams:
         return out
 
 
-def init_interaction(rng: np.random.Generator, *, image_dim: int, object_dim: int,
-                     num_groups: int, attn_dim: int, hidden_size: int) -> InteractionParams:
+def init_interaction(rng: np.random.Generator, cfg: ModelConfig) -> InteractionParams:
     groups = []
-    for _ in range(num_groups):
+    for _ in range(cfg.num_groups):
         groups.append(GroupParams(
-            w_h=glorot_uniform(rng, attn_dim, hidden_size),
-            w_c=glorot_uniform(rng, attn_dim, image_dim),
-            proj=init_mlp(rng, object_dim, attn_dim),
+            w_h=glorot_uniform(rng, cfg.attn_dim, cfg.interaction_hidden),
+            w_c=glorot_uniform(rng, cfg.attn_dim, cfg.image_dim),
+            proj=init_mlp(rng, cfg.object_dim, cfg.attn_dim),
         ))
-    lstm = init_lstm(rng, num_groups * attn_dim, hidden_size)
+    lstm = init_lstm(rng, cfg.num_groups * cfg.attn_dim, cfg.interaction_hidden)
     return InteractionParams(groups=groups, lstm=lstm)
 
 

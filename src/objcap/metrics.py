@@ -41,20 +41,19 @@ def ngram_counts(tokens: Sentence, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidates: list[Sentence], references: list[list[Sentence]],
-         max_order: int = NGRAM_ORDERS) -> list[float]:
-    """Corpus BLEU@1..max_order. Zero clipped matches at some order zero out
-    that order and every higher one; no smoothing is applied."""
+def bleu(candidates: list[Sentence], references: list[list[Sentence]]) -> list[float]:
+    """Corpus BLEU@1..4. Zero clipped matches at some order zero out that
+    order and every higher one; no smoothing is applied."""
     _check_inputs(candidates, references)
-    matched = [0] * max_order
-    possible = [0] * max_order
+    matched = [0] * NGRAM_ORDERS
+    possible = [0] * NGRAM_ORDERS
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references):
         cand_len += len(cand)
         # closest reference length; ties go to the shorter reference
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-        for n in range(1, max_order + 1):
+        for n in range(1, NGRAM_ORDERS + 1):
             counts = ngram_counts(cand, n)
             if not counts:
                 continue
@@ -70,7 +69,7 @@ def bleu(candidates: list[Sentence], references: list[list[Sentence]],
     scores = []
     log_sum = 0.0
     dead = False
-    for n in range(max_order):
+    for n in range(NGRAM_ORDERS):
         p = matched[n] / possible[n] if possible[n] else 0.0
         if p <= 0.0:
             dead = True
@@ -93,8 +92,8 @@ def _lcs_length(a: Sentence, b: Sentence) -> int:
     return rows[len(a)][len(b)]
 
 
-def rouge_l(candidates: list[Sentence], references: list[list[Sentence]],
-            beta: float = ROUGE_BETA) -> tuple[float, list[float]]:
+def rouge_l(candidates: list[Sentence],
+            references: list[list[Sentence]]) -> tuple[float, list[float]]:
     """LCS F-measure, best reference per segment, averaged over segments."""
     _check_inputs(candidates, references)
     per_segment = []
@@ -106,7 +105,8 @@ def rouge_l(candidates: list[Sentence], references: list[list[Sentence]],
                 continue
             precision = lcs / len(cand)
             recall = lcs / len(ref)
-            score = (1 + beta ** 2) * precision * recall / (recall + beta ** 2 * precision)
+            score = (1 + ROUGE_BETA ** 2) * precision * recall \
+                / (recall + ROUGE_BETA ** 2 * precision)
             best = max(best, score)
         per_segment.append(best)
     return sum(per_segment) / len(per_segment), per_segment
@@ -123,8 +123,8 @@ def _tfidf_vector(counts: Counter, doc_freq: Counter, log_num_docs: float):
     return vec, [math.sqrt(v) for v in norm]
 
 
-def cider_d(candidates: list[Sentence], references: list[list[Sentence]],
-            sigma: float = CIDER_SIGMA) -> tuple[float, list[float]]:
+def cider_d(candidates: list[Sentence],
+            references: list[list[Sentence]]) -> tuple[float, list[float]]:
     """Clipped TF-IDF cosine over orders 1..4, Gaussian length penalty,
     averaged over references then segments, scaled by 10."""
     _check_inputs(candidates, references)
@@ -154,7 +154,7 @@ def cider_d(candidates: list[Sentence], references: list[list[Sentence]],
                 ref_counts.update(ngram_counts(ref, n))
             ref_vec, ref_norm = _tfidf_vector(ref_counts, doc_freq, log_num_docs)
             delta = float(len(cand) - len(ref))
-            penalty = math.exp(-(delta ** 2) / (2.0 * sigma ** 2))
+            penalty = math.exp(-(delta ** 2) / (2.0 * CIDER_SIGMA ** 2))
             for n in range(NGRAM_ORDERS):
                 dot = sum(min(w, ref_vec[n].get(gram, 0.0)) * ref_vec[n].get(gram, 0.0)
                           for gram, w in cand_vec[n].items())

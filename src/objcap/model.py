@@ -109,27 +109,8 @@ class Model:
 def init_model(config: ModelConfig, seed: int) -> Model:
     config.validate()
     rng = np.random.default_rng(seed)
-    interaction = init_interaction(
-        rng,
-        image_dim=config.image_dim,
-        object_dim=config.object_dim,
-        num_groups=config.num_groups,
-        attn_dim=config.attn_dim,
-        hidden_size=config.interaction_hidden,
-    )
-    captioner = init_captioner(
-        rng,
-        image_dim=config.image_dim,
-        vocab_size=config.vocab_size,
-        img_proj_dim=config.img_proj_dim,
-        embed_dim=config.embed_dim,
-        attn_hidden=config.attn_hidden,
-        lang_hidden=config.lang_hidden,
-        interaction_hidden=config.interaction_hidden,
-        use_image=config.use_image,
-        use_objects=config.use_objects,
-        use_coattention=config.use_coattention,
-    )
+    interaction = init_interaction(rng, config)
+    captioner = init_captioner(rng, config)
     return Model(config=config, interaction=interaction, captioner=captioner)
 
 

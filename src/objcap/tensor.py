@@ -147,33 +147,6 @@ class Tensor:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        """Element-wise sum of equal shapes, or a matrix plus a vector added
-        to every row (a batch of matrices plus one vector per matrix)."""
-        if not isinstance(other, Tensor):
-            raise TypeError("add expects a Tensor")
-        a, b = self, other
-        if a.shape == b.shape:
-            out_data = a.data + b.data
-            row_broadcast = False
-        elif len(a.shape) >= 2 and b.shape == a.shape[:-2] + a.shape[-1:]:
-            out_data = a.data + (b.data if len(b.shape) == 1 else b.data[..., None, :])
-            row_broadcast = True
-        else:
-            raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
-        out = Tensor(out_data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
-
-        def _backward(out):
-            g = out.grad
-            if a.requires_grad:
-                a._accumulate(g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=-2) if row_broadcast else g)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             s = float(other)
@@ -201,9 +174,6 @@ class Tensor:
         if out.requires_grad:
             out._backward = _backward
         return out
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
 
     def __getitem__(self, key) -> "Tensor":
         """Basic indexing: a non-negative int or a slice on the first axis,
@@ -277,33 +247,20 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Ranks 1 and 2 combine as in numpy: matrix@matrix,
-    matrix@vector, vector@matrix and vector@vector (dot product, scalar
-    result). With a leading batch axis, (B,d) @ (B,d,m) multiplies each row
-    by its own matrix."""
-    ar, br = len(a.shape), len(b.shape)
-    if ar in (1, 2) and br in (1, 2):
-        ok = a.shape[-1] == b.shape[0]
-    elif (ar, br) == (2, 3):
-        ok = a.shape[0] == b.shape[0] and a.shape[1] == b.shape[1]
-    else:
-        ok = False
-    if not ok:
+    """Weights times rows: a vector (n) times a matrix (n x d), or each row
+    of a (B x n) times its own matrix of b (B x n x d)."""
+    if len(a.shape) not in (1, 2) or a.shape != b.shape[:-1]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = _rows_times(a.data, b.data) if br == 3 else a.data @ b.data
-    out = Tensor(out_data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
+    out = Tensor(_rows_times(a.data, b.data), requires_grad=a.requires_grad or b.requires_grad,
+                 _prev=(a, b))
 
     def _backward(out):
-        # the operands as (batches of) matrices: a vector becomes a one-row
-        # (left) or one-column (right) matrix
-        pa = a.data[..., None, :] if ar == 1 or br == 3 else a.data
-        pb = b.data[:, None] if br == 1 else b.data
-        g = out.grad.reshape(pa.shape[:-1] + pb.shape[-1:])
+        pa = a.data[..., None, :]       # each row of a as a one-row matrix
+        g = out.grad.reshape(pa.shape[:-1] + b.shape[-1:])
         if a.requires_grad:
-            a._accumulate((g @ np.swapaxes(pb, -1, -2)).reshape(a.shape))
+            a._accumulate((g @ np.swapaxes(b.data, -1, -2)).reshape(a.shape))
         if b.requires_grad:
-            gb = _t_times(pa, g) if br != 3 else np.swapaxes(pa, -1, -2) @ g
-            b._accumulate(gb.reshape(b.shape))
+            b._accumulate(_t_times(pa, g) if pa.ndim == 2 else np.swapaxes(pa, -1, -2) @ g)
 
     if out.requires_grad:
         out._backward = _backward

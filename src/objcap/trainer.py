@@ -56,8 +56,12 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractError(f"train config {f.name!r} must be finite, got {value}")
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ContractError("lr, batch_size and max_epochs must be positive")
+        if self.lr <= 0:
+            raise ContractError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.max_epochs < 0:
+            raise ContractError(f"max_epochs must be non-negative, got {self.max_epochs}")
         if self.seed < 0:
             raise ContractError(f"train config 'seed' must be non-negative, got {self.seed}")
         if not 0.0 < self.plateau_factor < 1.0:

@@ -105,7 +105,7 @@ def scalar_mlp(layers, x):
 def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
     """Reference beam search that steps each live hypothesis on its own with
     the vector ``decode_step`` and keeps the pool as Python objects. Returns
-    ``(tokens, log_prob, finished, alphas)`` of the best hypothesis, under
+    ``(tokens, log_prob, alphas)`` of the best hypothesis, under
     the same selection (the ``np.partition`` cut) and the same tie rule
     (``(-log_prob, tokens)``) as ``captioner.beam_search``."""
     from objcap.captioner import BOS_ID, EOS_ID, decode_step, initial_state
@@ -130,8 +130,8 @@ def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
                                alphas + (step.alpha_temp.data,)))
         candidates.sort(key=lambda h: (-h[1], h[0]))
         pool = candidates[:beam_width]
-    tokens, log_prob, _, finished, alphas = pool[0]
-    return tokens, log_prob, finished, alphas
+    tokens, log_prob, _, _, alphas = pool[0]
+    return tokens, log_prob, alphas
 
 
 def t_times_reference(a, b):
@@ -141,8 +141,8 @@ def t_times_reference(a, b):
 
 
 # -- the op-by-op attention chains that tensor.pair_attention and
-# tensor.additive_attention fused, kept as references. The transpose,
-# softmax and batched product ops they used are no longer in the core, so
+# tensor.additive_attention fused, kept as references. The add, transpose,
+# softmax and matrix product ops they used are no longer in the core, so
 # each is rebuilt here from its former code.
 
 def _node(data, parents, grads):
@@ -161,6 +161,15 @@ def _node(data, parents, grads):
     if out.requires_grad:
         out._backward = _backward
     return out
+
+
+def add_op(a, b):
+    """Element-wise sum of equal shapes, or a matrix plus a bias added to
+    every row (a batch of matrices plus one bias per matrix)."""
+    rows = a.shape != b.shape
+    assert not rows or b.shape == a.shape[:-2] + a.shape[-1:], (a.shape, b.shape)
+    return _node(a.data + (b.data[..., None, :] if rows else b.data), [a, b],
+                 lambda g: [g, g.sum(axis=-2) if rows else g])
 
 
 def transpose_op(x):
@@ -202,7 +211,7 @@ def pair_attention_chain(projected, u, mask=None):
     """``tensor.pair_attention`` as the chain of ops it replaced."""
     from objcap.tensor import Tensor, matmul
 
-    x = projected + u
+    x = add_op(projected, u)
     scores = matmul_op(x, transpose_op(x)) * (1.0 / math.sqrt(projected.shape[-1]))
     if mask is None:
         alpha = softmax_op(scores)
@@ -214,4 +223,4 @@ def pair_attention_chain(projected, u, mask=None):
 
 def additive_attention_chain(keys, query, w_a, mask=None):
     """``tensor.additive_attention`` as the chain of ops it replaced."""
-    return softmax_op(matmul_op((keys + query).tanh(), w_a), mask)
+    return softmax_op(matmul_op(add_op(keys, query).tanh(), w_a), mask)

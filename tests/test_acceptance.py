@@ -82,8 +82,9 @@ def test_permutation_invariance(announce):
     worst = 0.0
     for trial in range(100):
         params = init_interaction(
-            np.random.default_rng(1000 + trial), image_dim=4, object_dim=5,
-            num_groups=2, attn_dim=3, hidden_size=4)
+            np.random.default_rng(1000 + trial),
+            ModelConfig(vocab_size=3, image_dim=4, object_dim=5, num_groups=2, attn_dim=3,
+                        interaction_hidden=4))
         objects, permuted, image = [], [], []
         for _ in range(int(rng.integers(1, 5))):
             n = int(rng.integers(1, 6))
@@ -195,7 +196,7 @@ def test_ablation_structure(announce, tmp_path):
     # obj row: frame features are bitwise inert once interactions are fixed
     res, _ = results["obj"]
     ctx_a, _ = segment_context(res.model, seg.image_feats, seg.object_feats)
-    interactions = [ctx_a.states[i] for i in range(ctx_a.length)]
+    interactions = [ctx_a.states[i] for i in range(ctx_a.keys.shape[0])]
     ctx_b = precompute_frames(res.model.captioner,
                               Tensor(rng.normal(size=seg.image_feats.shape)),
                               interactions)

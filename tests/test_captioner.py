@@ -189,15 +189,17 @@ class TestTeacherForcing:
         m = tiny_model(11)
         ctx = make_ctx(m, np.random.default_rng(11))
         res = forward_teacher_forced(m.captioner, ctx, [BOS_ID, 4, EOS_ID])
-        assert res.scored_positions == 2
+        assert res.loss.item() == res.loss_sum.item() * (1.0 / 2)
 
     def test_trailing_pad_excluded(self):
+        """PAD is rejected wherever it sits, trailing included: batches are
+        padded inside model.batch_nll, never by the caller."""
         m = tiny_model(12)
         ctx = make_ctx(m, np.random.default_rng(12))
-        padded = forward_teacher_forced(m.captioner, ctx, [BOS_ID, 4, EOS_ID, 0, 0])
-        bare = forward_teacher_forced(m.captioner, ctx, [BOS_ID, 4, EOS_ID])
-        assert padded.scored_positions == 2
-        assert padded.loss.item() == bare.loss.item()
+        for padded in ([BOS_ID, 4, EOS_ID, PAD_ID], [BOS_ID, 4, PAD_ID, EOS_ID],
+                       [BOS_ID, PAD_ID, 4, EOS_ID]):
+            with pytest.raises(ContractError, match="PAD"):
+                forward_teacher_forced(m.captioner, ctx, padded)
 
     def test_empty_and_malformed_captions_rejected(self):
         m = tiny_model(13)
@@ -343,11 +345,10 @@ class TestBeamSearch:
                 m.captioner.out_b.data[:] = rng.integers(-2, 2, size=vocab)
             ctx = make_ctx(m, rng, t=int(rng.integers(1, 4)), n=int(rng.integers(0, 3)))
             hyp = beam_search(m.captioner, ctx, beam_width=width, max_words=cap)
-            tokens, log_prob, finished, alphas = beam_search_by_hypothesis(
+            tokens, log_prob, alphas = beam_search_by_hypothesis(
                 m.captioner, ctx, width, cap)
             where = f"case {case}: V={vocab} width={width} cap={cap}"
             assert hyp.tokens == tokens, where
-            assert hyp.finished == finished, where
             assert abs(hyp.log_prob - log_prob) <= 1e-12, where
             assert len(hyp.alphas) == len(alphas), where
             for a, b in zip(hyp.alphas, alphas):
@@ -397,7 +398,7 @@ class TestBeamSearch:
         assert hyp.log_prob <= 0.0
         assert hyp.tokens[0] == BOS_ID
         assert len(hyp.tokens) <= 32
-        assert hyp.finished
+        assert hyp.tokens[-1] == EOS_ID or len(hyp.tokens) == 31   # finished: EOS or the cap
 
 
 class TestModeFlags:

@@ -98,12 +98,6 @@ class TestVocabulary:
         assert v.lookup("b") == 5
         assert v.size == 6
 
-    def test_min_count_maps_to_unk(self):
-        v = build_vocab(["a b", "a"], min_count=3)
-        assert v.size == 4
-        assert v.lookup("a") == UNK_ID
-        assert v.lookup("b") == UNK_ID
-
     def test_ties_break_lexicographically(self):
         v = build_vocab(["b a", "d c"])
         assert [v.id_to_word[i] for i in range(4, 8)] == ["a", "b", "c", "d"]

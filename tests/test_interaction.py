@@ -6,15 +6,17 @@ import pytest
 from objcap import interaction
 from objcap.interaction import init_interaction, interaction_sequence
 from objcap.layers import lstm_step
+from objcap.model import ModelConfig
 from objcap.tensor import ContractError, Tensor, pair_attention
 
 from helpers import FD_TOL, max_fd_error, scalar_lstm_step, scalar_mlp, scalar_softmax
 
-DIMS = dict(image_dim=4, object_dim=5, num_groups=2, attn_dim=3, hidden_size=4)
+CONFIG = ModelConfig(vocab_size=3, image_dim=4, object_dim=5, num_groups=2, attn_dim=3,
+                     interaction_hidden=4)
 
 
-def make_params(seed=0, **overrides):
-    return init_interaction(np.random.default_rng(seed), **{**DIMS, **overrides})
+def make_params(seed=0):
+    return init_interaction(np.random.default_rng(seed), CONFIG)
 
 
 def make_segment(rng, counts, object_dim=5, image_dim=4):

@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 
 import numpy as np
@@ -25,6 +26,7 @@ from objcap.tensor import (
 
 from helpers import (
     FD_TOL,
+    add_op,
     additive_attention_chain,
     matmul_op,
     max_fd_error,
@@ -40,47 +42,42 @@ def t(data, rg=True):
 
 
 class TestMatmul:
-    def test_identity(self):
-        a = t(np.eye(2))
-        b = t([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, b).data, b.data)
-
-    def test_dot_product(self):
-        a = t([[1.0, 2.0]])
-        b = t([[3.0], [4.0]])
-        assert matmul(a, b).data.tolist() == [[11.0]]
+    """The two forms: a vector times a matrix, and each row of a batch
+    times its own matrix."""
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
+        v, m = rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 2))
         expected = np.zeros((3, 2))
-        for i in range(3):
+        for b in range(3):
             for j in range(2):
                 for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        got = matmul(t(a), t(b)).data
-        assert np.max(np.abs(got - expected)) < 1e-12
+                    expected[b, j] += v[b, k] * m[b, k, j]
+        assert np.max(np.abs(matmul(t(v), t(m)).data - expected)) < 1e-12
+        for b in range(3):
+            assert np.max(np.abs(matmul(t(v[b]), t(m[b])).data - expected[b])) < 1e-12
 
     def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
+        # the first three are the matrix@matrix, matrix@vector and
+        # vector@vector forms, which are not weights times rows
+        for a, b in [((2, 3), (3, 2)), ((2, 3), (3,)), ((3,), (3,)), ((3,), (2, 4)),
+                     ((2, 3), (2, 4, 5)), ((2, 3), (3, 3, 5)), ((2, 3, 4), (2, 3, 4, 5))]:
+            with pytest.raises(ShapeError, match=re.escape(f"{a} @ {b}")):
+                matmul(t(np.zeros(a)), t(np.zeros(b)))
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(5, 6)), rng.normal(size=(6, 3))
-        r1 = matmul(t(a), t(b)).data
-        r2 = matmul(t(a.copy()), t(b.copy())).data
-        assert np.array_equal(r1, r2)
+        for a, b in [(rng.normal(size=6), rng.normal(size=(6, 3))),
+                     (rng.normal(size=(5, 6)), rng.normal(size=(5, 6, 3)))]:
+            r1 = matmul(t(a), t(b)).data
+            r2 = matmul(t(a.copy()), t(b.copy())).data
+            assert np.array_equal(r1, r2)
 
     def test_vector_cases(self):
         rng = np.random.default_rng(1)
-        m = rng.normal(size=(3, 4))
-        v = rng.normal(size=4)
-        assert np.allclose(matmul(t(m), t(v)).data, m @ v)
-        u = rng.normal(size=3)
-        assert np.allclose(matmul(t(u), t(m)).data, u @ m)
-        assert np.allclose(matmul(t(v), t(v)).data, v @ v)
+        u, m = rng.normal(size=3), rng.normal(size=(3, 4))
+        assert np.array_equal(matmul(t(u), t(m)).data, u @ m)
+        assert np.array_equal(matmul(t(u[None]), t(m[None])).data[0], u @ m)   # batch of one
 
 
 class TestSoftmax:
@@ -274,7 +271,7 @@ def _weight_grad_case(op, lead, rng):
         leaves = [draw(16, 5), draw(16, 4), draw(16), draw(*lead, 5),
                   draw(*lead, 4, share=h_share), draw(*lead, 4)]
         return lambda: lstm_cell(*leaves), leaves
-    leaves = [draw(*lead, 6), draw(6, 3)]     # matmul: vector or matrix on the left
+    leaves = [draw(6), draw(6, 3)]     # matmul: a vector on the left, one row at any ``lead``
     return lambda: matmul(*leaves), leaves
 
 
@@ -301,10 +298,10 @@ def _fd_case(name, rng):
     """Build (loss_fn, leaves) for one randomized per-op check."""
     if name == "add":
         a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(3, 4)))
-        return lambda: (a + b).sum(), [a, b]
+        return lambda: add_op(a, b).sum(), [a, b]
     if name == "add_rowvec":
         a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=4))
-        return lambda: ((a + b).tanh()).sum(), [a, b]
+        return lambda: add_op(a, b).tanh().sum(), [a, b]
     if name == "mul":
         a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
         return lambda: (a * b).sum(), [a, b]
@@ -313,16 +310,13 @@ def _fd_case(name, rng):
         return lambda: (a * 2.5).tanh().sum(), [a]
     if name == "matmul":
         a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(4, 2)))
-        return lambda: matmul(a, b).tanh().sum(), [a, b]
+        return lambda: matmul_op(a, b).tanh().sum(), [a, b]
     if name == "matvec":
         a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=4))
-        return lambda: matmul(a, b).tanh().sum(), [a, b]
+        return lambda: matmul_op(a, b).tanh().sum(), [a, b]
     if name == "vecmat":
         a, b = t(rng.normal(size=3)), t(rng.normal(size=(3, 4)))
         return lambda: matmul(a, b).tanh().sum(), [a, b]
-    if name == "dot":
-        a, b = t(rng.normal(size=4)), t(rng.normal(size=4))
-        return lambda: matmul(a, b).tanh(), [a, b]
     if name == "tanh":
         a = t(rng.normal(size=(2, 3)))
         return lambda: a.tanh().sum(), [a]
@@ -340,7 +334,7 @@ def _fd_case(name, rng):
         return lambda: (log_softmax(a) * w).sum(), [a]
     if name == "mean":
         a = t(rng.normal(size=(3, 4)))
-        return lambda: (a.mean(axis=0).tanh()).sum() + a.mean(), [a]
+        return lambda: add_op(a.mean(axis=0).tanh().sum(), a.mean()), [a]
     if name == "concat":
         a, b = t(rng.normal(size=3)), t(rng.normal(size=2))
         return lambda: concat([a, b]).tanh().sum(), [a, b]
@@ -352,17 +346,17 @@ def _fd_case(name, rng):
         return lambda: take_column(a, 1).tanh().sum(), [a]
     if name == "getitem":
         a = t(rng.normal(size=6))
-        return lambda: a[1:4].tanh().sum() + a[0].tanh(), [a]
+        return lambda: add_op(a[1:4].tanh().sum(), a[0].tanh()), [a]
     if name == "getitem_rows":
         a = t(rng.normal(size=(4, 3)))
-        return lambda: a[1:3].tanh().sum() + a[0:2].tanh().sum(), [a]
+        return lambda: add_op(a[1:3].tanh().sum(), a[0:2].tanh().sum()), [a]
     if name == "getitem_row":
         a = t(rng.normal(size=(3, 4)))
         return lambda: a[2].tanh().sum(), [a]
     # batch axis and masks
     if name == "add_rows_batched":
         a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4)))
-        return lambda: (a + b).tanh().sum(), [a, b]
+        return lambda: add_op(a, b).tanh().sum(), [a, b]
     if name == "vecmat_batched":
         a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3, 4)))
         return lambda: matmul(a, b).tanh().sum(), [a, b]
@@ -413,10 +407,12 @@ def _fd_case(name, rng):
         return lambda: (stack_rows([a, b]) * w).sum(), [a, b]
     if name == "getitem_tuple":
         a = t(rng.normal(size=(2, 3, 4)))
-        return lambda: (a[..., 1, :].tanh().sum() + a[..., 0:2].tanh().sum()
-                        + a[None, 1].tanh().sum()), [a]
+        return lambda: add_op(add_op(a[..., 1, :].tanh().sum(), a[..., 0:2].tanh().sum()),
+                              a[None, 1].tanh().sum()), [a]
     # the reference ops the attention chains in helpers.py are built from:
     # the fused ops' gradients are held to those chains, so each is checked
+    # (add, add_rowvec, add_rows_batched, matmul and matvec above check
+    # helpers.add_op and helpers.matmul_op too)
     if name == "softmax":
         a = t(rng.normal(size=(3, 4)))
         w = t(rng.normal(size=(3, 4)), rg=False)
@@ -452,7 +448,7 @@ def _fd_case(name, rng):
 
 ALL_OPS = [
     "add", "add_rowvec", "mul", "scale", "matmul", "matvec", "vecmat",
-    "dot", "tanh", "lstm_cell", "log_softmax", "mean",
+    "tanh", "lstm_cell", "log_softmax", "mean",
     "concat", "stack_rows", "take_column", "getitem",
     "getitem_rows", "getitem_row",
     "add_rows_batched", "vecmat_batched", "linear",

@@ -301,5 +301,9 @@ def test_train_config_validation():
                 {"stop_train_loss": nan}, {"stop_train_loss": -inf}):
         with pytest.raises(ContractError):
             TrainConfig(**bad).validate()
+    for name, bad in (("lr", 0.0), ("batch_size", 0), ("max_epochs", -1)):
+        with pytest.raises(ContractError, match=f"^{name} "):
+            TrainConfig(**{name: bad}).validate()
+    TrainConfig(max_epochs=0).validate()    # an untrained checkpoint is valid
     TrainConfig().validate()
     TrainConfig(beta1=0.0, beta2=0.0, grad_clip=1e-6).validate()
