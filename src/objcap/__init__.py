@@ -7,7 +7,7 @@ caption metrics, an ADAM trainer with a plateau schedule, and a deterministic
 binary data and checkpoint format. `objcap --help` drives the pipeline.
 """
 
-from .captioner import beam_search, decode_greedy, forward_teacher_forced
+from .captioner import beam_search, forward_teacher_forced
 from .data import SegmentFeatures, SynthSpec, Vocabulary, load_segment, synth_dataset
 from .metrics import evaluate_captions
 from .model import Model, ModelConfig, init_model
@@ -17,7 +17,7 @@ from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 __all__ = [
     "Tensor", "ShapeError", "ContractError",
     "Model", "ModelConfig", "init_model",
-    "beam_search", "decode_greedy", "forward_teacher_forced",
+    "beam_search", "forward_teacher_forced",
     "SegmentFeatures", "SynthSpec", "Vocabulary", "load_segment", "synth_dataset",
     "evaluate_captions",
     "TrainConfig", "train", "save_checkpoint", "load_checkpoint",

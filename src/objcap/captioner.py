@@ -247,13 +247,17 @@ def advance(p: CaptionerParams, ctx: SegmentContext, embedding: Tensor,
     return DecoderState(h1=h1, c1=c1, h2=h2, c2=c2), alpha
 
 
-def decode_step(p: CaptionerParams, ctx: SegmentContext, prev_word: int,
+def decode_step(p: CaptionerParams, ctx: SegmentContext, words: int | np.ndarray,
                 state: DecoderState) -> DecodeStep:
     """Advance both LSTMs one word (see ``advance``) and score the
-    vocabulary."""
-    if not 0 <= prev_word < p.vocab_size:
-        raise ContractError(f"word id {prev_word} outside vocabulary of {p.vocab_size}")
-    state, alpha = advance(p, ctx, take_column(p.embed, prev_word), state)
+    vocabulary. ``words`` is the previous word id, or one id per row for a
+    batch of hypotheses whose ``ctx`` is tiled to as many rows."""
+    ids = np.asarray(words)
+    low, high = ids.min(), ids.max()
+    if low < 0 or high >= p.vocab_size:
+        raise ContractError(f"word id {low if low < 0 else high} outside vocabulary "
+                            f"of {p.vocab_size}")
+    state, alpha = advance(p, ctx, take_column(p.embed, ids), state)
     return DecodeStep(state=state, alpha_temp=alpha,
                       word_logits=linear(state.h2, p.out_w, p.out_b))
 
@@ -307,23 +311,6 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
     return TeacherForcedResult(loss=loss_sum * (1.0 / (len(caption) - 1)), loss_sum=loss_sum)
 
 
-def decode_greedy(p: CaptionerParams, ctx: SegmentContext,
-                  max_words: int = MAX_CAPTION_WORDS) -> list[int]:
-    """Argmax decoding from BOS; ties go to the lowest word id."""
-    state = initial_state(p)
-    prev = BOS_ID
-    words: list[int] = []
-    for _ in range(max_words):
-        step = decode_step(p, ctx, prev, state)
-        state = step.state
-        nxt = int(np.argmax(step.word_logits.data))
-        if nxt == EOS_ID:
-            break
-        words.append(nxt)
-        prev = nxt
-    return words
-
-
 def tile_context(ctx: SegmentContext, rows: int) -> SegmentContext:
     """A segment's context repeated as ``rows`` identical batch rows, in
     plain tensors off the tape, so that ``advance`` steps ``rows``
@@ -333,16 +320,6 @@ def tile_context(ctx: SegmentContext, rows: int) -> SegmentContext:
 
     return SegmentContext(frames=tile(ctx.frames), pooled=tile(ctx.pooled),
                           states=tile(ctx.states), keys=tile(ctx.keys))
-
-
-def beam_step(p: CaptionerParams, ctx: SegmentContext, words: np.ndarray,
-              state: DecoderState) -> tuple[DecoderState, Tensor, Tensor]:
-    """One decode step for a batch of hypotheses, one per row: ``words``
-    holds each row's previous word and ``ctx`` is tiled to as many rows.
-    Returns the new state, the frame distributions and the word
-    log-probabilities, one row each."""
-    state, alpha = advance(p, ctx, take_column(p.embed, words), state)
-    return state, alpha, log_softmax(linear(state.h2, p.out_w, p.out_b))
 
 
 def beam_select(logp: np.ndarray, log_prob: np.ndarray, finished: np.ndarray,
@@ -385,12 +362,14 @@ def beam_search(p: CaptionerParams, ctx: SegmentContext, beam_width: int,
     (``beam_select``); ties break on the smaller token sequence so width 1
     reproduces greedy decoding exactly.
 
-    Each step runs the whole pool through one ``beam_step`` at
+    Each step runs the whole pool through one ``decode_step`` at
     ``beam_width`` rows. Row i holds pool entry i modulo the pool size, so
     spare rows hold copies that are never scored, and every step of a
     search makes the same BLAS calls. The pool is kept in arrays, and each
     step records its backpointers, new words and frame attention, from
     which the best entry's tokens and alphas are read back at the end.
+    A pool whose scores are not all finite (overflowed activations make
+    every log-probability NaN) raises ``ContractError``.
     """
     if beam_width < 1:
         raise ContractError("beam width must be at least 1")
@@ -404,14 +383,17 @@ def beam_search(p: CaptionerParams, ctx: SegmentContext, beam_width: int,
     history = []
     while not finished.all():
         feed = np.where(finished, PAD_ID, word)
-        state, alpha, logp = beam_step(p, rows, feed[ring % feed.size], state)
-        parent, word, log_prob, rank = beam_select(logp.data, log_prob, finished, rank,
-                                                   beam_width)
-        history.append((parent, word, alpha.data))
+        step = decode_step(p, rows, feed[ring % feed.size], state)
+        parent, word, log_prob, rank = beam_select(log_softmax(step.word_logits).data,
+                                                   log_prob, finished, rank, beam_width)
+        if not (log_prob.size and np.isfinite(log_prob).all()):
+            raise ContractError("non-finite word log-probabilities: the features or "
+                                "weights overflow the decoder")
+        history.append((parent, word, step.alpha_temp.data))
         finished = (word < 0) | (word == EOS_ID) | (len(history) >= max_words)
         source = parent[ring % parent.size]
-        state = DecoderState(*(Tensor(s.data[source])
-                               for s in (state.h1, state.c1, state.h2, state.c2)))
+        state = DecoderState(*(Tensor(s.data[source]) for s in (
+            step.state.h1, step.state.c1, step.state.h2, step.state.c2)))
     tokens, alphas, k = [], [], 0
     for parent, word, alpha in reversed(history):
         if word[k] >= 0:

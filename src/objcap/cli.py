@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .captioner import EOS_ID, beam_search
 from .data import (
     Dataset,
@@ -40,8 +42,11 @@ def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
     traces: dict[str, list] = {}
     for seg in segments:
         ctx, records = segment_context(model, seg.image_feats, seg.object_feats)
-        hyp = beam_search(model.captioner, ctx, beam_width,
-                          max_words=model.config.max_words)
+        try:
+            hyp = beam_search(model.captioner, ctx, beam_width,
+                              max_words=model.config.max_words)
+        except ContractError as exc:
+            raise ContractError(f"segment {seg.segment_id}: {exc}") from None
         predictions[seg.segment_id] = decode_caption(vocab, hyp.words)
         if with_trace:
             object_attention = [[[] if alpha is None else alpha.tolist() for alpha in frame]
@@ -158,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # floating-point faults surface as non-finite losses or log-probs,
+        # which train and caption reject by segment; numpy's own warnings
+        # would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValidationError, SegmentFormatError, ContractError, ShapeError,
             json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -142,9 +142,10 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
     scored positions.
 
     Segments are padded to the most frames and objects, captions to the
-    longest; padding changes no row's value or gradient. A batch of one runs
-    as its segment alone, without the batch axis, which saves per-op work. A
-    segment whose feature widths differ from the model's is rejected by id.
+    longest; padding changes no row's value or gradient. A batch of one has
+    nothing to pad and runs as its segment alone (``segment_context``), the
+    forward that captioning runs. A segment whose feature widths differ
+    from the model's is rejected by id.
     """
     cfg = model.config
     segments = [seg for seg, _ in items]
@@ -155,6 +156,11 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
                 f"segment {seg.segment_id}: feature widths image "
                 f"{seg.image_feats.shape[1]}, objects {sorted(widths)}; the model takes "
                 f"image {cfg.image_dim}, objects {cfg.object_dim}")
+    if len(items) == 1:
+        ctx, _ = segment_context(model, segments[0].image_feats, segments[0].object_feats)
+        ids = np.array(items[0][1])
+        return teacher_forced_nll(model.captioner, ctx, ids[:-1], ids[1:])[None], len(ids) - 1
+
     frames = max(seg.image_feats.shape[0] for seg in segments)
     image = np.zeros((len(segments), frames, cfg.image_dim))
     frame_mask = np.zeros((len(segments), frames), dtype=bool)
@@ -172,13 +178,9 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
         targets[b, :len(ids) - 1] = ids[1:]
         scored[b, :len(ids) - 1] = True
 
-    alone = len(items) == 1     # nothing is padded: no batch axis, no masks
-    if alone:
-        image, object_mask, inputs, targets = image[0], object_mask[0], inputs[0], targets[0]
     v_c = Tensor(image)
     hiddens = None
     if cfg.use_objects:
         hiddens, _ = interaction_states(model.interaction, v_c, objects, object_mask)
-    ctx = precompute_frames(model.captioner, v_c, hiddens, None if alone else frame_mask)
-    rows = teacher_forced_nll(model.captioner, ctx, inputs, targets, None if alone else scored)
-    return (rows[None] if alone else rows), int(scored.sum())
+    ctx = precompute_frames(model.captioner, v_c, hiddens, frame_mask)
+    return teacher_forced_nll(model.captioner, ctx, inputs, targets, scored), int(scored.sum())

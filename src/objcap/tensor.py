@@ -83,10 +83,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single value, got shape {self.shape}")
@@ -147,29 +143,15 @@ class Tensor:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            s = float(other)
-            out = Tensor(self.data * s, requires_grad=self.requires_grad, _prev=(self,))
-
-            def _backward(out):
-                self._accumulate(out.grad * s)
-
-            if out.requires_grad:
-                out._backward = _backward
-            return out
-        if not isinstance(other, Tensor):
-            raise TypeError("mul expects a Tensor or a float")
-        if self.shape != other.shape:
-            raise ShapeError(f"mul shape mismatch: {self.shape} * {other.shape}")
-        a, b = self, other
-        out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
+    def __mul__(self, other: float) -> "Tensor":
+        """Scale by a number."""
+        if not isinstance(other, (int, float)):
+            raise TypeError("mul expects a float")
+        s = float(other)
+        out = Tensor(self.data * s, requires_grad=self.requires_grad, _prev=(self,))
 
         def _backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * b.data)
-            if b.requires_grad:
-                b._accumulate(out.grad * a.data)
+            self._accumulate(out.grad * s)
 
         if out.requires_grad:
             out._backward = _backward

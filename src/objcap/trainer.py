@@ -140,10 +140,22 @@ def _dataset_items(segments, vocab):
     return items
 
 
+def _check_finite(rows: Tensor, items, split: str) -> None:
+    """Reject a batch whose loss is not finite, naming its segments whose
+    rows are not, before any gradient or update is formed from it."""
+    if not np.isfinite(rows.data).all():
+        bad = dict.fromkeys(seg.segment_id for (seg, _), row in zip(items, rows.data)
+                            if not np.isfinite(row))
+        raise ContractError(f"non-finite {split} loss on segments {', '.join(bad)}: "
+                            f"the features or weights overflow the model")
+
+
 def _mean_loss(model: Model, items, batch_size: int) -> float:
     total, count = 0.0, 0
     for start in range(0, len(items), batch_size):
-        rows, tokens = batch_nll(model, items[start:start + batch_size])
+        chunk = items[start:start + batch_size]
+        rows, tokens = batch_nll(model, chunk)
+        _check_finite(rows, chunk, "validation")
         total += float(np.sum(rows.data))
         count += tokens
     return total / count
@@ -193,6 +205,7 @@ def train(cfg: TrainConfig, dataset: Dataset,
             for p in params.values():
                 p.zero_grad()
             rows, tokens = batch_nll(model, batch)
+            _check_finite(rows, batch, "training")
             loss_sum = rows.sum()
             batch_loss = loss_sum * (1.0 / tokens)
             batch_loss.backward()
@@ -290,11 +303,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for _ in range(r.u32()):
         name = r.text()
         ndim = r.u32()
+        if ndim > 2:   # every parameter is a vector or a matrix
+            raise r.error(f"tensor {name} has rank {ndim}", r.off - 4)
         shape = tuple(r.u32() for _ in range(ndim))
         start = r.off
         table[name] = r.floats(math.prod(shape)).reshape(shape)
         if not np.all(np.isfinite(table[name])):
             raise r.error(f"tensor {name} has non-finite values", start)
+    if r.off != len(r.raw):
+        raise r.error(f"has {len(r.raw) - r.off} trailing bytes", r.off)
 
     vocab = Vocabulary.from_list(blob["vocab"])
     model = init_model(ModelConfig.from_dict(blob["model"]), seed=0)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from objcap.data import MAX_CAPTION_WORDS
+
 FD_STEP = 1e-6
 FD_TOL = 1e-5
 
@@ -102,6 +104,26 @@ def scalar_mlp(layers, x):
     return out
 
 
+def decode_greedy(p, ctx, max_words: int = MAX_CAPTION_WORDS) -> list[int]:
+    """Argmax decoding from BOS with the vector ``decode_step``; ties go to
+    the lowest word id. The independent reference that beam search at
+    width 1 is held to."""
+    from objcap.captioner import BOS_ID, EOS_ID, decode_step, initial_state
+
+    state = initial_state(p)
+    prev = BOS_ID
+    words: list[int] = []
+    for _ in range(max_words):
+        step = decode_step(p, ctx, prev, state)
+        state = step.state
+        nxt = int(np.argmax(step.word_logits.data))
+        if nxt == EOS_ID:
+            break
+        words.append(nxt)
+        prev = nxt
+    return words
+
+
 def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
     """Reference beam search that steps each live hypothesis on its own with
     the vector ``decode_step`` and keeps the pool as Python objects. Returns
@@ -143,7 +165,8 @@ def t_times_reference(a, b):
 # -- the op-by-op attention chains that tensor.pair_attention and
 # tensor.additive_attention fused, kept as references. The add, transpose,
 # softmax and matrix product ops they used are no longer in the core, so
-# each is rebuilt here from its former code.
+# each is rebuilt here from its former code; so is the element-wise
+# product that weights op outputs in the FD cases.
 
 def _node(data, parents, grads):
     """A tape node over ``parents`` whose backward hands ``grads(out_grad)``
@@ -170,6 +193,13 @@ def add_op(a, b):
     assert not rows or b.shape == a.shape[:-2] + a.shape[-1:], (a.shape, b.shape)
     return _node(a.data + (b.data[..., None, :] if rows else b.data), [a, b],
                  lambda g: [g, g.sum(axis=-2) if rows else g])
+
+
+def mul_op(a, b):
+    """Element-wise product of equal shapes: the FD cases weight an op's
+    output with it."""
+    assert a.shape == b.shape, (a.shape, b.shape)
+    return _node(a.data * b.data, [a, b], lambda g: [g * b.data, g * a.data])
 
 
 def transpose_op(x):

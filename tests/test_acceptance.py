@@ -13,7 +13,6 @@ from objcap.captioner import (
     BOS_ID,
     EOS_ID,
     beam_search,
-    decode_greedy,
     decode_step,
     forward_teacher_forced,
     initial_state,
@@ -32,7 +31,7 @@ from objcap.model import ModelConfig, init_model, segment_context
 from objcap.tensor import Tensor, log_softmax
 from objcap.trainer import TrainConfig, train
 
-from helpers import max_fd_error
+from helpers import decode_greedy, max_fd_error
 
 ACCEPT_DIMS = dict(image_dim=4, object_dim=4, num_groups=2, attn_dim=4,
                    interaction_hidden=4, img_proj_dim=4, embed_dim=3,
@@ -71,7 +70,7 @@ def test_gradient_integrity(announce):
     err = max_fd_error(loss_fn, leaves)
     elapsed = time.monotonic() - start
     announce("gradient-integrity", err < 1e-5 and elapsed < 120,
-             f"max rel err {err:.2e} over {sum(t.size for t in leaves)} params, "
+             f"max rel err {err:.2e} over {sum(t.data.size for t in leaves)} params, "
              f"{elapsed:.1f}s")
 
 

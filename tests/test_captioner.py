@@ -12,8 +12,6 @@ from objcap.captioner import (
     SegmentContext,
     beam_search,
     beam_select,
-    beam_step,
-    decode_greedy,
     decode_step,
     forward_teacher_forced,
     initial_state,
@@ -27,6 +25,7 @@ from objcap.tensor import ContractError, Tensor, log_softmax
 from helpers import (
     FD_TOL,
     beam_search_by_hypothesis,
+    decode_greedy,
     max_fd_error,
     scalar_lstm_step,
     scalar_mlp,
@@ -149,8 +148,12 @@ class TestDecodeStep:
     def test_unknown_word_id_rejected(self):
         m = tiny_model(8)
         ctx = make_ctx(m, np.random.default_rng(8))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="word id 6 outside vocabulary"):
             decode_step(m.captioner, ctx, 6, initial_state(m.captioner))
+        rows = tile_context(ctx, 3)
+        for words, bad in (([BOS_ID, 6, 4], 6), ([4, -1, 7], -1)):
+            with pytest.raises(ContractError, match=f"word id {bad} outside vocabulary"):
+                decode_step(m.captioner, rows, np.array(words), initial_state(m.captioner, (3,)))
 
     def test_alpha_sums_to_one_across_random_steps(self):
         rng = np.random.default_rng(9)
@@ -227,22 +230,26 @@ class TestTeacherForcing:
 
 
 class TestGreedy:
+    """Greedy decoding is beam search at width 1; ``helpers.decode_greedy``
+    is the argmax loop it is held to."""
+
     def test_eos_dominant_gives_empty_caption(self):
         m = tiny_model(15)
         m.captioner.out_b.data[EOS_ID] = 50.0
         ctx = make_ctx(m, np.random.default_rng(15))
-        assert decode_greedy(m.captioner, ctx) == []
+        assert beam_search(m.captioner, ctx, beam_width=1).words == []
 
     def test_deterministic(self):
         m = tiny_model(16)
         ctx = make_ctx(m, np.random.default_rng(16))
-        assert decode_greedy(m.captioner, ctx) == decode_greedy(m.captioner, ctx)
+        a, b = beam_search(m.captioner, ctx, 1), beam_search(m.captioner, ctx, 1)
+        assert (a.tokens, a.log_prob) == (b.tokens, b.log_prob)
 
     def test_respects_word_cap(self):
         m = tiny_model(17)
         m.captioner.out_b.data[EOS_ID] = -50.0
         ctx = make_ctx(m, np.random.default_rng(17))
-        assert len(decode_greedy(m.captioner, ctx, max_words=5)) == 5
+        assert len(beam_search(m.captioner, ctx, beam_width=1, max_words=5).words) == 5
 
     def test_equals_beam_width_one_on_random_models(self):
         for seed in range(50):
@@ -280,6 +287,16 @@ class TestBeamSearch:
         ctx = make_ctx(m, np.random.default_rng(18))
         with pytest.raises(ContractError):
             beam_search(m.captioner, ctx, beam_width=0)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_non_finite_scores_rejected(self, width):
+        """NaN log-probabilities leave no candidate to keep; the search
+        says so instead of indexing an empty pool."""
+        m = tiny_model(19)
+        ctx = make_ctx(m, np.random.default_rng(19))
+        m.captioner.out_b.data[:] = np.nan
+        with pytest.raises(ContractError, match="non-finite word log-probabilities"):
+            beam_search(m.captioner, ctx, beam_width=width)
 
     def test_matches_exhaustive_enumeration_on_tiny_vocab(self):
         for seed in range(10):
@@ -412,7 +429,7 @@ class TestModeFlags:
         s1 = decode_step(m.captioner, ctx1, BOS_ID, initial_state(m.captioner))
         s2 = decode_step(m.captioner, ctx2, BOS_ID, initial_state(m.captioner))
         assert np.array_equal(s1.word_logits.data, s2.word_logits.data)
-        assert decode_greedy(m.captioner, ctx1) == decode_greedy(m.captioner, ctx2)
+        assert beam_search(m.captioner, ctx1, 1).tokens == beam_search(m.captioner, ctx2, 1).tokens
 
     def test_image_free_mode_ignores_frame_features_given_interactions(self):
         m = tiny_model(22, use_image=False)
@@ -480,7 +497,8 @@ class TestCoattentionSharing:
             rows = tile_context(ctx, width)
             state = initial_state(m.captioner, (width,))
             for prev, alpha in zip(hyp.tokens, hyp.alphas):
-                state, replay, _ = beam_step(m.captioner, rows, np.full(width, prev), state)
+                step = decode_step(m.captioner, rows, np.full(width, prev), state)
+                state = step.state
                 assert alpha.shape == (4,)
                 assert abs(alpha.sum() - 1.0) < 1e-9
-                assert np.array_equal(alpha, replay.data[0])
+                assert np.array_equal(alpha, step.alpha_temp.data[0])

@@ -6,8 +6,9 @@ import pytest
 
 from objcap.cli import main
 from objcap.data import load_segment, save_segment
-from objcap.tensor import Tensor
-from objcap.trainer import load_checkpoint, save_checkpoint
+from objcap.model import ModelConfig
+from objcap.tensor import ContractError, Tensor
+from objcap.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 TRAIN_CONFIG = {
     "train": {"max_epochs": 3, "batch_size": 2, "seed": 1},
@@ -145,7 +146,7 @@ class TestCaptionCommand:
                      "--data", str(corpus / "manifest.json"), "--beam", "1",
                      "--out", str(tmp_path / "p1.json")])
         assert code == 0
-        from objcap.captioner import decode_greedy
+        from helpers import decode_greedy
         from objcap.data import decode_caption, load_manifest
         from objcap.model import segment_context
         from objcap.trainer import load_checkpoint
@@ -209,7 +210,35 @@ def rewrite_blob(ckpt, edit):
     ckpt.write_bytes(raw[:16] + struct.pack("<I", len(blob)) + blob + raw[20 + n:])
 
 
+def overflow_segment(path):
+    """Set one image value of a segment to a finite 8.5e158, which passes
+    the loader but overflows the object attention into NaN."""
+    seg = load_segment(path)
+    seg.image_feats[0, 2] = 8.5e158
+    save_segment(path, seg)
+
+
 class TestMalformedInputs:
+    def test_overflowing_features_in_caption_exit_2(self, tmp_path, corpus, capsys):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        overflow_segment(corpus / "seg_0001.seg")
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys,
+                      "segment seg_0001: non-finite word log-probabilities")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_overflowing_features_in_train_exit_2(self, tmp_path, corpus, capsys, split):
+        overflow_segment(corpus / "seg_0003.seg")
+        if split == "validation":
+            (corpus / "manifest.json").write_text(json.dumps({
+                "train": ["seg_0000.seg", "seg_0001.seg", "seg_0002.seg"],
+                "val": ["seg_0002.seg", "seg_0003.seg"]}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(TRAIN_CONFIG))
+        assert_exit_2(train_args(tmp_path, corpus) + ["--config", str(cfg)], capsys,
+                      f"non-finite {split} loss on segments seg_0003")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("which", ["image", "objects"])
     def test_mixed_feature_widths_exit_2(self, tmp_path, corpus, capsys, which):
         path = corpus / "seg_0002.seg"
@@ -291,6 +320,23 @@ class TestMalformedInputs:
         save_checkpoint(bad, ckpt.model, ckpt.vocab, ckpt.adam, ckpt.train_config)
         assert_exit_2(caption_args(tmp_path, corpus, bad), capsys,
                       f"{kind}/captioner.out.b has shape {shape}")
+
+    def test_checkpoint_trailing_bytes_exit_2(self, tmp_path, corpus, capsys):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, "has 1 trailing bytes")
+
+    def test_checkpoint_entry_rank_above_two_exits_2(self, tmp_path, corpus, capsys):
+        """A mutated rank would read thousands of dimensions and build a
+        shape no array can take."""
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        (n,) = struct.unpack("<I", raw[16:20])
+        at = 20 + n + 4         # the first entry's name length, after the entry count
+        (name_len,) = struct.unpack("<I", raw[at:at + 4])
+        raw[at + 4 + name_len:at + 8 + name_len] = struct.pack("<I", 5000)
+        ckpt.write_bytes(bytes(raw))
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, "has rank 5000")
 
     def test_checkpoint_vocabulary_size_mismatch_exits_2(self, tmp_path, corpus, capsys):
         ckpt = run_train(tmp_path, corpus) / "model.ckpt"
@@ -395,3 +441,76 @@ def test_full_pipeline_overfits_to_perfect_bleu(tmp_path):
     scores = json.loads(report.read_text())
     assert scores["bleu"][3] == 1.0
     assert scores["rouge_l"] == 1.0
+
+
+FUZZ_SEED = 11
+FUZZ_TRIALS = 80        # per mutated file
+CONFIG_TRIALS = 500
+
+
+def mutate(raw: bytes, rng) -> bytes:
+    """One seeded mutation: a bit flip, a 4-byte overwrite, a truncation or
+    an insertion of 1 to 8 random bytes."""
+    kind, at = int(rng.integers(4)), int(rng.integers(len(raw)))
+    if kind == 0:
+        out = bytearray(raw)
+        out[at] ^= 1 << int(rng.integers(8))
+        return bytes(out)
+    if kind == 1:
+        at = min(at, len(raw) - 4)
+        return raw[:at] + rng.bytes(4) + raw[at + 4:]
+    if kind == 2:
+        return raw[:at]
+    return raw[:at] + rng.bytes(int(rng.integers(1, 9))) + raw[at:]
+
+
+def check_exit(code, err, what):
+    """0 with a quiet stderr, 2 with one validation line, or 1 with one line
+    naming a missing file."""
+    lines = err.count("\n")
+    assert (code == 0 and err == ""
+            or code == 2 and err.startswith("validation error: ") and lines == 1
+            or code == 1 and err.startswith("missing input: ") and lines == 1), \
+        (what, code, err)
+
+
+class TestByteMutationFuzz:
+    """Seeded byte mutations of a segment file, a checkpoint and the
+    manifest, each run through ``cli.main``, and of a config file through
+    the config checks. Every mutated run reads a fixed small corpus with a
+    fixed training config, so its work is bounded."""
+
+    def test_mutated_files_exit_0_or_2(self, tmp_path, corpus, capsys):
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        cfg = tmp_path / "config.json"
+        rng = np.random.default_rng(FUZZ_SEED)
+        seen = set()
+        for path in (corpus / "seg_0001.seg", ckpt, corpus / "manifest.json"):
+            raw = path.read_bytes()
+            for trial in range(FUZZ_TRIALS):
+                path.write_bytes(mutate(raw, rng))
+                # a mutated segment also goes through training, on odd trials
+                train = path.suffix == ".seg" and trial % 2
+                args = (train_args(tmp_path, corpus) + ["--config", str(cfg)] if train
+                        else caption_args(tmp_path, corpus, ckpt))
+                code = main(args)
+                check_exit(code, capsys.readouterr().err, (path.name, trial))
+                seen.add(code)
+            path.write_bytes(raw)
+        assert 2 in seen
+
+    def test_mutated_config_is_accepted_or_rejected(self):
+        raw = json.dumps(TRAIN_CONFIG).encode()
+        rng = np.random.default_rng(FUZZ_SEED)
+        rejected = 0
+        for trial in range(CONFIG_TRIALS):
+            mutated = mutate(raw, rng)
+            try:
+                config = json.loads(mutated.decode("utf-8"))
+                if not isinstance(config, dict) or not isinstance(config.get("model", {}), dict):
+                    raise ContractError("config sections must be JSON objects")
+                TrainConfig.from_dict(config.get("train", {})).validate()
+                ModelConfig.from_dict({**config.get("model", {}), "vocab_size": 8}).validate()
+            except (ContractError, json.JSONDecodeError, UnicodeDecodeError):
+                rejected += 1
+        assert 0 < rejected < CONFIG_TRIALS

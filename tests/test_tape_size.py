@@ -7,7 +7,6 @@ import numpy as np
 from objcap.captioner import (
     BOS_ID,
     EOS_ID,
-    beam_step,
     decode_step,
     forward_teacher_forced,
     initial_state,
@@ -15,6 +14,7 @@ from objcap.captioner import (
 )
 from objcap.data import SegmentFeatures
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
+from objcap.tensor import log_softmax
 
 INTERACTION_MAX = 367
 TEACHER_FORCED_MAX = 292
@@ -86,14 +86,17 @@ def test_batch_node_count_does_not_depend_on_batch_size():
 
 
 def test_beam_step_node_count_does_not_depend_on_width():
+    """A beam step, ``decode_step`` over the tiled pool plus
+    ``log_softmax``, builds the same graph at any width."""
     rng = np.random.default_rng(2)
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
     ctx, _ = segment_context(m, rng.normal(size=(30, 32)),
                              [rng.normal(size=(15, 32)) for _ in range(30)])
     counts = []
     for width in (1, 5):
-        state, alpha, logp = beam_step(m.captioner, tile_context(ctx, width),
-                                       np.full(width, BOS_ID),
-                                       initial_state(m.captioner, (width,)))
-        counts.append(op_nodes([logp, alpha, state.h1, state.c1, state.h2, state.c2]))
+        step = decode_step(m.captioner, tile_context(ctx, width), np.full(width, BOS_ID),
+                           initial_state(m.captioner, (width,)))
+        state = step.state
+        counts.append(op_nodes([log_softmax(step.word_logits), step.alpha_temp,
+                                state.h1, state.c1, state.h2, state.c2]))
     assert counts[0] == counts[1] <= BEAM_STEP_MAX

@@ -30,6 +30,7 @@ from helpers import (
     additive_attention_chain,
     matmul_op,
     max_fd_error,
+    mul_op,
     pair_attention_chain,
     softmax_op,
     t_times_reference,
@@ -179,7 +180,7 @@ class TestFusedAttention:
                     out = (additive_attention if fused else additive_attention_chain)(
                         *leaves, mask)
                     alpha = out.data
-                (out * t(w, rg=False)).sum().backward()
+                mul_op(out, t(w, rg=False)).sum().backward()
                 runs.append((alpha, out.data, [leaf.grad.copy() for leaf in leaves]))
             (a1, o1, g1), (a2, o2, g2) = runs
             assert np.array_equal(a1, a2) and np.array_equal(o1, o2)
@@ -192,13 +193,13 @@ class TestFusedAttention:
         rows, query = t(rng.normal(size=(2, 4, 3))), t(rng.normal(size=(2, 3)))
         alpha = additive_attention(rows, query, t(rng.normal(size=3)), mask)
         assert np.all(alpha.data[~mask] == 0.0)
-        (alpha * t(rng.normal(size=(2, 4)), rg=False)).sum().backward()
+        mul_op(alpha, t(rng.normal(size=(2, 4)), rg=False)).sum().backward()
         assert np.all(rows.grad[~mask] == 0.0) and np.all(query.grad[1] == 0.0)
         rows.zero_grad()
         pairs, pooled = pair_attention(rows, query, mask)
         pair_mask = mask[:, :, None] & mask[:, None, :]
         assert np.all(pairs[~pair_mask] == 0.0) and np.array_equal(pooled.data[1], np.zeros(3))
-        (pooled * t(rng.normal(size=(2, 3)), rg=False)).sum().backward()
+        mul_op(pooled, t(rng.normal(size=(2, 3)), rg=False)).sum().backward()
         assert np.all(rows.grad[~mask] == 0.0)
 
     def test_shapes_checked(self):
@@ -236,7 +237,7 @@ class TestBackward:
 
     def test_fanout_gradients_add(self):
         x = t([1.0, 2.0])
-        (x * x).sum().backward()
+        mul_op(x, x).sum().backward()
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_gradients_accumulate_across_graphs(self):
@@ -289,7 +290,7 @@ def test_one_row_weight_gradients_keep_their_bits(op, monkeypatch):
             monkeypatch.setattr(tensor, "_t_times", t_times)
             for leaf in leaves:
                 leaf.zero_grad()
-            (forward() * upstream).sum().backward()
+            mul_op(forward(), upstream).sum().backward()
             grads.append([leaf.grad.tobytes() for leaf in leaves])
         assert grads[0] == grads[1], f"{op} rows {lead}"
 
@@ -302,9 +303,6 @@ def _fd_case(name, rng):
     if name == "add_rowvec":
         a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=4))
         return lambda: add_op(a, b).tanh().sum(), [a, b]
-    if name == "mul":
-        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
-        return lambda: (a * b).sum(), [a, b]
     if name == "scale":
         a = t(rng.normal(size=4))
         return lambda: (a * 2.5).tanh().sum(), [a]
@@ -327,11 +325,11 @@ def _fd_case(name, rng):
         b = t(rng.normal(scale=rng.choice([1.0, 40.0]), size=4 * hs))
         x, h, c = t(rng.normal(size=d)), t(rng.normal(size=hs)), t(rng.normal(size=hs))
         w = t(rng.normal(size=2 * hs), rg=False)
-        return lambda: (lstm_cell(wx, wh, b, x, h, c) * w).sum(), [wx, wh, b, x, h, c]
+        return lambda: mul_op(lstm_cell(wx, wh, b, x, h, c), w).sum(), [wx, wh, b, x, h, c]
     if name == "log_softmax":
         a = t(rng.normal(size=5))
         w = t(rng.normal(size=5), rg=False)
-        return lambda: (log_softmax(a) * w).sum(), [a]
+        return lambda: mul_op(log_softmax(a), w).sum(), [a]
     if name == "mean":
         a = t(rng.normal(size=(3, 4)))
         return lambda: add_op(a.mean(axis=0).tanh().sum(), a.mean()), [a]
@@ -373,11 +371,11 @@ def _fd_case(name, rng):
         x, h = t(rng.normal(size=(rows, d))), t(rng.normal(size=(rows, hs)))
         c = t(rng.normal(size=(rows, hs)))
         w = t(rng.normal(size=(rows, 2 * hs)), rg=False)
-        return lambda: (lstm_cell(wx, wh, b, x, h, c) * w).sum(), [wx, wh, b, x, h, c]
+        return lambda: mul_op(lstm_cell(wx, wh, b, x, h, c), w).sum(), [wx, wh, b, x, h, c]
     if name == "log_softmax_rows":
         a = t(rng.normal(size=(2, 3, 5)))
         w = t(rng.normal(size=(2, 3, 5)), rg=False)
-        return lambda: (log_softmax(a) * w).sum(), [a]
+        return lambda: mul_op(log_softmax(a), w).sum(), [a]
     if name == "gather":
         a = t(rng.normal(size=(2, 3, 5)))
         index = rng.integers(0, 5, size=(2, 3))
@@ -391,7 +389,7 @@ def _fd_case(name, rng):
         mask = rng.random(size=(2, 3)) < 0.5
         a = t(rng.normal(size=(int(mask.sum()), 3)))
         w = t(rng.normal(size=(2, 3, 3)), rg=False)
-        return lambda: (unpack_rows(a, mask).tanh() * w).sum(), [a]
+        return lambda: mul_op(unpack_rows(a, mask).tanh(), w).sum(), [a]
     if name == "sum_axis":
         a, axis = t(rng.normal(size=(2, 3, 4))), int(rng.integers(-3, 3))
         return lambda: a.sum(axis=axis).tanh().sum(), [a]
@@ -404,7 +402,7 @@ def _fd_case(name, rng):
     if name == "stack_rows_batched":
         a, b = t(rng.normal(size=(2, 4))), t(rng.normal(size=(2, 4)))
         w = t(rng.normal(size=(2, 2, 4)), rg=False)
-        return lambda: (stack_rows([a, b]) * w).sum(), [a, b]
+        return lambda: mul_op(stack_rows([a, b]), w).sum(), [a, b]
     if name == "getitem_tuple":
         a = t(rng.normal(size=(2, 3, 4)))
         return lambda: add_op(add_op(a[..., 1, :].tanh().sum(), a[..., 0:2].tanh().sum()),
@@ -413,23 +411,26 @@ def _fd_case(name, rng):
     # the fused ops' gradients are held to those chains, so each is checked
     # (add, add_rowvec, add_rows_batched, matmul and matvec above check
     # helpers.add_op and helpers.matmul_op too)
+    if name == "mul":
+        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
+        return lambda: mul_op(a, b).sum(), [a, b]
     if name == "softmax":
         a = t(rng.normal(size=(3, 4)))
         w = t(rng.normal(size=(3, 4)), rg=False)
-        return lambda: (softmax_op(a) * w).sum(), [a]
+        return lambda: mul_op(softmax_op(a), w).sum(), [a]
     if name == "softmax_masked":
         a = t(rng.normal(size=(2, 3, 4)))
         mask = rng.random(size=(2, 3, 4)) < 0.6
         mask[0, 1] = False                      # a row with no valid entry
         w = t(rng.normal(size=(2, 3, 4)), rg=False)
-        return lambda: (softmax_op(a, mask) * w).sum(), [a]
+        return lambda: mul_op(softmax_op(a, mask), w).sum(), [a]
     if name == "transpose":
         a = t(rng.normal(size=(2, 5)))
-        return lambda: (transpose_op(a) * transpose_op(a)).sum(), [a]
+        return lambda: mul_op(transpose_op(a), transpose_op(a)).sum(), [a]
     if name == "transpose_batched":
         a = t(rng.normal(size=(2, 3, 4)))
         w = t(rng.normal(size=(2, 4, 3)), rg=False)
-        return lambda: (transpose_op(a) * w).sum(), [a]
+        return lambda: mul_op(transpose_op(a), w).sum(), [a]
     if name == "matmul_batched":
         a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4, 2)))
         return lambda: matmul_op(a, b).tanh().sum(), [a, b]
@@ -440,14 +441,14 @@ def _fd_case(name, rng):
         leaves, mask = _attention_case(name.split("_")[0], rng)
         if name == "pair_attention":
             w = t(rng.normal(size=leaves[1].shape), rg=False)
-            return lambda: (pair_attention(*leaves, mask)[1] * w).sum(), leaves
+            return lambda: mul_op(pair_attention(*leaves, mask)[1], w).sum(), leaves
         w = t(rng.normal(size=leaves[0].shape[:-1]), rg=False)
-        return lambda: (additive_attention(*leaves, mask) * w).sum(), leaves
+        return lambda: mul_op(additive_attention(*leaves, mask), w).sum(), leaves
     raise AssertionError(name)
 
 
 ALL_OPS = [
-    "add", "add_rowvec", "mul", "scale", "matmul", "matvec", "vecmat",
+    "add", "add_rowvec", "scale", "matmul", "matvec", "vecmat",
     "tanh", "lstm_cell", "log_softmax", "mean",
     "concat", "stack_rows", "take_column", "getitem",
     "getitem_rows", "getitem_row",
@@ -455,7 +456,7 @@ ALL_OPS = [
     "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
     "unpack_rows", "sum_axis", "mean_axis", "concat_rows",
     "stack_rows_batched", "getitem_tuple", "pair_attention", "additive_attention",
-    "softmax", "softmax_masked", "transpose", "transpose_batched",
+    "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
 ]
 
