@@ -67,10 +67,6 @@ class CaptionerParams:
         return self.embed.shape[1]
 
     @property
-    def embed_dim(self) -> int:
-        return self.embed.shape[0]
-
-    @property
     def attn_hidden(self) -> int:
         return self.attn_lstm.hidden_size
 
@@ -252,12 +248,15 @@ def decode_step(p: CaptionerParams, ctx: SegmentContext, words: int | np.ndarray
     """Advance both LSTMs one word (see ``advance``) and score the
     vocabulary. ``words`` is the previous word id, or one id per row for a
     batch of hypotheses whose ``ctx`` is tiled to as many rows."""
-    ids = np.asarray(words)
-    low, high = ids.min(), ids.max()
-    if low < 0 or high >= p.vocab_size:
-        raise ContractError(f"word id {low if low < 0 else high} outside vocabulary "
-                            f"of {p.vocab_size}")
-    state, alpha = advance(p, ctx, take_column(p.embed, ids), state)
+    try:
+        embedding = take_column(p.embed, words)     # range-checks the ids once
+    except ShapeError:
+        ids = np.atleast_1d(words)
+        bad = ids[(ids < 0) | (ids >= p.vocab_size)]
+        if not bad.size:
+            raise
+        raise ContractError(f"word id {bad[0]} outside vocabulary of {p.vocab_size}") from None
+    state, alpha = advance(p, ctx, embedding, state)
     return DecodeStep(state=state, alpha_temp=alpha,
                       word_logits=linear(state.h2, p.out_w, p.out_b))
 

@@ -41,11 +41,11 @@ def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
     predictions: dict[str, str] = {}
     traces: dict[str, list] = {}
     for seg in segments:
-        ctx, records = segment_context(model, seg.image_feats, seg.object_feats)
         try:
+            ctx, records = segment_context(model, seg.image_feats, seg.object_feats)
             hyp = beam_search(model.captioner, ctx, beam_width,
                               max_words=model.config.max_words)
-        except ContractError as exc:
+        except (ContractError, FloatingPointError) as exc:
             raise ContractError(f"segment {seg.segment_id}: {exc}") from None
         predictions[seg.segment_id] = decode_caption(vocab, hyp.words)
         if with_trace:
@@ -163,13 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # floating-point faults surface as non-finite losses or log-probs,
-        # which train and caption reject by segment; numpy's own warnings
-        # would only add stderr lines
-        with np.errstate(all="ignore"):
+        # a numpy overflow or invalid operation raises where it happens, and
+        # train and caption name the segments it happened on
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ValidationError, SegmentFormatError, ContractError, ShapeError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+            FloatingPointError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -139,6 +139,10 @@ class Reader:
     def floats(self, count: int) -> np.ndarray:
         return np.frombuffer(self.pull(count * 8), dtype="<f8").astype(np.float64)
 
+    def end(self) -> None:
+        if self.off != len(self.raw):
+            raise self.error(f"{len(self.raw) - self.off} trailing bytes", self.off)
+
 
 def load_segment(path: str | Path) -> SegmentFeatures:
     """Parse and validate one segment file; parse failures report the byte
@@ -157,8 +161,7 @@ def load_segment(path: str | Path) -> SegmentFeatures:
     image = r.floats(t * d_img).reshape(t, d_img)
     objects = [r.floats(n * d_obj).reshape(n, d_obj) for n in counts]
     captions = [r.text() for _ in range(r.u32())]
-    if r.off != len(r.raw):
-        raise SegmentFormatError(f"{len(r.raw) - r.off} trailing bytes", r.off)
+    r.end()
     return SegmentFeatures(segment_id=sid, image_feats=image,
                            object_feats=objects, captions=captions).validate()
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -140,22 +141,26 @@ def _dataset_items(segments, vocab):
     return items
 
 
-def _check_finite(rows: Tensor, items, split: str) -> None:
-    """Reject a batch whose loss is not finite, naming its segments whose
-    rows are not, before any gradient or update is formed from it."""
-    if not np.isfinite(rows.data).all():
-        bad = dict.fromkeys(seg.segment_id for (seg, _), row in zip(items, rows.data)
-                            if not np.isfinite(row))
-        raise ContractError(f"non-finite {split} loss on segments {', '.join(bad)}: "
-                            f"the features or weights overflow the model")
+@contextmanager
+def _faults_named(items, split: str):
+    """Re-raise a floating-point fault in a step over ``items`` as a
+    ``ContractError`` naming their segments: numpy's, under the CLI's
+    ``np.errstate``, or a non-finite loss, checked before any update."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        ids = ", ".join(dict.fromkeys(seg.segment_id for seg, _ in items))
+        raise ContractError(f"{split} batch of segments {ids}: {exc}") from None
 
 
 def _mean_loss(model: Model, items, batch_size: int) -> float:
     total, count = 0.0, 0
     for start in range(0, len(items), batch_size):
         chunk = items[start:start + batch_size]
-        rows, tokens = batch_nll(model, chunk)
-        _check_finite(rows, chunk, "validation")
+        with _faults_named(chunk, "validation"):
+            rows, tokens = batch_nll(model, chunk)
+            if not np.isfinite(rows.data).all():
+                raise FloatingPointError("non-finite loss")
         total += float(np.sum(rows.data))
         count += tokens
     return total / count
@@ -204,21 +209,23 @@ def train(cfg: TrainConfig, dataset: Dataset,
             batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
             for p in params.values():
                 p.zero_grad()
-            rows, tokens = batch_nll(model, batch)
-            _check_finite(rows, batch, "training")
-            loss_sum = rows.sum()
-            batch_loss = loss_sum * (1.0 / tokens)
-            batch_loss.backward()
-            epoch_total += loss_sum.item()
-            epoch_count += tokens
-            grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
-                     for name, p in params.items()}
-            if cfg.grad_clip is not None:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    grads = {n: g * scale for n, g in grads.items()}
-            adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
+            with _faults_named(batch, "training"):
+                rows, tokens = batch_nll(model, batch)
+                if not np.isfinite(rows.data).all():
+                    raise FloatingPointError("non-finite loss")
+                loss_sum = rows.sum()
+                batch_loss = loss_sum * (1.0 / tokens)
+                batch_loss.backward()
+                epoch_total += loss_sum.item()
+                epoch_count += tokens
+                grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
+                         for name, p in params.items()}
+                if cfg.grad_clip is not None:
+                    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                    if norm > cfg.grad_clip:
+                        scale = cfg.grad_clip / norm
+                        grads = {n: g * scale for n, g in grads.items()}
+                adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
 
         train_loss = epoch_total / epoch_count
         val_loss = _mean_loss(model, val_items, cfg.batch_size)
@@ -310,8 +317,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         table[name] = r.floats(math.prod(shape)).reshape(shape)
         if not np.all(np.isfinite(table[name])):
             raise r.error(f"tensor {name} has non-finite values", start)
-    if r.off != len(r.raw):
-        raise r.error(f"has {len(r.raw) - r.off} trailing bytes", r.off)
+    r.end()
 
     vocab = Vocabulary.from_list(blob["vocab"])
     model = init_model(ModelConfig.from_dict(blob["model"]), seed=0)

@@ -115,7 +115,7 @@ class TestDecodeStep:
         step = decode_step(p, ctx, prev, initial_state(p))
 
         # scalar re-implementation over plain lists
-        emb = [p.embed.data[r][prev] for r in range(p.embed_dim)]
+        emb = [p.embed.data[r][prev] for r in range(p.embed.shape[0])]
         x1 = [0.0] * p.lang_hidden + ctx.pooled.data.tolist() + emb
         h1, _ = scalar_lstm_step(p.attn_lstm.wx.data.tolist(),
                                  p.attn_lstm.wh.data.tolist(),

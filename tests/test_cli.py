@@ -212,7 +212,7 @@ def rewrite_blob(ckpt, edit):
 
 def overflow_segment(path):
     """Set one image value of a segment to a finite 8.5e158, which passes
-    the loader but overflows the object attention into NaN."""
+    the loader but overflows a matrix product in the model."""
     seg = load_segment(path)
     seg.image_feats[0, 2] = 8.5e158
     save_segment(path, seg)
@@ -223,11 +223,13 @@ class TestMalformedInputs:
         ckpt = run_train(tmp_path, corpus) / "model.ckpt"
         overflow_segment(corpus / "seg_0001.seg")
         assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys,
-                      "segment seg_0001: non-finite word log-probabilities")
+                      "segment seg_0001: overflow encountered in")
         assert not (tmp_path / "p.json").exists()
 
-    @pytest.mark.parametrize("split", ["training", "validation"])
-    def test_overflowing_features_in_train_exit_2(self, tmp_path, corpus, capsys, split):
+    @pytest.mark.parametrize("split, batch", [("training", "seg_0003, seg_0002"),
+                                              ("validation", "seg_0002, seg_0003")])
+    def test_overflowing_features_in_train_exit_2(self, tmp_path, corpus, capsys, split,
+                                                  batch):
         overflow_segment(corpus / "seg_0003.seg")
         if split == "validation":
             (corpus / "manifest.json").write_text(json.dumps({
@@ -236,7 +238,7 @@ class TestMalformedInputs:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(TRAIN_CONFIG))
         assert_exit_2(train_args(tmp_path, corpus) + ["--config", str(cfg)], capsys,
-                      f"non-finite {split} loss on segments seg_0003")
+                      f"{split} batch of segments {batch}: overflow encountered in")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("which", ["image", "objects"])
@@ -324,7 +326,8 @@ class TestMalformedInputs:
     def test_checkpoint_trailing_bytes_exit_2(self, tmp_path, corpus, capsys):
         ckpt = run_train(tmp_path, corpus) / "model.ckpt"
         ckpt.write_bytes(ckpt.read_bytes() + b"\0")
-        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, "has 1 trailing bytes")
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys,
+                      "checkpoint 1 trailing bytes")
 
     def test_checkpoint_entry_rank_above_two_exits_2(self, tmp_path, corpus, capsys):
         """A mutated rank would read thousands of dimensions and build a

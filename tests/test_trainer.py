@@ -153,6 +153,26 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(TrainConfig(max_epochs=1), ds, SMALL_MODEL)
 
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_non_finite_loss_rejected_before_any_update(self, tmp_path, monkeypatch,
+                                                        batch_size):
+        """With numpy's floating-point faults ignored, as an API caller may
+        run, an overflowing segment still stops training, naming its batch,
+        before ADAM runs on that batch."""
+        ds = small_dataset(tmp_path)
+        bad = ds.train[0]
+        bad.image_feats[0, 0] = 8.5e158
+        cfg = TrainConfig(max_epochs=1, batch_size=batch_size, seed=3)
+        order = np.random.default_rng(cfg.seed + 1).permutation(len(ds.train))
+        updates_before = list(order).index(0) if batch_size == 1 else 0
+        calls = []
+        monkeypatch.setattr(trainer, "adam_step", lambda *args: calls.append(1))
+        with np.errstate(all="ignore"), pytest.raises(
+                ContractError,
+                match=rf"training batch of segments [^:]*{bad.segment_id}[^:]*: non-finite loss"):
+            train(cfg, ds, SMALL_MODEL)
+        assert len(calls) == updates_before
+
     def test_stop_train_loss_shortens_run(self, tmp_path):
         ds = small_dataset(tmp_path)
         cfg = TrainConfig(max_epochs=200, batch_size=1, seed=2,
