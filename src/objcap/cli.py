@@ -1,8 +1,8 @@
 """Command-line pipeline: synth -> train -> caption -> eval.
 
-Exit codes: 0 success, 1 runtime failure (missing files, IO), 2 validation
-failure (bad flags, malformed or invariant-violating inputs). Every command
-overwrites its outputs with identical bytes when re-run on identical inputs.
+Exit codes: 0 success, 1 runtime failure (missing files, IO, memory), 2
+validation failure (bad flags, malformed or invariant-violating inputs). Every
+command rewrites identical output bytes when re-run on identical inputs.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input: {exc.filename}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -30,10 +30,11 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 def config_from_dict(cls, d, section: str):
     """Build the config dataclass ``cls`` from a JSON object, rejecting
-    unknown or missing keys and values of the wrong type."""
+    unknown or missing keys and wrongly typed values; a float field gets ``float(value)``."""
     if not isinstance(d, dict):
         raise ContractError(f"{section} config must be a JSON object")
     declared = {f.name: f.type for f in fields(cls)}
+    values = {}
     for key, value in d.items():
         if key not in declared:
             raise ContractError(f"unknown {section} config key {key!r}")
@@ -41,8 +42,12 @@ def config_from_dict(cls, d, section: str):
         if not (value is None and optional or type(value) in _JSON_TYPES[kind]):
             raise ContractError(f"{section} config {key!r} must be {declared[key]}, "
                                 f"got {value!r}")
+        try:
+            values[key] = float(value) if kind == "float" and value is not None else value
+        except OverflowError:   # a JSON integer too large for a float
+            raise ContractError(f"{section} config {key!r} is too large for a float") from None
     try:
-        return cls(**d)
+        return cls(**values)
     except TypeError as exc:  # a key without a default is missing
         raise ContractError(f"{section} config: {exc}") from None
 
@@ -114,6 +119,19 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, interaction=interaction, captioner=captioner)
 
 
+def check_features(cfg: ModelConfig, image: np.ndarray, objects: list[np.ndarray]) -> None:
+    """Reject a segment whose image features are not T x D (T >= 1), with
+    other than one object array per frame, or widths other than the model's."""
+    if image.ndim != 2 or image.shape[0] < 1:
+        raise ContractError(f"image features must be T x D with T >= 1, got {image.shape}")
+    if len(objects) != image.shape[0]:
+        raise ContractError("one object array per frame required")
+    widths = {objs.shape[1] for objs in objects if objs.shape[0]}
+    if image.shape[1] != cfg.image_dim or widths - {cfg.object_dim}:
+        raise ContractError(f"feature widths image {image.shape[1]}, objects {sorted(widths)}; "
+                            f"the model takes image {cfg.image_dim}, objects {cfg.object_dim}")
+
+
 def segment_context(model: Model, image_feats: np.ndarray,
                     object_feats: list[np.ndarray],
                     ) -> tuple[SegmentContext, list[list[np.ndarray | None]]]:
@@ -122,12 +140,9 @@ def segment_context(model: Model, image_feats: np.ndarray,
     ``image_feats`` is T x image_dim; ``object_feats`` holds one n_t x
     object_dim array per frame (n_t may be 0). Returns the decoder context
     and, per frame, each group's object-attention matrix for tracing (empty
-    without the object pathway).
+    without the object pathway). ``check_features`` checks the segment first.
     """
-    if image_feats.ndim != 2 or image_feats.shape[0] < 1:
-        raise ContractError(f"image features must be T x D with T >= 1, got {image_feats.shape}")
-    if len(object_feats) != image_feats.shape[0]:
-        raise ContractError("one object array per frame required")
+    check_features(model.config, image_feats, object_feats)
     v_c = Tensor(image_feats)
     hiddens, records = None, []
     if model.config.use_objects:
@@ -144,20 +159,20 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
     Segments are padded to the most frames and objects, captions to the
     longest; padding changes no row's value or gradient. A batch of one has
     nothing to pad and runs as its segment alone (``segment_context``), the
-    forward that captioning runs. A segment whose feature widths differ
-    from the model's is rejected by id.
+    forward that captioning runs. Each segment is checked once, by
+    ``check_features``, and a failing one is rejected by id.
     """
     cfg = model.config
     segments = [seg for seg, _ in items]
     for seg in segments:
-        widths = {objs.shape[1] for objs in seg.object_feats if objs.shape[0]}
-        if seg.image_feats.shape[1] != cfg.image_dim or widths - {cfg.object_dim}:
-            raise ContractError(
-                f"segment {seg.segment_id}: feature widths image "
-                f"{seg.image_feats.shape[1]}, objects {sorted(widths)}; the model takes "
-                f"image {cfg.image_dim}, objects {cfg.object_dim}")
+        try:
+            if len(items) == 1:     # segment_context checks it, where it runs
+                ctx, _ = segment_context(model, seg.image_feats, seg.object_feats)
+            else:
+                check_features(cfg, seg.image_feats, seg.object_feats)
+        except ContractError as exc:
+            raise ContractError(f"segment {seg.segment_id}: {exc}") from None
     if len(items) == 1:
-        ctx, _ = segment_context(model, segments[0].image_feats, segments[0].object_feats)
         ids = np.array(items[0][1])
         return teacher_forced_nll(model.captioner, ctx, ids[:-1], ids[1:])[None], len(ids) - 1
 

@@ -13,10 +13,11 @@ along a leading axis. A segment alone runs the same code as a batch, without
 the leading axis. ``pair_attention``, ``additive_attention`` and ``gather``
 take a mask for padded entries.
 
-Tape policy: each forward pass builds a fresh graph; ``backward()`` may be
-called once per graph root and raises on a second call. Gradients persist on
-``requires_grad`` leaves until ``zero_grad()``; an interior node's gradient
-is dropped as soon as it has been passed on to the node's inputs.
+Tape policy: each forward pass builds a fresh graph, every op recording its
+node through ``_record``, which marks it as requiring a gradient when any
+input does and only then attaches the backward closure. ``backward()`` runs
+once per graph root and raises on a second call. Leaf gradients persist
+until ``zero_grad()``; an interior node's gradient is dropped once passed on.
 """
 
 from __future__ import annotations
@@ -148,14 +149,11 @@ class Tensor:
         if not isinstance(other, (int, float)):
             raise TypeError("mul expects a float")
         s = float(other)
-        out = Tensor(self.data * s, requires_grad=self.requires_grad, _prev=(self,))
 
         def _backward(out):
             self._accumulate(out.grad * s)
 
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _record(self.data * s, (self,), _backward)
 
     def __getitem__(self, key) -> "Tensor":
         """Basic indexing: a non-negative int or a slice on the first axis,
@@ -169,60 +167,56 @@ class Tensor:
             view = self.data[key]
         except IndexError:
             raise ShapeError(f"index {key!r} out of range for shape {self.shape}") from None
-        out = Tensor(view, requires_grad=self.requires_grad, _prev=(self,))
 
         def _backward(out):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
             self.grad[key] += out.grad
 
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _record(view, (self,), _backward)
 
     # -- activations -------------------------------------------------------
 
     def tanh(self) -> "Tensor":
-        out = Tensor(np.tanh(self.data), requires_grad=self.requires_grad, _prev=(self,))
-
         def _backward(out):
             self._accumulate((1.0 - out.data * out.data) * out.grad)
 
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _record(np.tanh(self.data), (self,), _backward)
 
     # -- reductions & layout -----------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
         """Sum of every entry, or along one axis."""
         self._check_axis(axis, "sum")
-        out = Tensor(self.data.sum(axis=axis), requires_grad=self.requires_grad,
-                     _prev=(self,))
 
         def _backward(out):
             g = out.grad if axis is None else np.expand_dims(out.grad, axis)
             self._accumulate(np.broadcast_to(g, self.shape))
 
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _record(self.data.sum(axis=axis), (self,), _backward)
 
     def mean(self, axis: int | None = None) -> "Tensor":
         """Mean of every entry, or along one axis."""
         self._check_axis(axis, "mean")
         n = self.data.size if axis is None else self.shape[axis]
-        out = Tensor(self.data.mean(axis=axis), requires_grad=self.requires_grad,
-                     _prev=(self,))
 
         def _backward(out):
             g = out.grad / n
             self._accumulate(np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
                                              self.shape))
 
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _record(self.data.mean(axis=axis), (self,), _backward)
+
+
+def _record(data, inputs: tuple, backward) -> Tensor:
+    """An op's output node over ``inputs``: it requires a gradient when any
+    input does, and only then carries ``backward``, called with the node."""
+    out = Tensor(data, _prev=inputs)
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad, out._backward = True, backward
+            break
+    return out
 
 
 # -- binary / n-ary operations ----------------------------------------------
@@ -233,8 +227,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     of a (B x n) times its own matrix of b (B x n x d)."""
     if len(a.shape) not in (1, 2) or a.shape != b.shape[:-1]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(_rows_times(a.data, b.data), requires_grad=a.requires_grad or b.requires_grad,
-                 _prev=(a, b))
 
     def _backward(out):
         pa = a.data[..., None, :]       # each row of a as a one-row matrix
@@ -244,9 +236,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_t_times(pa, g) if pa.ndim == 2 else np.swapaxes(pa, -1, -2) @ g)
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(_rows_times(a.data, b.data), (a, b), _backward)
 
 
 def _t_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,16 +261,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if len(w.shape) != 2 or len(x.shape) < 1 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape}.T")
     out_data = x.data @ w.data.T
-    requires_grad = x.requires_grad or w.requires_grad
-    if b is None:
-        inputs = (x, w)
-    else:
+    if b is not None:
         if b.shape != out_data.shape and b.shape != (w.shape[0],):
             raise ShapeError(f"linear bias shape {b.shape} for output {out_data.shape}")
         out_data += b.data
-        inputs = (x, w, b)
-        requires_grad = requires_grad or b.requires_grad
-    out = Tensor(out_data, requires_grad=requires_grad, _prev=inputs)
 
     def _backward(out):
         g = out.grad
@@ -292,9 +276,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             b._accumulate(g if b.shape == g.shape else rows.sum(axis=0))
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(out_data, (x, w) if b is None else (x, w, b), _backward)
 
 
 def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -348,8 +330,6 @@ def pair_attention(projected: Tensor, u: Tensor,
         alpha = masked_softmax(scores, mask[..., :, None] & mask[..., None, :])
         weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
         mean = _rows_times(weights, alpha)
-    out = Tensor(_rows_times(mean, p), requires_grad=projected.requires_grad or u.requires_grad,
-                 _prev=(projected, u))
 
     def _backward(out):
         g = out.grad
@@ -363,9 +343,7 @@ def pair_attention(projected: Tensor, u: Tensor,
         if u.requires_grad:
             u._accumulate(g_x.sum(axis=-2))
 
-    if out.requires_grad:
-        out._backward = _backward
-    return alpha, out
+    return alpha, _record(_rows_times(mean, p), (projected, u), _backward)
 
 
 def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
@@ -385,8 +363,6 @@ def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
                          f"query {query.shape}, w_a {w_a.shape}")
     hidden = np.tanh(keys.data + query.data[..., None, :])
     alpha = masked_softmax(hidden @ w_a.data, mask)
-    inputs = (keys, query, w_a)
-    out = Tensor(alpha, requires_grad=any(t.requires_grad for t in inputs), _prev=inputs)
 
     def _backward(out):
         g = out.grad
@@ -399,9 +375,7 @@ def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
         if w_a.requires_grad:
             w_a._accumulate(g_scores.reshape(-1) @ hidden.reshape(-1, k_shape[-1]))
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(alpha, (keys, query, w_a), _backward)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -411,15 +385,12 @@ def log_softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"log_softmax needs a vector, got shape {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor(shifted - lse, requires_grad=x.requires_grad, _prev=(x,))
 
     def _backward(out):
         g = out.grad
         x._accumulate(g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(shifted - lse, (x,), _backward)
 
 
 def gather(x: Tensor, index, mask: np.ndarray | None = None) -> Tensor:
@@ -438,7 +409,6 @@ def gather(x: Tensor, index, mask: np.ndarray | None = None) -> Tensor:
     picked = np.take_along_axis(x.data, at, axis=-1)[..., 0]
     if mask is not None:
         picked = np.where(mask, picked, 0.0)
-    out = Tensor(picked, requires_grad=x.requires_grad, _prev=(x,))
 
     def _backward(out):
         g = out.grad if mask is None else np.where(mask, out.grad, 0.0)
@@ -446,9 +416,7 @@ def gather(x: Tensor, index, mask: np.ndarray | None = None) -> Tensor:
         np.put_along_axis(grad, at, g[..., None], axis=-1)
         x._accumulate(grad)
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(picked, (x,), _backward)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -460,9 +428,6 @@ def concat(parts: list[Tensor]) -> Tensor:
     for d in datas:
         if d.ndim < 1 or d.shape[:-1] != lead:
             raise ShapeError(f"concat needs vectors with equal leading axes, got shape {d.shape}")
-    out = Tensor(np.concatenate(datas, axis=-1),
-                 requires_grad=any(p.requires_grad for p in parts),
-                 _prev=tuple(parts))
 
     def _backward(out):
         off = 0
@@ -472,9 +437,7 @@ def concat(parts: list[Tensor]) -> Tensor:
                 p._accumulate(out.grad[..., off:off + n])
             off += n
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(np.concatenate(datas, axis=-1), tuple(parts), _backward)
 
 
 def stack_rows(rows: list[Tensor]) -> Tensor:
@@ -486,18 +449,13 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     for r in rows:
         if len(r.shape) < 1 or r.shape != shape:
             raise ShapeError(f"stack_rows needs equal-length vectors, got {r.shape} vs {shape}")
-    out = Tensor(np.stack([r.data for r in rows], axis=-2),
-                 requires_grad=any(r.requires_grad for r in rows),
-                 _prev=tuple(rows))
 
     def _backward(out):
         for i, r in enumerate(rows):
             if r.requires_grad:
                 r._accumulate(out.grad[..., i, :])
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(np.stack([r.data for r in rows], axis=-2), tuple(rows), _backward)
 
 
 def unpack_rows(rows: Tensor, mask: np.ndarray) -> Tensor:
@@ -508,14 +466,11 @@ def unpack_rows(rows: Tensor, mask: np.ndarray) -> Tensor:
         raise ShapeError(f"unpack_rows: {rows.shape} rows for {int(mask.sum())} places")
     data = np.zeros(mask.shape + rows.shape[1:])
     data[mask] = rows.data
-    out = Tensor(data, requires_grad=rows.requires_grad, _prev=(rows,))
 
     def _backward(out):
         rows._accumulate(out.grad[mask])
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(data, (rows,), _backward)
 
 
 def take_column(m: Tensor, j) -> Tensor:
@@ -529,16 +484,13 @@ def take_column(m: Tensor, j) -> Tensor:
         raise ShapeError(f"take_column needs an int or an array of ints, got {j!r}")
     if j.size and (j.min() < 0 or j.max() >= m.shape[1]):
         raise ShapeError(f"column {j} out of range for shape {m.shape}")
-    out = Tensor(m.data.T[j], requires_grad=m.requires_grad, _prev=(m,))
 
     def _backward(out):
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
         np.add.at(m.grad.T, j, out.grad)    # ids may repeat
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(m.data.T[j], (m,), _backward)
 
 
 def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
@@ -569,9 +521,6 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
     g = np.tanh(z[..., 2 * hs:3 * hs])
     c = f * c_prev.data + i * g
     tc = np.tanh(c)
-    inputs = (wx, wh, b, x, h_prev, c_prev)
-    out = Tensor(np.concatenate([o * tc, c], axis=-1),
-                 requires_grad=any(t.requires_grad for t in inputs), _prev=inputs)
 
     def _backward(out):
         dh = out.grad[..., :hs]
@@ -593,6 +542,5 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
         if c_prev.requires_grad:
             c_prev._accumulate(dc * f)
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _record(np.concatenate([o * tc, c], axis=-1), (wx, wh, b, x, h_prev, c_prev),
+                   _backward)

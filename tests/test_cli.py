@@ -102,6 +102,7 @@ class TestTrainCommand:
         ({"model": {"num_groups": 0}}, "num_groups"),
         ({"model": {"embed_dim": 0}}, "embed_dim"),
         ({"model": {"use_image": False, "use_objects": False}}, "use_objects"),
+        ({"train": {"lr": 10 ** 400}}, "lr"),
     ])
     def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
         cfg = tmp_path / "config.json"
@@ -241,8 +242,12 @@ class TestMalformedInputs:
                       f"{split} batch of segments {batch}: overflow encountered in")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("which", ["image", "objects"])
-    def test_mixed_feature_widths_exit_2(self, tmp_path, corpus, capsys, which):
+    @pytest.mark.parametrize("which, command", [("image", "train"), ("objects", "train"),
+                                                ("image", "caption")],
+                             ids=["image", "objects", "caption"])
+    def test_mixed_feature_widths_exit_2(self, tmp_path, corpus, capsys, which, command):
+        args = (train_args(tmp_path, corpus) if command == "train"
+                else caption_args(tmp_path, corpus, run_train(tmp_path, corpus) / "model.ckpt"))
         path = corpus / "seg_0002.seg"
         seg = load_segment(path)
         if which == "image":
@@ -251,7 +256,17 @@ class TestMalformedInputs:
             seg.object_feats = [np.zeros((objs.shape[0], 7)) for objs in seg.object_feats]
         seg.segment_id = "odd_widths"
         save_segment(path, seg)
-        assert_exit_2(train_args(tmp_path, corpus), capsys, "segment odd_widths")
+        assert_exit_2(args, capsys, "segment odd_widths: feature widths")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 23.3 TiB for an array", ""])
+    def test_memory_error_exits_1(self, tmp_path, corpus, capsys, monkeypatch, message):
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("objcap.cli.train", refuse)
+        assert main(train_args(tmp_path, corpus)) == 1
+        err = capsys.readouterr().err
+        assert err == f"runtime error: {message or 'out of memory'}\n"
 
     @pytest.mark.parametrize("where", ["segment_id", "caption"])
     def test_segment_text_invalid_utf8_exits_2(self, tmp_path, corpus, capsys, where):

@@ -247,6 +247,44 @@ class TestBackward:
         assert np.array_equal(x.grad, 2 * np.ones(2))
 
 
+# The requires-grad rule every op records its node by: per op, the shapes of
+# its tensor inputs and a call on tensors of those shapes.
+RULE_CASES = {
+    "mul": ([(3,)], lambda x: x * 2.0),
+    "getitem": ([(2, 3)], lambda x: x[1]),
+    "tanh": ([(3,)], lambda x: x.tanh()),
+    "sum": ([(2, 3)], lambda x: x.sum(axis=0)),
+    "mean": ([(2, 3)], lambda x: x.mean()),
+    "matmul": ([(2,), (2, 3)], matmul),
+    "linear": ([(2, 3), (4, 3), (4,)], linear),
+    "linear_no_bias": ([(2, 3), (4, 3)], linear),
+    "pair_attention": ([(3, 2), (2,)], lambda p, u: pair_attention(p, u)[1]),
+    "additive_attention": ([(3, 2), (2,), (2,)], additive_attention),
+    "log_softmax": ([(4,)], log_softmax),
+    "gather": ([(2, 4)], lambda x: gather(x, np.array([1, 3]))),
+    "concat": ([(2,), (3,)], lambda a, b: concat([a, b])),
+    "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
+    "unpack_rows": ([(2, 3)], lambda x: unpack_rows(x, np.array([True, False, True]))),
+    "take_column": ([(3, 4)], lambda m: take_column(m, np.array([0, 2]))),
+    "lstm_cell": ([(8, 3), (8, 2), (8,), (3,), (2,), (2,)], lstm_cell),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RULE_CASES))
+def test_output_requires_grad_exactly_when_an_input_does(op):
+    shapes, call = RULE_CASES[op]
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    out = call(*[Tensor(a) for a in arrays])
+    assert not out.requires_grad and out._backward is None
+    for i in range(len(arrays)):
+        inputs = [Tensor(a, requires_grad=j == i) for j, a in enumerate(arrays)]
+        out = call(*inputs)
+        assert out.requires_grad and out._backward is not None
+        (out if out.shape == () else out.sum()).backward()
+        assert [x.grad is not None for x in inputs] == [j == i for j in range(len(inputs))]
+
+
 def _signed_zeros(rng, shape, share=0.2):
     """Normal draws with about ``share`` of the entries set to exact zeros,
     half of them ``-0.0``."""

@@ -324,6 +324,10 @@ def test_train_config_validation():
     for name, bad in (("lr", 0.0), ("batch_size", 0), ("max_epochs", -1)):
         with pytest.raises(ContractError, match=f"^{name} "):
             TrainConfig(**{name: bad}).validate()
+    # a JSON integer too large for a float, as config files reach the trainer
+    with pytest.raises(ContractError, match="'lr' is too large for a float"):
+        TrainConfig.from_dict({"lr": 10 ** 400}).validate()
+    assert type(TrainConfig.from_dict({"lr": 1}).lr) is float
     TrainConfig(max_epochs=0).validate()    # an untrained checkpoint is valid
     TrainConfig().validate()
     TrainConfig(beta1=0.0, beta2=0.0, grad_clip=1e-6).validate()
