@@ -18,7 +18,7 @@ Mode flags cut pathways out:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,13 +47,13 @@ if TYPE_CHECKING:
 class CaptionerParams:
     img_proj: MlpParams | None   # image_dim -> img_proj_dim, absent without image pathway
     attn_lstm: LstmParams
-    temporal_w_h: Tensor         # img_proj_dim x attn_hidden
-    temporal_w_c: Tensor         # img_proj_dim x key_dim
-    temporal_w_a: Tensor         # img_proj_dim
+    temporal_w_h: Tensor = field(metadata={"name": "temporal.w_h"})  # img_proj_dim x attn_hidden
+    temporal_w_c: Tensor = field(metadata={"name": "temporal.w_c"})  # img_proj_dim x key_dim
+    temporal_w_a: Tensor = field(metadata={"name": "temporal.w_a"})  # img_proj_dim
     embed: Tensor                # embed_dim x vocab_size, one column per word
     lang_lstm: LstmParams
-    out_w: Tensor                # vocab_size x lang_hidden
-    out_b: Tensor                # vocab_size
+    out_w: Tensor = field(metadata={"name": "out.w"})  # vocab_size x lang_hidden
+    out_b: Tensor = field(metadata={"name": "out.b"})  # vocab_size
     use_image: bool = True
     use_objects: bool = True
     use_coattention: bool = True
@@ -73,23 +73,6 @@ class CaptionerParams:
     @property
     def lang_hidden(self) -> int:
         return self.lang_lstm.hidden_size
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        if self.img_proj is not None:
-            for name, t in self.img_proj.tensors().items():
-                out[f"img_proj.{name}"] = t
-        for name, t in self.attn_lstm.tensors().items():
-            out[f"attn_lstm.{name}"] = t
-        out["temporal.w_h"] = self.temporal_w_h
-        out["temporal.w_c"] = self.temporal_w_c
-        out["temporal.w_a"] = self.temporal_w_a
-        out["embed"] = self.embed
-        for name, t in self.lang_lstm.tensors().items():
-            out[f"lang_lstm.{name}"] = t
-        out["out.w"] = self.out_w
-        out["out.b"] = self.out_b
-        return out
 
 
 def init_captioner(rng: np.random.Generator, cfg: ModelConfig) -> CaptionerParams:
@@ -186,8 +169,6 @@ def precompute_frames(p: CaptionerParams, v_c: Tensor,
     """Project the frame features, pool them, stack interaction states, and
     compute the frame-attention keys. ``v_c`` is T x D, or B x T x D for a
     padded batch whose real frames ``frame_mask`` marks."""
-    if len(v_c.shape) < 2 or v_c.shape[-2] < 1:
-        raise ContractError(f"frame features must be a T x D matrix with T >= 1, got {v_c.shape}")
     length = v_c.shape[-2]
     if p.use_objects:
         if not interactions:

@@ -8,7 +8,6 @@ command rewrites identical output bytes when re-run on identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .data import (
     Vocabulary,
     decode_caption,
     load_manifest,
+    read_json,
     synth_dataset,
     write_json,
 )
@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig()
     model_overrides: dict = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise ContractError("config must be a JSON object")
         train_cfg = TrainConfig.from_dict(raw.get("train", {}))
@@ -113,8 +113,8 @@ def cmd_caption(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    predictions = json.loads(Path(args.pred).read_text())
-    references = json.loads(Path(args.refs).read_text())
+    predictions = read_json(args.pred)
+    references = read_json(args.refs)
     report = evaluate_captions(predictions, references)
     write_json(args.out, report.to_dict())
     print(args.out)
@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ValidationError, SegmentFormatError, ContractError, ShapeError,
-            FloatingPointError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            FloatingPointError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -315,7 +315,7 @@ class Dataset:
 
 def load_manifest(manifest_path: str | Path) -> Dataset:
     path = Path(manifest_path)
-    manifest = json.loads(path.read_text())
+    manifest = read_json(path)
     root = path.parent
     if not isinstance(manifest, dict):
         raise ValidationError("manifest", "must be a JSON object")
@@ -325,6 +325,16 @@ def load_manifest(manifest_path: str | Path) -> Dataset:
             raise ValidationError("manifest", f"{key!r} split must be a list of file names")
     return Dataset(train=[load_segment(root / p) for p in manifest["train"]],
                    val=[load_segment(root / p) for p in manifest["val"]])
+
+
+def read_json(path: str | Path, text: str | None = None):
+    """Parse the UTF-8 JSON file ``path``, or ``text`` already read from it;
+    malformed JSON or UTF-8, an integer past Python's digit limit and runaway
+    nesting raise ``ValidationError`` naming the file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8") if text is None else text)
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
+        raise ValidationError(str(path), f"malformed JSON: {exc}") from None
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -22,7 +22,7 @@ is assumed, and all outputs are invariant to row permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +37,6 @@ from .layers import (
     mlp_forward,
 )
 from .tensor import (
-    ContractError,
     Tensor,
     concat,
     linear,
@@ -55,30 +54,15 @@ class GroupParams:
     w_c: Tensor      # attn_dim x image_dim
     proj: MlpParams  # object_dim -> attn_dim
 
-    def tensors(self) -> dict[str, Tensor]:
-        out = {"w_h": self.w_h, "w_c": self.w_c}
-        for name, t in self.proj.tensors().items():
-            out[f"proj.{name}"] = t
-        return out
-
 
 @dataclass
 class InteractionParams:
-    groups: list[GroupParams]
+    groups: list[GroupParams] = field(metadata={"name": "group"})
     lstm: LstmParams
 
     @property
     def hidden_size(self) -> int:
         return self.lstm.hidden_size
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for k, g in enumerate(self.groups):
-            for name, t in g.tensors().items():
-                out[f"group{k}.{name}"] = t
-        for name, t in self.lstm.tensors().items():
-            out[f"lstm.{name}"] = t
-        return out
 
 
 def init_interaction(rng: np.random.Generator, cfg: ModelConfig) -> InteractionParams:
@@ -162,10 +146,7 @@ def interaction_sequence(p: InteractionParams, image_feats: Tensor,
     object_dim array per frame (n_t may be 0). Returns the hidden state after
     each frame and, per frame, each group's attention matrix (None for an
     empty frame, which contributes zero pooled vectors).
+    ``model.check_features`` checks the segment.
     """
-    if len(image_feats.shape) != 2 or image_feats.shape[0] < 1:
-        raise ContractError(f"image features must be T x D with T >= 1, got {image_feats.shape}")
-    if len(object_feats) != image_feats.shape[0]:
-        raise ContractError("one object array per frame required")
     objects, mask = pack_objects([object_feats])
     return interaction_states(p, image_feats, objects, mask[0])

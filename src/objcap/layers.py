@@ -1,4 +1,5 @@
-"""Reusable learned layers: the LSTM cell and the one-layer tanh MLP.
+"""Reusable learned layers: the LSTM cell and the one-layer tanh MLP, and
+the walker that names the parameters of any container of them.
 
 Gate layout in ``LstmParams`` is fixed as four stacked blocks in the order
 input, forget, cell-candidate, output. The forget-gate bias block is
@@ -8,7 +9,7 @@ initialized to 1.0; all weight matrices draw from a seeded uniform
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -18,6 +19,23 @@ from .tensor import Tensor, linear, lstm_cell
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-bound, bound, size=(fan_out, fan_in)), requires_grad=True)
+
+
+def named_tensors(params, prefix: str = "") -> dict[str, Tensor]:
+    """Name the tensors of the dataclass ``params`` in field order, after
+    ``prefix``: a field by its ``metadata["name"]``, else its attribute name;
+    a nested dataclass's tensors under ``<name>.``; a list's k-th item as
+    ``<name><k>``. ``None`` and mode flags give nothing."""
+    out = {}
+    for f in fields(params):
+        name = prefix + f.metadata.get("name", f.name)
+        value = getattr(params, f.name)
+        for k, item in (enumerate(value) if isinstance(value, list) else [("", value)]):
+            if isinstance(item, Tensor):
+                out[f"{name}{k}"] = item
+            elif is_dataclass(item):
+                out.update(named_tensors(item, f"{name}{k}."))
+    return out
 
 
 @dataclass
@@ -31,9 +49,6 @@ class LstmParams:
     @property
     def hidden_size(self) -> int:
         return self.wx.shape[0] // 4
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
 
 def init_lstm(rng: np.random.Generator, input_size: int, hidden_size: int) -> LstmParams:
@@ -56,14 +71,10 @@ def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple
 
 @dataclass
 class MlpParams:
-    """One affine layer followed by tanh: ``w`` (out x in), ``b`` (out),
-    stored in checkpoints as ``l0.w`` and ``l0.b``."""
+    """One affine layer followed by tanh: ``w`` (out x in), ``b`` (out)."""
 
-    w: Tensor
-    b: Tensor
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"l0.w": self.w, "l0.b": self.b}
+    w: Tensor = field(metadata={"name": "l0.w"})
+    b: Tensor = field(metadata={"name": "l0.b"})
 
 
 def init_mlp(rng: np.random.Generator, input_size: int, output_size: int) -> MlpParams:

@@ -23,6 +23,7 @@ from .interaction import (
     interaction_states,
     pack_objects,
 )
+from .layers import named_tensors
 from .tensor import ContractError, Tensor
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -103,12 +104,8 @@ class Model:
     captioner: CaptionerParams
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, t in self.interaction.tensors().items():
-            out[f"interaction.{name}"] = t
-        for name, t in self.captioner.tensors().items():
-            out[f"captioner.{name}"] = t
-        return out
+        """Every parameter, named by ``layers.named_tensors``; the config holds none."""
+        return named_tensors(self)
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption
+from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption, read_json
 from .model import Model, ModelConfig, batch_nll, config_from_dict, init_model
 from .tensor import ContractError, Tensor, collector_paused
 
@@ -302,7 +302,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise r.error(f"version {version} is unsupported", 4)
     step = struct.unpack("<Q", r.pull(8))[0]
     blob_at = r.off
-    blob = json.loads(r.text())
+    blob = read_json(path, r.text())
     if not isinstance(blob, dict) or not {"vocab", "model", "train"} <= blob.keys():
         raise r.error("config must be a JSON object with 'vocab', 'model' and 'train'",
                       blob_at)

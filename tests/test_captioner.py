@@ -80,7 +80,7 @@ class TestPrecomputeFrames:
     def test_zero_frames_rejected(self):
         m = tiny_model(4)
         with pytest.raises(ContractError):
-            precompute_frames(m.captioner, Tensor(np.zeros((0, 4)).tolist()), [])
+            segment_context(m, np.zeros((0, 4)), [])
 
 
 class TestDecodeStep:

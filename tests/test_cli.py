@@ -389,6 +389,27 @@ class TestMalformedInputs:
                                                    if target == "config" else [])
         assert_exit_2(args, capsys, "")
 
+    @pytest.mark.parametrize("payload", [b"1" + b"0" * 5000, b"[" * 100000 + b"]" * 100000],
+                             ids=["5001_digit_integer", "100000_deep_array"])
+    @pytest.mark.parametrize("target", ["config", "manifest", "pred", "refs", "checkpoint"])
+    def test_json_past_parser_limits_exits_2(self, tmp_path, corpus, capsys, target, payload):
+        path = corpus / "manifest.json" if target == "manifest" else tmp_path / f"{target}.json"
+        if target == "checkpoint":
+            path = run_train(tmp_path, corpus) / "model.ckpt"
+            rewrite_blob(path, lambda blob: payload)
+            args = caption_args(tmp_path, corpus, path)
+        else:
+            if target in ("pred", "refs"):
+                (tmp_path / "pred.json").write_text(json.dumps({"seg_0000": "a"}))
+                (tmp_path / "refs.json").write_text(json.dumps({"seg_0000": ["a"]}))
+                args = ["eval", "--pred", str(tmp_path / "pred.json"),
+                        "--refs", str(tmp_path / "refs.json"), "--out", str(tmp_path / "r.json")]
+            else:
+                args = train_args(tmp_path, corpus) + (["--config", str(path)]
+                                                       if target == "config" else [])
+            path.write_bytes(payload)
+        assert_exit_2(args, capsys, f"{path}: malformed JSON: ")
+
     @pytest.mark.parametrize("target, value, fragment", [
         ("pred", 5, "prediction for segment"),
         ("pred", None, "prediction for segment"),

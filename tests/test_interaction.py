@@ -5,8 +5,8 @@ import pytest
 
 from objcap import interaction
 from objcap.interaction import init_interaction, interaction_sequence
-from objcap.layers import lstm_step
-from objcap.model import ModelConfig
+from objcap.layers import lstm_step, named_tensors
+from objcap.model import ModelConfig, init_model, segment_context
 from objcap.tensor import ContractError, Tensor, pair_attention
 
 from helpers import FD_TOL, max_fd_error, scalar_lstm_step, scalar_mlp, scalar_softmax
@@ -118,7 +118,7 @@ class TestInteractionStep:
     def test_zero_lstm_params_give_zero_state(self):
         rng = np.random.default_rng(7)
         p = make_params(7)
-        for t in p.lstm.tensors().values():
+        for t in named_tensors(p.lstm).values():
             t.data[:] = 0.0
         hs, _ = interaction_sequence(p, *make_segment(rng, [3]))
         assert np.array_equal(hs[0].data, np.zeros(4))
@@ -126,8 +126,8 @@ class TestInteractionStep:
     def test_identical_groups_produce_identical_pooled(self):
         rng = np.random.default_rng(8)
         p = make_params(8)
-        for name, t in p.groups[1].tensors().items():
-            t.data[:] = p.groups[0].tensors()[name].data
+        for name, t in named_tensors(p.groups[1]).items():
+            t.data[:] = named_tensors(p.groups[0])[name].data
         image, objects = make_segment(rng, [3])
         _, records = interaction_sequence(p, image, objects)
         mlp = p.groups[0].proj
@@ -166,7 +166,7 @@ class TestInteractionSequence:
 
     def test_all_zero_inputs_zero_params_give_zero_states(self):
         p = make_params(12)
-        for t in p.tensors().values():
+        for t in named_tensors(p).values():
             t.data[:] = 0.0
         hs, _ = interaction_sequence(p, Tensor(np.zeros((3, 4))), [np.zeros((2, 5))] * 3)
         for h in hs:
@@ -210,7 +210,7 @@ class TestInteractionSequence:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            interaction_sequence(make_params(14), Tensor(np.zeros((0, 4))), [])
+            segment_context(init_model(CONFIG, seed=14), np.zeros((0, 4)), [])
 
     def test_permutation_invariance_across_sequence(self):
         rng = np.random.default_rng(15)
@@ -227,7 +227,7 @@ def test_gradient_of_final_state_wrt_all_params():
     rng = np.random.default_rng(16)
     p = make_params(16)
     image, objects = make_segment(rng, [2, 0, 3])
-    leaves = list(p.tensors().values())
+    leaves = list(named_tensors(p).values())
 
     def loss_fn():
         hs, _ = interaction_sequence(p, image, objects)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from objcap.layers import (
     init_mlp,
     lstm_step,
     mlp_forward,
+    named_tensors,
 )
+from objcap.model import ModelConfig, init_model
 from objcap.tensor import ShapeError, Tensor
 
 from helpers import FD_TOL, max_fd_error, scalar_lstm_step, scalar_mlp
@@ -142,3 +146,87 @@ def test_glorot_bound_and_determinism():
     bound = np.sqrt(6.0 / 50)
     assert np.all(np.abs(r1.data) <= bound)
     assert np.array_equal(r1.data, r2.data)
+
+
+# Model.named_parameters() keys, in order: they name every checkpoint entry
+# and fix the summation order of the gradient-clip norm.
+DEFAULT_NAMES = [
+    "interaction.group0.w_h", "interaction.group0.w_c",
+    "interaction.group0.proj.l0.w", "interaction.group0.proj.l0.b",
+    "interaction.group1.w_h", "interaction.group1.w_c",
+    "interaction.group1.proj.l0.w", "interaction.group1.proj.l0.b",
+    "interaction.lstm.wx", "interaction.lstm.wh", "interaction.lstm.b",
+    "captioner.img_proj.l0.w", "captioner.img_proj.l0.b",
+    "captioner.attn_lstm.wx", "captioner.attn_lstm.wh", "captioner.attn_lstm.b",
+    "captioner.temporal.w_h", "captioner.temporal.w_c", "captioner.temporal.w_a",
+    "captioner.embed",
+    "captioner.lang_lstm.wx", "captioner.lang_lstm.wh", "captioner.lang_lstm.b",
+    "captioner.out.w", "captioner.out.b",
+]
+NO_IMAGE_NAMES = [
+    "interaction.group0.w_h", "interaction.group0.w_c",
+    "interaction.group0.proj.l0.w", "interaction.group0.proj.l0.b",
+    "interaction.group1.w_h", "interaction.group1.w_c",
+    "interaction.group1.proj.l0.w", "interaction.group1.proj.l0.b",
+    "interaction.lstm.wx", "interaction.lstm.wh", "interaction.lstm.b",
+    "captioner.attn_lstm.wx", "captioner.attn_lstm.wh", "captioner.attn_lstm.b",
+    "captioner.temporal.w_h", "captioner.temporal.w_c", "captioner.temporal.w_a",
+    "captioner.embed",
+    "captioner.lang_lstm.wx", "captioner.lang_lstm.wh", "captioner.lang_lstm.b",
+    "captioner.out.w", "captioner.out.b",
+]
+THREE_GROUP_NAMES = [
+    "interaction.group0.w_h", "interaction.group0.w_c",
+    "interaction.group0.proj.l0.w", "interaction.group0.proj.l0.b",
+    "interaction.group1.w_h", "interaction.group1.w_c",
+    "interaction.group1.proj.l0.w", "interaction.group1.proj.l0.b",
+    "interaction.group2.w_h", "interaction.group2.w_c",
+    "interaction.group2.proj.l0.w", "interaction.group2.proj.l0.b",
+    "interaction.lstm.wx", "interaction.lstm.wh", "interaction.lstm.b",
+    "captioner.img_proj.l0.w", "captioner.img_proj.l0.b",
+    "captioner.attn_lstm.wx", "captioner.attn_lstm.wh", "captioner.attn_lstm.b",
+    "captioner.temporal.w_h", "captioner.temporal.w_c", "captioner.temporal.w_a",
+    "captioner.embed",
+    "captioner.lang_lstm.wx", "captioner.lang_lstm.wh", "captioner.lang_lstm.b",
+    "captioner.out.w", "captioner.out.b",
+]
+
+
+@dataclass
+class _Leaf:
+    w: Tensor
+    b: Tensor = field(metadata={"name": "bias"})
+
+
+@dataclass
+class _Tree:
+    absent: _Leaf | None
+    items: list[_Leaf] = field(metadata={"name": "item"})
+    rows: list[Tensor]
+    top: Tensor
+    flag: bool = True
+
+
+class TestNamedTensors:
+    @pytest.mark.parametrize("overrides, names", [
+        ({}, DEFAULT_NAMES),
+        ({"use_image": False}, NO_IMAGE_NAMES),
+        ({"use_objects": False}, DEFAULT_NAMES),
+        ({"use_coattention": False}, DEFAULT_NAMES),
+        ({"num_groups": 3}, THREE_GROUP_NAMES),
+    ], ids=["default", "no_image", "no_objects", "no_coattention", "three_groups"])
+    def test_model_parameter_names_in_order(self, overrides, names):
+        model = init_model(ModelConfig(vocab_size=14, **overrides), seed=0)
+        assert list(model.named_parameters()) == names
+
+    def test_walks_lists_of_containers_and_skips_none_and_flags(self):
+        leaves = [_Leaf(w=Tensor(np.zeros(1)), b=Tensor(np.zeros(2))) for _ in range(2)]
+        rows = [Tensor(np.zeros(3)), Tensor(np.zeros(4))]
+        top = Tensor(np.zeros(5))
+        tree = _Tree(absent=None, items=leaves, rows=rows, top=top)
+        named = named_tensors(tree, "root.")
+        assert list(named) == ["root.item0.w", "root.item0.bias", "root.item1.w",
+                               "root.item1.bias", "root.rows0", "root.rows1", "root.top"]
+        expected = [leaves[0].w, leaves[0].b, leaves[1].w, leaves[1].b, *rows, top]
+        assert all(a is b for a, b in zip(named.values(), expected))
+        assert list(named_tensors(leaves[0])) == ["w", "bias"]
