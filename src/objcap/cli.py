@@ -99,6 +99,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_caption(args) -> int:
+    if args.beam < 1:
+        raise ValidationError("--beam", f"must be at least 1, got {args.beam}")
     ckpt = load_checkpoint(args.ckpt)
     dataset = load_manifest(args.data)
     segments = _split_segments(dataset, args.split)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -171,8 +171,11 @@ def load_segment(path: str | Path) -> SegmentFeatures:
 
 @dataclass
 class Vocabulary:
-    word_to_id: dict[str, int] = field(default_factory=dict)
-    id_to_word: list[str] = field(default_factory=lambda: list(RESERVED_WORDS))
+    id_to_word: list[str]
+
+    def __post_init__(self):
+        # a word looks up to an id from 4 up, or else to <unk>
+        self.word_to_id = {w: i for i, w in enumerate(self.id_to_word) if i >= 4}
 
     @property
     def size(self) -> int:
@@ -190,9 +193,7 @@ class Vocabulary:
             raise ValidationError("vocabulary", "must be a list of strings")
         if words[:4] != RESERVED_WORDS:
             raise ValidationError("vocabulary", "reserved ids 0-3 missing or reordered")
-        v = cls(id_to_word=list(words))
-        v.word_to_id = {w: i for i, w in enumerate(words) if i >= 4}
-        return v
+        return cls(list(words))
 
 
 def build_vocab(captions: list[str]) -> Vocabulary:
@@ -204,12 +205,7 @@ def build_vocab(captions: list[str]) -> Vocabulary:
     for cap in captions:
         for word in cap.lower().split():
             counts[word] = counts.get(word, 0) + 1
-    kept = sorted(counts, key=lambda w: (-counts[w], w))
-    vocab = Vocabulary()
-    for w in kept:
-        vocab.word_to_id[w] = len(vocab.id_to_word)
-        vocab.id_to_word.append(w)
-    return vocab
+    return Vocabulary(RESERVED_WORDS + sorted(counts, key=lambda w: (-counts[w], w)))
 
 
 def encode_caption(vocab: Vocabulary, text: str) -> list[int]:

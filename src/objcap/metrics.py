@@ -7,6 +7,9 @@ segment, averaged over segments. CIDEr-D is the clipped TF-IDF cosine over
 n-gram orders 1..4 with a Gaussian length penalty (sigma=6) and a x10 scale;
 document frequencies come from the reference corpus, so a single-segment
 corpus degenerates to zero idf and a zero score.
+
+BLEU and CIDEr-D read one n-gram count per sentence, `ngrams`: every order
+1..4 in one Counter, shortest first, so an n-gram's order is its length.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .tensor import ContractError
 
@@ -37,8 +40,9 @@ def _check_inputs(candidates, references):
             raise ContractError("every segment needs at least one reference")
 
 
-def ngram_counts(tokens: Sentence, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def ngrams(tokens: Sentence) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for n in range(1, NGRAM_ORDERS + 1)
+                   for i in range(len(tokens) - n + 1))
 
 
 def bleu(candidates: list[Sentence], references: list[list[Sentence]]) -> list[float]:
@@ -53,31 +57,21 @@ def bleu(candidates: list[Sentence], references: list[list[Sentence]]) -> list[f
         cand_len += len(cand)
         # closest reference length; ties go to the shorter reference
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-        for n in range(1, NGRAM_ORDERS + 1):
-            counts = ngram_counts(cand, n)
-            if not counts:
-                continue
-            max_ref: Counter = Counter()
-            for r in refs:
-                for gram, c in ngram_counts(r, n).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
-            possible[n - 1] += sum(counts.values())
-            matched[n - 1] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
+        max_ref: Counter = Counter()
+        for r in refs:
+            max_ref |= ngrams(r)
+        for gram, c in ngrams(cand).items():
+            possible[len(gram) - 1] += c
+            matched[len(gram) - 1] += min(c, max_ref[gram])
 
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
     scores = []
     log_sum = 0.0
-    dead = False
     for n in range(NGRAM_ORDERS):
-        p = matched[n] / possible[n] if possible[n] else 0.0
-        if p <= 0.0:
-            dead = True
-        if dead:
-            scores.append(0.0)
-        else:
-            log_sum += math.log(p)
-            scores.append(brevity * math.exp(log_sum / (n + 1)))
+        if not matched[n]:
+            return scores + [0.0] * (NGRAM_ORDERS - n)
+        log_sum += math.log(matched[n] / possible[n])
+        scores.append(brevity * math.exp(log_sum / (n + 1)))
     return scores
 
 
@@ -134,25 +128,15 @@ def cider_d(candidates: list[Sentence],
 
     doc_freq: Counter = Counter()
     for refs in references:
-        seen = set()
-        for ref in refs:
-            for n in range(1, NGRAM_ORDERS + 1):
-                seen.update(ngram_counts(ref, n))
-        doc_freq.update(seen)
+        doc_freq.update(set().union(*map(ngrams, refs)))
     log_num_docs = math.log(len(references))
 
     per_segment = []
     for cand, refs in zip(candidates, references):
-        cand_counts = Counter()
-        for n in range(1, NGRAM_ORDERS + 1):
-            cand_counts.update(ngram_counts(cand, n))
-        cand_vec, cand_norm = _tfidf_vector(cand_counts, doc_freq, log_num_docs)
+        cand_vec, cand_norm = _tfidf_vector(ngrams(cand), doc_freq, log_num_docs)
         total = 0.0
         for ref in refs:
-            ref_counts = Counter()
-            for n in range(1, NGRAM_ORDERS + 1):
-                ref_counts.update(ngram_counts(ref, n))
-            ref_vec, ref_norm = _tfidf_vector(ref_counts, doc_freq, log_num_docs)
+            ref_vec, ref_norm = _tfidf_vector(ngrams(ref), doc_freq, log_num_docs)
             delta = float(len(cand) - len(ref))
             penalty = math.exp(-(delta ** 2) / (2.0 * CIDER_SIGMA ** 2))
             for n in range(NGRAM_ORDERS):
@@ -173,13 +157,7 @@ class MetricReport:
     meta: dict[str, str] = field(default_factory=lambda: {"bleu_style": "corpus"})
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "cider_d": self.cider_d,
-            "per_segment": self.per_segment,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 def evaluate_captions(predictions: dict[str, str],

@@ -14,8 +14,9 @@ Checkpoint layout (integers little-endian u32 unless noted):
                    data   float64 little-endian, row-major
 
 Entry names are "param/", "adam_m/" and "adam_v/" plus the model's parameter
-name; the set must be collision-free and reloading reproduces forward
-outputs bitwise. A JSON sidecar (path + ".json") echoes the config block.
+name; those names are the keys of one dict, so no two entries share a name,
+and reloading reproduces forward outputs bitwise. A JSON sidecar
+(path + ".json") echoes the config block.
 """
 
 from __future__ import annotations
@@ -249,25 +250,18 @@ def train(cfg: TrainConfig, dataset: Dataset,
 # -- checkpoint io ------------------------------------------------------------
 
 
-def _config_blob(model: Model, vocab: Vocabulary, train_cfg: TrainConfig) -> dict:
-    return {"model": model.config.to_dict(), "train": train_cfg.to_dict(),
-            "vocab": vocab.to_list(), "format_version": CKPT_VERSION}
-
-
 def save_checkpoint(path: str | Path, model: Model, vocab: Vocabulary,
                     adam: AdamState, train_cfg: TrainConfig) -> None:
-    params = model.named_parameters()
     entries: list[tuple[str, np.ndarray]] = []
-    for name, p in params.items():
+    for name, p in model.named_parameters().items():
         entries.append((f"param/{name}", p.data))
         entries.append((f"adam_m/{name}", adam.m.get(name, np.zeros_like(p.data))))
         entries.append((f"adam_v/{name}", adam.v.get(name, np.zeros_like(p.data))))
-    names = [n for n, _ in entries]
-    if len(set(names)) != len(names):
-        raise ContractError("parameter names collide")
     entries.sort(key=lambda e: e[0])
 
-    blob = json.dumps(_config_blob(model, vocab, train_cfg), sort_keys=True).encode("utf-8")
+    config = {"model": model.config.to_dict(), "train": train_cfg.to_dict(),
+              "vocab": vocab.to_list(), "format_version": CKPT_VERSION}
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
     chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
               struct.pack("<Q", adam.step),
               struct.pack("<I", len(blob)), blob,
@@ -280,8 +274,7 @@ def save_checkpoint(path: str | Path, model: Model, vocab: Vocabulary,
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(chunks))
-    Path(str(path) + ".json").write_text(
-        json.dumps(_config_blob(model, vocab, train_cfg), sort_keys=True, indent=1) + "\n")
+    Path(str(path) + ".json").write_text(json.dumps(config, sort_keys=True, indent=1) + "\n")
 
 
 @dataclass

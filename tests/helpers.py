@@ -254,3 +254,102 @@ def pair_attention_chain(projected, u, mask=None):
 def additive_attention_chain(keys, query, w_a, mask=None):
     """``tensor.additive_attention`` as the chain of ops it replaced."""
     return softmax_op(matmul_op(add_op(keys, query).tanh(), w_a), mask)
+
+
+# -- corpus BLEU and CIDEr-D as they were written before metrics.ngrams
+# counted every order at once: one pass per n-gram order, kept as the
+# references the metrics are held to with ==.
+
+def _ngram_counts_by_order(tokens, n):
+    from collections import Counter
+
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_reference(candidates, references):
+    """Corpus BLEU@1..4, counting each n-gram order in its own pass."""
+    from collections import Counter
+
+    matched = [0] * 4
+    possible = [0] * 4
+    cand_len = 0
+    ref_len = 0
+    for cand, refs in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        for n in range(1, 5):
+            counts = _ngram_counts_by_order(cand, n)
+            if not counts:
+                continue
+            max_ref = Counter()
+            for r in refs:
+                for gram, c in _ngram_counts_by_order(r, n).items():
+                    if c > max_ref[gram]:
+                        max_ref[gram] = c
+            possible[n - 1] += sum(counts.values())
+            matched[n - 1] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
+
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
+    scores = []
+    log_sum = 0.0
+    dead = False
+    for n in range(4):
+        p = matched[n] / possible[n] if possible[n] else 0.0
+        if p <= 0.0:
+            dead = True
+        if dead:
+            scores.append(0.0)
+        else:
+            log_sum += math.log(p)
+            scores.append(brevity * math.exp(log_sum / (n + 1)))
+    return scores
+
+
+def _tfidf_vector_reference(counts, doc_freq, log_num_docs):
+    vec = [dict() for _ in range(4)]
+    norm = [0.0] * 4
+    for gram, tf in counts.items():
+        idf = log_num_docs - math.log(max(1.0, doc_freq[gram]))
+        n = len(gram) - 1
+        vec[n][gram] = tf * idf
+        norm[n] += vec[n][gram] ** 2
+    return vec, [math.sqrt(v) for v in norm]
+
+
+def cider_d_reference(candidates, references):
+    """Corpus CIDEr-D and its per-segment values, counting each n-gram
+    order in its own pass; sigma 6, scale 10."""
+    from collections import Counter
+
+    def all_orders(sentence):
+        counts = Counter()
+        for n in range(1, 5):
+            counts.update(_ngram_counts_by_order(sentence, n))
+        return counts
+
+    doc_freq = Counter()
+    for refs in references:
+        seen = set()
+        for ref in refs:
+            for n in range(1, 5):
+                seen.update(_ngram_counts_by_order(ref, n))
+        doc_freq.update(seen)
+    log_num_docs = math.log(len(references))
+
+    per_segment = []
+    for cand, refs in zip(candidates, references):
+        cand_vec, cand_norm = _tfidf_vector_reference(all_orders(cand), doc_freq,
+                                                      log_num_docs)
+        total = 0.0
+        for ref in refs:
+            ref_vec, ref_norm = _tfidf_vector_reference(all_orders(ref), doc_freq,
+                                                        log_num_docs)
+            delta = float(len(cand) - len(ref))
+            penalty = math.exp(-(delta ** 2) / (2.0 * 6.0 ** 2))
+            for n in range(4):
+                dot = sum(min(w, ref_vec[n].get(gram, 0.0)) * ref_vec[n].get(gram, 0.0)
+                          for gram, w in cand_vec[n].items())
+                if cand_norm[n] > 0 and ref_norm[n] > 0:
+                    total += penalty * dot / (cand_norm[n] * ref_norm[n]) / 4
+        per_segment.append(10.0 * total / len(refs))
+    return sum(per_segment) / len(per_segment), per_segment

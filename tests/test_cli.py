@@ -410,6 +410,17 @@ class TestMalformedInputs:
             path.write_bytes(payload)
         assert_exit_2(args, capsys, f"{path}: malformed JSON: ")
 
+    @pytest.mark.parametrize("beam, split", [(0, "val"), (0, "empty"), (-2, "val")])
+    def test_beam_below_one_exits_2(self, tmp_path, corpus, capsys, beam, split):
+        # the flag is named, not the first segment, and an empty split does
+        # not let it through
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        if split == "empty":
+            manifest = json.loads((corpus / "manifest.json").read_text())
+            (corpus / "manifest.json").write_text(json.dumps({**manifest, "val": []}))
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt) + ["--beam", str(beam)], capsys,
+                      f"validation error: --beam: must be at least 1, got {beam}")
+
     @pytest.mark.parametrize("target, value, fragment", [
         ("pred", 5, "prediction for segment"),
         ("pred", None, "prediction for segment"),

@@ -1,8 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from helpers import bleu_reference, cider_d_reference
 from objcap.metrics import bleu, cider_d, evaluate_captions, rouge_l
 from objcap.tensor import ContractError
 
@@ -168,6 +170,42 @@ class TestCiderD:
     def test_needs_reference_counts(self):
         with pytest.raises(ContractError):
             cider_d(toks("a"), [[]])
+
+
+class TestFrozenReference:
+    def test_random_corpora_equal_the_per_order_reference(self):
+        # 500 seeded corpora of 1-6 segments with 1-3 references each, over
+        # five words so that n-grams repeat; every fifth corpus is a single
+        # segment, whose CIDEr-D warning is expected
+        rng = np.random.default_rng(14)
+        words = list("abcde")
+        seen = {"empty": 0, "repeated phrase": 0, "copied reference": 0, "3 references": 0}
+
+        def sentence():
+            kind = rng.integers(4)
+            if kind == 0:
+                seen["empty"] += 1
+                return []
+            if kind == 1:
+                seen["repeated phrase"] += 1
+                return rng.choice(words, size=rng.integers(1, 4)).tolist() * int(rng.integers(2, 4))
+            return rng.choice(words, size=rng.integers(1, 12)).tolist()
+
+        for trial in range(500):
+            segments = 1 if trial % 5 == 0 else int(rng.integers(2, 7))
+            refs = [[sentence() for _ in range(rng.integers(1, 4))] for _ in range(segments)]
+            cands = [sentence() for _ in range(segments)]
+            for i, group in enumerate(refs):
+                seen["3 references"] += len(group) == 3
+                if rng.integers(3) == 0:
+                    seen["copied reference"] += 1
+                    cands[i] = list(group[-1])
+            assert bleu(cands, refs) == bleu_reference(cands, refs)
+            expect_warning = pytest.warns(UserWarning, match="single-segment") \
+                if segments == 1 else contextlib.nullcontext()
+            with expect_warning:
+                assert cider_d(cands, refs) == cider_d_reference(cands, refs)
+        assert min(seen.values()) > 0
 
 
 class TestInvariances:
