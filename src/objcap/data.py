@@ -193,6 +193,11 @@ class Vocabulary:
             raise ValidationError("vocabulary", "must be a list of strings")
         if words[:4] != RESERVED_WORDS:
             raise ValidationError("vocabulary", "reserved ids 0-3 missing or reordered")
+        seen = set()
+        for w in words:
+            if w in seen:
+                raise ValidationError("vocabulary", f"word {w!r} listed twice")
+            seen.add(w)
         return cls(list(words))
 
 

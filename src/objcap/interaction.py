@@ -41,7 +41,7 @@ from .tensor import (
     concat,
     linear,
     pair_attention,
-    unpack_rows,
+    place_rows,
 )
 
 if TYPE_CHECKING:
@@ -108,11 +108,12 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     feeds zeros to the LSTM). Frames past a segment's end see no objects.
     """
     rows = Tensor(objects)
-    # state-independent work, once per call: every frame's projected objects
-    # and every frame's context term, for each group
-    projected = [unpack_rows(mlp_forward(g.proj, rows), object_mask) if objects.size else None
-                 for g in p.groups]
+    # state-independent work, once per call: every object's projection and
+    # every frame's context term, for each group
+    projected = [mlp_forward(g.proj, rows) if objects.size else None for g in p.groups]
     contexts = [linear(image, g.w_c) for g in p.groups]
+    row_of = np.zeros(object_mask.shape, dtype=np.intp)     # each object's row in ``objects``
+    row_of[object_mask] = np.arange(objects.shape[0])
 
     batch = object_mask.shape[:-2]
     h = Tensor(np.zeros(batch + (p.hidden_size,)))
@@ -124,8 +125,11 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     records: list[list[np.ndarray | None]] = []
     for t, n in enumerate(widest.tolist()):
         if n:
-            mask = object_mask[..., t, :n] if object_mask.ndim == 3 else None
-            attended = [pair_attention(proj[..., t, :n, :], linear(h, g.w_h, ctx[..., t, :]), mask)
+            real = object_mask[..., t, :n]
+            index = row_of[..., t, :n][real]
+            mask = real if object_mask.ndim == 3 else None     # a segment alone has no padding
+            attended = [pair_attention(place_rows(proj, index, mask),
+                                       linear(h, g.w_h, ctx[..., t, :]), mask)
                         for g, proj, ctx in zip(p.groups, projected, contexts)]
             pooled_all = concat([pooled for _, pooled in attended])
             records.append([alpha for alpha, _ in attended])

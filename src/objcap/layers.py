@@ -64,9 +64,7 @@ def init_lstm(rng: np.random.Generator, input_size: int, hidden_size: int) -> Ls
 def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM recurrence step on vectors, or on a batch of them one per
     row; returns (h, c)."""
-    hs = p.hidden_size
-    hc = lstm_cell(p.wx, p.wh, p.b, x, h_prev, c_prev)
-    return hc[..., 0:hs], hc[..., hs:2 * hs]
+    return lstm_cell(p.wx, p.wh, p.b, x, h_prev, c_prev)
 
 
 @dataclass

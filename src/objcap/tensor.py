@@ -16,8 +16,11 @@ take a mask for padded entries.
 Tape policy: each forward pass builds a fresh graph, every op recording its
 node through ``_record``, which marks it as requiring a gradient when any
 input does and only then attaches the backward closure. ``backward()`` runs
-once per graph root and raises on a second call. Leaf gradients persist
-until ``zero_grad()``; an interior node's gradient is dropped once passed on.
+once per graph root and raises on a second call. It frees the graph as it
+walks it: once a node has passed its gradient on, it drops its closure, its
+gradient and its links to its inputs, so a spent node lives only as long as
+the caller holds it, and the root keeps only its value. Leaf gradients
+persist until ``zero_grad()``.
 """
 
 from __future__ import annotations
@@ -128,11 +131,13 @@ class Tensor:
                     stack.append((child, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node)
                 node._backward = None  # release closures, graph is spent
                 node.grad = None       # passed on to the inputs; free it now
+            node._prev = ()            # the last reference to a spent input goes
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -234,7 +239,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate((g @ np.swapaxes(b.data, -1, -2)).reshape(a.shape))
         if b.requires_grad:
-            b._accumulate(_t_times(pa, g) if pa.ndim == 2 else np.swapaxes(pa, -1, -2) @ g)
+            b._accumulate(_t_times(pa, g) if pa.ndim == 2 else a.data[..., :, None] * g)
 
     return _record(_rows_times(a.data, b.data), (a, b), _backward)
 
@@ -458,17 +463,23 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     return _record(np.stack([r.data for r in rows], axis=-2), tuple(rows), _backward)
 
 
-def unpack_rows(rows: Tensor, mask: np.ndarray) -> Tensor:
-    """Place the rows of a matrix, in order, at the True entries of
-    ``mask`` (taken in C order); every other position holds a zero row.
-    The result has shape ``mask.shape + (width,)``."""
-    if len(rows.shape) != 2 or rows.shape[0] != int(mask.sum()):
-        raise ShapeError(f"unpack_rows: {rows.shape} rows for {int(mask.sum())} places")
-    data = np.zeros(mask.shape + rows.shape[1:])
-    data[mask] = rows.data
+def place_rows(rows: Tensor, index: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+    """Rows ``index`` of a matrix, in that order: as they are, or placed at
+    the True entries of ``mask`` (taken in C order) with a zero row at every
+    other position, shaped ``mask.shape + (width,)``. No row may be placed
+    twice, so each row's gradient is the one entry it was placed at."""
+    if len(rows.shape) != 2 or mask is not None and np.shape(index) != (np.count_nonzero(mask),):
+        raise ShapeError(f"place_rows: index {np.shape(index)} into rows {rows.shape}")
+    data = rows.data[index]
+    if mask is not None:
+        placed = np.zeros(mask.shape + rows.shape[1:])
+        placed[mask] = data
+        data = placed
 
     def _backward(out):
-        rows._accumulate(out.grad[mask])
+        if rows.grad is None:
+            rows.grad = np.zeros_like(rows.data)
+        rows.grad[index] += out.grad if mask is None else out.grad[mask]
 
     return _record(data, (rows,), _backward)
 
@@ -494,14 +505,16 @@ def take_column(m: Tensor, j) -> Tensor:
 
 
 def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
-              c_prev: Tensor) -> Tensor:
-    """One LSTM step as one node whose value is ``[h; c]`` (length 2H), or
-    one such row per row of a batch (x B x D, h_prev and c_prev B x H).
+              c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step: ``(h, c)``, two vectors of length H, or one row each
+    per row of a batch (x B x D, h_prev and c_prev B x H).
 
     Gates are four stacked blocks of ``(wx @ x + wh @ h_prev) + b`` in the
     order input, forget, cell candidate, output; ``c = f*c_prev + i*g`` and
-    ``h = o*tanh(c)``. The backward pass forms each factor in the order the
-    op-by-op chain of matmul, add, sigmoid, tanh and mul would.
+    ``h = o*tanh(c)``. ``c`` owns the backward; ``h`` is a node over ``c``
+    that hands its gradient to ``c``'s backward, which runs after it. The
+    backward forms each factor in the order the op-by-op chain of matmul,
+    add, sigmoid, tanh and mul would.
     """
     x_shape, h_shape = x.data.shape, h_prev.data.shape
     if len(x_shape) not in (1, 2) or x_shape[:-1] != h_shape[:-1]:
@@ -516,15 +529,18 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
     z = (x.data @ wx.data.T + h_prev.data @ wh.data.T) + b.data
     # sigmoid split by sign so exp never overflows
     e = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
     i, f, o = s[..., :hs], s[..., hs:2 * hs], s[..., 3 * hs:]
     g = np.tanh(z[..., 2 * hs:3 * hs])
-    c = f * c_prev.data + i * g
-    tc = np.tanh(c)
+    c_data = f * c_prev.data + i * g
+    tc = np.tanh(c_data)
+    handed = []     # h's gradient, from h's backward to c's
 
-    def _backward(out):
-        dh = out.grad[..., :hs]
-        dc = out.grad[..., hs:] + (1.0 - tc * tc) * (dh * o)
+    def _backward_c(c):
+        dh = handed[0] if handed else 0.0       # h may be off the loss's graph
+        dc = (1.0 - tc * tc) * (dh * o)
+        if c.grad is not None:
+            dc += c.grad
         slope = s * (1.0 - s)
         slope[..., 2 * hs:3 * hs] = 1.0 - g * g
         dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc], axis=-1)
@@ -542,5 +558,8 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
         if c_prev.requires_grad:
             c_prev._accumulate(dc * f)
 
-    return _record(np.concatenate([o * tc, c], axis=-1), (wx, wh, b, x, h_prev, c_prev),
-                   _backward)
+    def _backward_h(h):
+        handed.append(h.grad)
+
+    c = _record(c_data, (wx, wh, b, x, h_prev, c_prev), _backward_c)
+    return _record(o * tc, (c,), _backward_h), c

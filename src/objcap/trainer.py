@@ -164,6 +164,7 @@ def _mean_loss(model: Model, items, batch_size: int) -> float:
                 raise FloatingPointError("non-finite loss")
         total += float(np.sum(rows.data))
         count += tokens
+        del rows    # a graph never backpropagated: free it before the next chunk builds one
     return total / count
 
 

@@ -162,6 +162,28 @@ def t_times_reference(a, b):
     return a.T @ b
 
 
+def sigmoid_reference(z):
+    """The sign-split sigmoid as ``tensor.lstm_cell`` formed it with a
+    division on each branch."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def matmul_reference(a, b):
+    """``tensor.matmul`` with its former backward, which formed a batch's
+    weight gradient as the one-term matrix product of each row of ``a``,
+    transposed, with its row of the upstream gradient."""
+    from objcap.tensor import _rows_times, _t_times
+
+    def grads(g):
+        pa = a.data[..., None, :]
+        g = g.reshape(pa.shape[:-1] + b.shape[-1:])
+        return [(g @ np.swapaxes(b.data, -1, -2)).reshape(a.shape),
+                _t_times(pa, g) if pa.ndim == 2 else np.swapaxes(pa, -1, -2) @ g]
+
+    return _node(_rows_times(a.data, b.data), [a, b], grads)
+
+
 # -- the op-by-op attention chains that tensor.pair_attention and
 # tensor.additive_attention fused, kept as references. The add, transpose,
 # softmax and matrix product ops they used are no longer in the core, so

@@ -368,6 +368,19 @@ class TestMalformedInputs:
         args = caption_args(tmp_path, corpus, ckpt) + ["--trace", str(tmp_path / "t.json")]
         assert_exit_2(args, capsys, "vocabulary has 5 words")
 
+    def test_checkpoint_vocabulary_word_twice_exits_2(self, tmp_path, corpus, capsys):
+        """A word at two ids would still caption, one of its ids unreachable
+        by lookup; the size stays the model's."""
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+
+        def repeat(blob):
+            config = json.loads(blob)
+            config["vocab"][-1] = config["vocab"][4]
+            return json.dumps(config).encode()
+
+        rewrite_blob(ckpt, repeat)
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys, "listed twice")
+
     def test_manifest_split_entry_not_a_string_exits_2(self, tmp_path, corpus, capsys):
         manifest = corpus / "manifest.json"
         manifest.write_text(json.dumps({"train": [1], "val": ["seg_0000.seg"]}))

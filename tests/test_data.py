@@ -119,6 +119,12 @@ class TestVocabulary:
         w = Vocabulary.from_list(v.to_list())
         assert w.word_to_id == v.word_to_id
 
+    @pytest.mark.parametrize("repeated", ["y", "<unk>"])
+    def test_word_listed_twice_rejected(self, repeated):
+        words = build_vocab(["x y z"]).to_list() + [repeated]
+        with pytest.raises(ValidationError, match=f"word '{repeated}' listed twice"):
+            Vocabulary.from_list(words)
+
 
 class TestCaptionCodec:
     def test_empty_text(self):

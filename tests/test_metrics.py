@@ -53,7 +53,10 @@ class TestBleu:
         with pytest.raises(ContractError):
             bleu([], [])
 
-    def test_extra_reference_never_hurts(self):
+    def test_extra_reference_of_equal_length_never_hurts(self):
+        """Every sentence has five words, so the closest reference length,
+        and with it the brevity penalty, stays put; only the clipped
+        matches can change, and they can only grow."""
         rng = np.random.default_rng(0)
         words = list("abcdefg")
         for _ in range(30):
@@ -64,6 +67,16 @@ class TestBleu:
             widened = bleu(cand, [ref + extra])
             for a, b in zip(base, widened):
                 assert b >= a - 1e-12
+
+
+    def test_extra_reference_can_add_a_brevity_penalty(self):
+        """A longer extra reference can become the closest length and so
+        lower BLEU, though no match is lost."""
+        cand = [["a", "b", "c", "d"]]
+        assert bleu(cand, [[["a", "b"]]])[0] == 0.5
+        widened = bleu(cand, [[["a", "b"], ["x", "y", "z", "w", "v"]]])[0]
+        assert widened == 0.5 * math.exp(1.0 - 5 / 4)
+        assert abs(widened - 0.389) < 1e-3
 
 
 class TestRougeL:

@@ -1,4 +1,6 @@
 import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from objcap import trainer
 from objcap.captioner import decode_step, initial_state
 from objcap.cli import caption_dataset
-from objcap.data import SynthSpec, load_manifest, synth_dataset
-from objcap.model import ModelConfig, init_model, segment_context
+from objcap.data import Dataset, SegmentFeatures, SynthSpec, load_manifest, synth_dataset
+from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 from objcap.tensor import ContractError, Tensor
 from objcap.trainer import (
     AdamState,
@@ -239,6 +241,60 @@ class TestCollectorPause:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+
+def uniform_dataset(segments, frames, objects, words, seed=21):
+    """Segments of one shape, so every batch of a size builds the same graph;
+    the first half of them is the validation split."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{k}" for k in range(10)]
+    segs = [SegmentFeatures(f"s{k}", rng.normal(size=(frames, 32)),
+                            [rng.normal(size=(objects, 32)) for _ in range(frames)],
+                            [" ".join(rng.choice(vocab, size=words))])
+            for k in range(segments)]
+    return Dataset(train=segs, val=segs[:segments // 2])
+
+
+class TestMemory:
+    def test_training_holds_one_batch_graph_at_a_time(self):
+        """Two batches at the paper's frame and object counts peak at most
+        10% above one batch's forward and backward alone: the first batch's
+        graph is gone before the second is built."""
+        cfg = TrainConfig(max_epochs=1, batch_size=16, seed=6)
+        train(cfg, uniform_dataset(2, 1, 1, 2))     # numpy's lazy imports, untraced
+        ds = uniform_dataset(32, 30, 15, 10)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = train(cfg, ds)
+            two_batches = tracemalloc.get_traced_memory()[1] - start
+            items = trainer._dataset_items(ds.train[:16], res.vocab)
+            for p in res.model.named_parameters().values():
+                p.zero_grad()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            rows, tokens = batch_nll(res.model, items)
+            (rows.sum() * (1.0 / tokens)).backward()
+            one_batch = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert two_batches <= 1.1 * one_batch, (two_batches, one_batch)
+
+    def test_validation_frees_each_chunk_before_the_next(self, tmp_path, monkeypatch):
+        ds = small_dataset(tmp_path)
+        res = train(TrainConfig(max_epochs=0), ds, SMALL_MODEL)
+        items = trainer._dataset_items(ds.val, res.vocab)
+        earlier = []
+
+        def recording_batch_nll(model, chunk):
+            assert all(ref() is None for ref in earlier), "an earlier chunk's graph is alive"
+            rows, tokens = batch_nll(model, chunk)
+            earlier.append(weakref.ref(rows))
+            return rows, tokens
+
+        monkeypatch.setattr(trainer, "batch_nll", recording_batch_nll)
+        trainer._mean_loss(res.model, items, 1)
+        assert len(earlier) == len(items) > 1
 
 
 class TestCheckpoint:
