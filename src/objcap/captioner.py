@@ -107,8 +107,8 @@ class SegmentContext:
                   the object pathway)
     ``keys``      the frame-attention keys, ``frames`` (or ``states`` without
                   the image pathway) times ``temporal_w_c.T``
-    ``frame_mask`` B x T, True at a segment's real frames; None for a
-                  segment alone
+    ``frame_mask`` B x T, True at a segment's real frames; None when no
+                  frame is padded
     """
 
     frames: Tensor | None
@@ -253,7 +253,7 @@ def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarr
     embeddings = take_column(p.embed, inputs)      # ... x L x embed_dim
     tops = []
     for i in range(inputs.shape[-1]):
-        state, _ = advance(p, ctx, embeddings[..., i, :], state)
+        state, _ = advance(p, ctx, embeddings.row(i), state)
         tops.append(state.h2)
     logits = linear(stack_rows(tops), p.out_w, p.out_b)
     return gather(log_softmax(logits), targets, mask).sum(axis=-1) * -1.0

@@ -86,6 +86,12 @@ def cmd_train(args) -> int:
         raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise ContractError("config must be a JSON object")
+        for key, section in raw.items():
+            if key not in ("train", "model"):
+                raise ContractError(f"unknown config section {key!r}; "
+                                    f"a config holds 'train' and 'model'")
+            if not isinstance(section, dict):
+                raise ContractError(f"config section {key!r} must be a JSON object")
         train_cfg = TrainConfig.from_dict(raw.get("train", {}))
         model_overrides = raw.get("model", {})
     result = train(train_cfg, dataset, model_overrides)

@@ -14,7 +14,9 @@ for all frames together, before the frame loop.
 
 A batch of segments runs as one recurrence over padded arrays: each frame
 attends over its widest object count, masks give padded object rows exactly
-zero attention, and frames past a segment's end see no objects.
+zero attention, and frames past a segment's end see no objects. Masks come
+only from padding: a frame where every row is real attends unmasked, as a
+segment alone does.
 
 Object rows are an unordered set: no identity or cross-frame correspondence
 is assumed, and all outputs are invariant to row permutation.
@@ -106,6 +108,7 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     each group's attention over the frame's widest object count n (n x n,
     or B x n x n; None when the frame has no object in any segment, which
     feeds zeros to the LSTM). Frames past a segment's end see no objects.
+    A frame's attention is masked only when some row of it is padded.
     """
     rows = Tensor(objects)
     # state-independent work, once per call: every object's projection and
@@ -126,10 +129,10 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     for t, n in enumerate(widest.tolist()):
         if n:
             real = object_mask[..., t, :n]
-            index = row_of[..., t, :n][real]
-            mask = real if object_mask.ndim == 3 else None     # a segment alone has no padding
+            mask = None if real.all() else real     # masks only where a row is padded
+            index = row_of[..., t, :n] if mask is None else row_of[..., t, :n][real]
             attended = [pair_attention(place_rows(proj, index, mask),
-                                       linear(h, g.w_h, ctx[..., t, :]), mask)
+                                       linear(h, g.w_h, ctx.row(t)), mask)
                         for g, proj, ctx in zip(p.groups, projected, contexts)]
             pooled_all = concat([pooled for _, pooled in attended])
             records.append([alpha for alpha, _ in attended])

@@ -154,24 +154,21 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
     scored positions.
 
     Segments are padded to the most frames and objects, captions to the
-    longest; padding changes no row's value or gradient. A batch of one has
-    nothing to pad and runs as its segment alone (``segment_context``), the
-    forward that captioning runs. Each segment is checked once, by
-    ``check_features``, and a failing one is rejected by id.
+    longest; padding changes no row's value or gradient. Masks come only
+    from padding: a frame where no object row is padded attends unmasked,
+    and the frame masks go only to a batch whose segments differ in frame
+    count. A batch of one has nothing to pad, so it runs the path of every
+    other size and equals its segment alone (``segment_context``) bit for
+    bit. Each segment is checked once, by ``check_features``, and a failing
+    one is rejected by id.
     """
     cfg = model.config
     segments = [seg for seg, _ in items]
     for seg in segments:
         try:
-            if len(items) == 1:     # segment_context checks it, where it runs
-                ctx, _ = segment_context(model, seg.image_feats, seg.object_feats)
-            else:
-                check_features(cfg, seg.image_feats, seg.object_feats)
+            check_features(cfg, seg.image_feats, seg.object_feats)
         except ContractError as exc:
             raise ContractError(f"segment {seg.segment_id}: {exc}") from None
-    if len(items) == 1:
-        ids = np.array(items[0][1])
-        return teacher_forced_nll(model.captioner, ctx, ids[:-1], ids[1:])[None], len(ids) - 1
 
     frames = max(seg.image_feats.shape[0] for seg in segments)
     image = np.zeros((len(segments), frames, cfg.image_dim))
@@ -194,5 +191,6 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
     hiddens = None
     if cfg.use_objects:
         hiddens, _ = interaction_states(model.interaction, v_c, objects, object_mask)
-    ctx = precompute_frames(model.captioner, v_c, hiddens, frame_mask)
+    ctx = precompute_frames(model.captioner, v_c, hiddens,
+                            None if frame_mask.all() else frame_mask)
     return teacher_forced_nll(model.captioner, ctx, inputs, targets, scored), int(scored.sum())

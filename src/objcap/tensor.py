@@ -38,9 +38,12 @@ def collector_paused():
     put back the caller's setting, also on an exception.
 
     Safe around tape work because the tape holds no reference cycles:
-    reference counting frees every spent graph. It pays because a live
-    training graph holds tens of thousands of tracked objects, which each
-    collection would walk again. Also usable as a function decorator.
+    reference counting frees every spent graph. It pays because every node
+    an op records counts toward the next collection, so with the collector
+    on a training run collects every few ops and walks the young graph (a
+    few thousand tracked objects at batch 32) each time for nothing: 1.8%
+    of desk-scale batch-1 training time, measured. Also usable as a
+    function decorator.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -139,9 +142,6 @@ class Tensor:
                 node.grad = None       # passed on to the inputs; free it now
             node._prev = ()            # the last reference to a spent input goes
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     def _check_axis(self, axis: int | None, op: str) -> None:
         rank = len(self.shape)
         if axis is not None and not -rank <= axis < rank:
@@ -160,25 +160,17 @@ class Tensor:
 
         return _record(self.data * s, (self,), _backward)
 
-    def __getitem__(self, key) -> "Tensor":
-        """Basic indexing: a non-negative int or a slice on the first axis,
-        ``None`` for a new axis of length 1, or a tuple of them with at most
-        one Ellipsis (``x[..., t, :]``)."""
-        for k in key if isinstance(key, tuple) else (key,):
-            if not (k is Ellipsis or k is None or isinstance(k, slice)
-                    or isinstance(k, (int, np.integer)) and k >= 0):
-                raise ShapeError(f"unsupported index {key!r} for shape {self.shape}")
-        try:
-            view = self.data[key]
-        except IndexError:
-            raise ShapeError(f"index {key!r} out of range for shape {self.shape}") from None
+    def row(self, i: int) -> "Tensor":
+        """Row ``i`` of a matrix, or of each matrix of a batch: ``x[..., i, :]``."""
+        if len(self.shape) < 2 or not 0 <= i < self.shape[-2]:
+            raise ShapeError(f"row {i} out of range for shape {self.shape}")
 
         def _backward(out):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            self.grad[key] += out.grad
+            self.grad[..., i, :] += out.grad
 
-        return _record(view, (self,), _backward)
+        return _record(self.data[..., i, :], (self,), _backward)
 
     # -- activations -------------------------------------------------------
 
@@ -200,15 +192,13 @@ class Tensor:
 
         return _record(self.data.sum(axis=axis), (self,), _backward)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        """Mean of every entry, or along one axis."""
+    def mean(self, axis: int) -> "Tensor":
+        """Mean along one axis."""
         self._check_axis(axis, "mean")
-        n = self.data.size if axis is None else self.shape[axis]
+        n = self.shape[axis]
 
         def _backward(out):
-            g = out.grad / n
-            self._accumulate(np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
-                                             self.shape))
+            self._accumulate(np.broadcast_to(np.expand_dims(out.grad / n, axis), self.shape))
 
         return _record(self.data.mean(axis=axis), (self,), _backward)
 
@@ -234,12 +224,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def _backward(out):
-        pa = a.data[..., None, :]       # each row of a as a one-row matrix
-        g = out.grad.reshape(pa.shape[:-1] + b.shape[-1:])
+        g = out.grad[..., None, :]      # each row of the product as a one-row matrix
         if a.requires_grad:
-            a._accumulate((g @ np.swapaxes(b.data, -1, -2)).reshape(a.shape))
+            a._accumulate((g @ np.swapaxes(b.data, -1, -2))[..., 0, :])
         if b.requires_grad:
-            b._accumulate(_t_times(pa, g) if pa.ndim == 2 else a.data[..., :, None] * g)
+            b._accumulate(a.data[..., :, None] * g)
 
     return _record(_rows_times(a.data, b.data), (a, b), _backward)
 
@@ -255,9 +244,9 @@ def _t_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` (B x n) times its own matrix of ``m`` (B x n x d),
-    as one-row matrix products; a vector ``v`` times a matrix ``m``."""
-    return (v[:, None, :] @ m)[:, 0, :] if v.ndim == 2 else v @ m
+    """Each row of ``v`` (n, or B x n) times its own matrix of ``m`` (n x d,
+    or B x n x d), as a one-row matrix product."""
+    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -464,10 +453,12 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
 
 
 def place_rows(rows: Tensor, index: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Rows ``index`` of a matrix, in that order: as they are, or placed at
-    the True entries of ``mask`` (taken in C order) with a zero row at every
-    other position, shaped ``mask.shape + (width,)``. No row may be placed
-    twice, so each row's gradient is the one entry it was placed at."""
+    """Rows ``index`` of a matrix, in that order: as they are, shaped
+    ``index.shape + (width,)`` for an index of any shape (B x n for a frame
+    with no padded row), or, for a flat index, placed at the True entries
+    of ``mask`` (taken in C order) with a zero row at every other position,
+    shaped ``mask.shape + (width,)``. No row may be placed twice, so each
+    row's gradient is the one entry it was placed at."""
     if len(rows.shape) != 2 or mask is not None and np.shape(index) != (np.count_nonzero(mask),):
         raise ShapeError(f"place_rows: index {np.shape(index)} into rows {rows.shape}")
     data = rows.data[index]

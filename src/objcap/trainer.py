@@ -209,8 +209,6 @@ def train(cfg: TrainConfig, dataset: Dataset,
         epoch_total, epoch_count = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
-            for p in params.values():
-                p.zero_grad()
             with _faults_named(batch, "training"):
                 rows, tokens = batch_nll(model, batch)
                 if not np.isfinite(rows.data).all():
@@ -228,6 +226,9 @@ def train(cfg: TrainConfig, dataset: Dataset,
                         scale = cfg.grad_clip / norm
                         grads = {n: g * scale for n, g in grads.items()}
                 adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
+                for p in params.values():   # no gradient outlives its step
+                    p.zero_grad()
+                del grads
 
         train_loss = epoch_total / epoch_count
         val_loss = _mean_loss(model, val_items, cfg.batch_size)

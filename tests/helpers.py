@@ -170,18 +170,20 @@ def sigmoid_reference(z):
 
 
 def matmul_reference(a, b):
-    """``tensor.matmul`` with its former backward, which formed a batch's
+    """``tensor.matmul`` in its former two forms: a vector times a matrix
+    as ``v @ m`` with a one-row ``a.T @ g`` through ``np.dot`` for the
+    weight gradient, and a batch as one-row matrix products with the
     weight gradient as the one-term matrix product of each row of ``a``,
     transposed, with its row of the upstream gradient."""
-    from objcap.tensor import _rows_times, _t_times
+    pa = a.data[..., None, :]
 
     def grads(g):
-        pa = a.data[..., None, :]
         g = g.reshape(pa.shape[:-1] + b.shape[-1:])
         return [(g @ np.swapaxes(b.data, -1, -2)).reshape(a.shape),
-                _t_times(pa, g) if pa.ndim == 2 else np.swapaxes(pa, -1, -2) @ g]
+                np.dot(pa.T, g) if pa.ndim == 2 else np.swapaxes(pa, -1, -2) @ g]
 
-    return _node(_rows_times(a.data, b.data), [a, b], grads)
+    forward = a.data @ b.data if a.data.ndim == 1 else (pa @ b.data)[:, 0, :]
+    return _node(forward, [a, b], grads)
 
 
 # -- the op-by-op attention chains that tensor.pair_attention and

@@ -195,7 +195,7 @@ def test_ablation_structure(announce, tmp_path):
     # obj row: frame features are bitwise inert once interactions are fixed
     res, _ = results["obj"]
     ctx_a, _ = segment_context(res.model, seg.image_feats, seg.object_feats)
-    interactions = [ctx_a.states[i] for i in range(ctx_a.keys.shape[0])]
+    interactions = [ctx_a.states.row(i) for i in range(ctx_a.keys.shape[0])]
     ctx_b = precompute_frames(res.model.captioner,
                               Tensor(rng.normal(size=seg.image_feats.shape)),
                               interactions)

@@ -13,7 +13,7 @@ from objcap.captioner import initial_state
 from objcap.data import SegmentFeatures
 from objcap.interaction import interaction_states, pack_objects
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
-from objcap.tensor import Tensor, take_column
+from objcap.tensor import Tensor, gather, take_column
 
 from helpers import FD_TOL, max_fd_error
 
@@ -69,7 +69,7 @@ def row_gradients(model, items, row):
     for p in params.values():
         p.zero_grad()
     rows, _ = batch_nll(model, items)
-    rows[row].backward()
+    gather(rows, np.array(row)).backward()
     return {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
             for n, p in params.items()}
 
@@ -100,11 +100,33 @@ def test_rows_and_gradients_equal_segments_alone(mode):
 
 
 def test_batch_of_one_equals_segment_alone():
-    model = make_model()
-    for seg, ids in ragged_items(np.random.default_rng(3)):
-        rows, tokens = batch_nll(model, [(seg, ids)])
-        assert tokens == len(ids) - 1
-        assert rel(rows.data[0], alone(model, seg, ids).item()) < 1e-12
+    """A batch of one runs the padded path with nothing padded, so without
+    masks: in every mode its loss and every parameter gradient equal its
+    segment's alone, bit for bit."""
+    for mode, flags in MODES.items():
+        model = make_model(**flags)
+        params = model.named_parameters()
+        for seg, ids in ragged_items(np.random.default_rng(3)):
+            runs = []
+            for batched in (True, False):
+                for p in params.values():
+                    p.zero_grad()
+                if batched:
+                    rows, tokens = batch_nll(model, [(seg, ids)])
+                    assert tokens == len(ids) - 1
+                    loss = rows.sum()
+                else:
+                    loss = alone(model, seg, ids)
+                loss.backward()
+                runs.append((loss.item(), {n: p.grad for n, p in params.items()}))
+            (got, got_grads), (want, want_grads) = runs
+            where = (mode, seg.segment_id)
+            assert got == want, where
+            for name, g in want_grads.items():
+                if g is None:     # a parameter of a pathway the mode drops
+                    assert got_grads[name] is None, (where, name)
+                else:
+                    assert np.array_equal(got_grads[name], g), (where, name)
 
 
 def test_gradient_of_ragged_batch_matches_finite_differences():

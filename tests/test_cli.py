@@ -103,6 +103,8 @@ class TestTrainCommand:
         ({"model": {"embed_dim": 0}}, "embed_dim"),
         ({"model": {"use_image": False, "use_objects": False}}, "use_objects"),
         ({"train": {"lr": 10 ** 400}}, "lr"),
+        ({"trian": {"max_epochs": 1}, "modle": {"attn_dim": 0}}, "trian"),
+        ({"model": None}, "model"),
     ])
     def test_bad_config_exits_2(self, tmp_path, corpus, capsys, config, key):
         cfg = tmp_path / "config.json"

@@ -1,8 +1,10 @@
 """Tape-node counts at the paper's shapes: T=30 frames, N=15 objects per
 frame, K=2 groups, widths 32, V=1000 and a 21-word caption. The counts
-depend on the graph's structure only, so their bounds hold on any machine."""
+depend on the graph's structure only, so their bounds hold on any machine.
+Each count is printed as a ``TAPE <name>: <count> (bound <max>)`` line."""
 
 import numpy as np
+import pytest
 
 from objcap.captioner import (
     BOS_ID,
@@ -41,7 +43,17 @@ def op_nodes(roots, stop=()) -> int:
     return count
 
 
-def test_tape_node_counts_at_paper_shapes():
+@pytest.fixture
+def tape(capsys):
+    """Print a count's ``TAPE`` line past pytest's capture, then return it."""
+    def _tape(name, count, bound):
+        with capsys.disabled():
+            print(f"\nTAPE {name}: {count} (bound {bound})")
+        return count
+    return _tape
+
+
+def test_tape_node_counts_at_paper_shapes(tape):
     rng = np.random.default_rng(0)
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
     image = rng.normal(size=(30, 32))
@@ -55,10 +67,12 @@ def test_tape_node_counts_at_paper_shapes():
     step_roots = [step.word_logits, step.alpha_temp, step.state.h1, step.state.c1,
                   step.state.h2, step.state.c2]
 
-    assert op_nodes(ctx.states._prev) <= INTERACTION_MAX
-    assert op_nodes([loss], stop=context) <= TEACHER_FORCED_MAX
-    assert op_nodes(step_roots, stop=context) <= DECODE_STEP_MAX
-    assert op_nodes([loss]) <= SEGMENT_MAX
+    assert tape("interaction", op_nodes(ctx.states._prev), INTERACTION_MAX) <= INTERACTION_MAX
+    assert tape("teacher-forced", op_nodes([loss], stop=context),
+                TEACHER_FORCED_MAX) <= TEACHER_FORCED_MAX
+    assert tape("decode step", op_nodes(step_roots, stop=context),
+                DECODE_STEP_MAX) <= DECODE_STEP_MAX
+    assert tape("segment", op_nodes([loss]), SEGMENT_MAX) <= SEGMENT_MAX
 
 
 def batch_nodes(m, batch_size, rng) -> int:
@@ -78,14 +92,16 @@ def batch_nodes(m, batch_size, rng) -> int:
     return op_nodes([rows.sum()])
 
 
-def test_batch_node_count_does_not_depend_on_batch_size():
+def test_batch_node_count_does_not_depend_on_batch_size(tape):
+    """A batch of one runs the padded path too, so it counts the same."""
     rng = np.random.default_rng(1)
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
-    pair, full = batch_nodes(m, 2, rng), batch_nodes(m, 32, rng)
-    assert pair == full <= BATCH_MAX
+    pair, full, one = (tape(f"batch of {size}", batch_nodes(m, size, rng), BATCH_MAX)
+                       for size in (2, 32, 1))
+    assert one == pair == full <= BATCH_MAX
 
 
-def test_beam_step_node_count_does_not_depend_on_width():
+def test_beam_step_node_count_does_not_depend_on_width(tape):
     """A beam step, ``decode_step`` over the tiled pool plus
     ``log_softmax``, builds the same graph at any width."""
     rng = np.random.default_rng(2)
@@ -97,6 +113,8 @@ def test_beam_step_node_count_does_not_depend_on_width():
         step = decode_step(m.captioner, tile_context(ctx, width), np.full(width, BOS_ID),
                            initial_state(m.captioner, (width,)))
         state = step.state
-        counts.append(op_nodes([log_softmax(step.word_logits), step.alpha_temp,
-                                state.h1, state.c1, state.h2, state.c2]))
+        counts.append(tape(f"beam step at width {width}",
+                           op_nodes([log_softmax(step.word_logits), step.alpha_temp,
+                                     state.h1, state.c1, state.h2, state.c2]),
+                           BEAM_STEP_MAX))
     assert counts[0] == counts[1] <= BEAM_STEP_MAX

@@ -296,6 +296,28 @@ class TestMemory:
         trainer._mean_loss(res.model, items, 1)
         assert len(earlier) == len(items) > 1
 
+    def test_gradients_do_not_outlive_their_step(self, tmp_path, monkeypatch):
+        """Every gradient array an ADAM step received, clipped or not, is
+        gone when the next training or validation forward starts."""
+        ds = small_dataset(tmp_path)
+        stepped, alive = [], []
+
+        def recording_adam_step(params, grads, *args):
+            stepped.extend(weakref.ref(g) for g in grads.values())
+            return adam_step(params, grads, *args)
+
+        def counting_batch_nll(model, items):
+            alive.append(sum(ref() is not None for ref in stepped))
+            return batch_nll(model, items)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+        monkeypatch.setattr(trainer, "batch_nll", counting_batch_nll)
+        for clip in (None, 1e-3):
+            train(TrainConfig(max_epochs=2, batch_size=2, seed=3, grad_clip=clip),
+                  ds, SMALL_MODEL)
+        assert stepped and len(alive) > 4
+        assert not any(alive), alive
+
 
 class TestCheckpoint:
     def test_round_trip_reproduces_forward_bitwise(self, tmp_path):
