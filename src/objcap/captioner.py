@@ -35,6 +35,7 @@ from .tensor import (
     linear,
     log_softmax,
     matmul,
+    span_sums,
     stack_rows,
     take_column,
 )
@@ -243,20 +244,32 @@ def decode_step(p: CaptionerParams, ctx: SegmentContext, words: int | np.ndarray
 
 
 def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarray,
-                       targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+                       targets: np.ndarray, mask: np.ndarray | None = None,
+                       order: np.ndarray | None = None) -> Tensor:
     """Summed negative log-likelihood of ``targets`` when each position is
     fed its ``inputs`` word: L word ids per caption, or B x L for a padded
-    batch, where ``mask`` marks the scored positions (None: all of them).
-    Returns a scalar, or one sum per batch row; padded positions add nothing
-    to it or to any gradient."""
+    batch, where ``mask`` marks the scored positions.
+
+    Returns a scalar, or one sum per batch row, the rows taken in ``order``.
+    A batch projects to the vocabulary only its S scored positions: their
+    top states are taken as S flat rows, row by row in ``order``, scored,
+    and summed back per row (``span_sums``). Padded positions add nothing to
+    a sum or to any gradient, and cost no logits.
+    """
     state = initial_state(p, inputs.shape[:-1])
     embeddings = take_column(p.embed, inputs)      # ... x L x embed_dim
     tops = []
     for i in range(inputs.shape[-1]):
         state, _ = advance(p, ctx, embeddings.row(i), state)
         tops.append(state.h2)
-    logits = linear(stack_rows(tops), p.out_w, p.out_b)
-    return gather(log_softmax(logits), targets, mask).sum(axis=-1) * -1.0
+    if inputs.ndim == 1:
+        logits = linear(stack_rows(tops), p.out_w, p.out_b)
+        return gather(log_softmax(logits), targets).sum() * -1.0
+    scored = mask[order]
+    at = np.arange(inputs.size).reshape(inputs.shape)[order][scored]
+    logits = linear(stack_rows(tops, at), p.out_w, p.out_b)
+    picked = gather(log_softmax(logits), targets.reshape(-1)[at])
+    return span_sums(picked, scored.sum(axis=-1)) * -1.0
 
 
 @dataclass

@@ -88,7 +88,9 @@ class SegmentFeatures:
 def save_segment(path: str | Path, seg: SegmentFeatures) -> None:
     seg.validate()
     t, d_img = seg.image_feats.shape
-    d_obj = seg.object_feats[0].shape[1] if seg.object_feats else 0
+    # the width of the first frame with objects; an empty frame may be (0, 0)
+    d_obj = next((objs.shape[1] for objs in seg.object_feats if objs.shape[0]),
+                 seg.object_feats[0].shape[1])
     for objs in seg.object_feats:
         if objs.shape[0] and objs.shape[1] != d_obj:
             raise ValidationError("object_feats", "inconsistent object feature width")

@@ -8,15 +8,19 @@ vector per group. The K pooled vectors are concatenated and driven through a
 shared LSTM across frames, so the hidden state at time t summarizes the
 object interactions seen so far.
 
-Only the hidden-state term of the bias depends on the recurrence, so each
-group's object projections and frame contexts are computed once per segment,
-for all frames together, before the frame loop.
+Only the hidden-state term of the bias depends on the recurrence, so the
+object projections and frame contexts are computed once per segment, for
+all frames together, before the frame loop. The K groups run as one: their
+weights are stacked into one matrix per role, and each frame makes one
+attention call with the group as a batch axis.
 
 A batch of segments runs as one recurrence over padded arrays: each frame
-attends over its widest object count, masks give padded object rows exactly
-zero attention, and frames past a segment's end see no objects. Masks come
-only from padding: a frame where every row is real attends unmasked, as a
-segment alone does.
+attends over its widest object count, and masks give padded object rows
+exactly zero attention. With the batch ordered longest segment first, the
+segments still running at a frame are the first rows, and only they are
+attended and stepped; a segment past its end carries its last state. Masks
+come only from padding: a frame where no running segment has a padded row
+attends unmasked, as a segment alone does.
 
 Object rows are an unordered set: no identity or cross-frame correspondence
 is assumed, and all outputs are invariant to row permutation.
@@ -39,6 +43,7 @@ from .layers import (
     mlp_forward,
 )
 from .tensor import (
+    ContractError,
     Tensor,
     concat,
     linear,
@@ -97,49 +102,72 @@ def pack_objects(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarr
 
 
 def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
-                       object_mask: np.ndarray,
+                       object_mask: np.ndarray, frame_mask: np.ndarray | None = None,
                        ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
     """Run the recurrence from a zero initial state over a segment (image
     T x image_dim, object_mask T x N) or a padded batch of them (B x T x
     image_dim, B x T x N); ``objects`` holds the rows ``object_mask`` marks,
     in its C order (see ``pack_objects``).
 
+    ``frame_mask`` (B x T) marks each segment's real frames, its rows
+    ordered longest segment first; None means every segment runs to the
+    last frame. The segments still running at frame t are then the first
+    a_t rows: only they are attended and stepped, and a row past its
+    segment's end carries its last state unchanged (``lstm_cell``), which
+    the decoder's frame mask gives zero weight.
+
+    The K groups run as one: their weights are stacked once per call, so
+    one GEMM projects every object row for all groups, one forms every
+    frame's context terms, and per frame one forms the state terms, one
+    ``place_rows`` lays out the frame's rows and one ``pair_attention``
+    attends with the group as a batch axis, its pooled output already the
+    groups' concatenation.
+
     Returns the hidden state after each frame (H, or B x H) and, per frame,
     each group's attention over the frame's widest object count n (n x n,
-    or B x n x n; None when the frame has no object in any segment, which
-    feeds zeros to the LSTM). Frames past a segment's end see no objects.
-    A frame's attention is masked only when some row of it is padded.
+    or a_t x n x n; None when no running segment has an object there, which
+    feeds zeros to the LSTM). A frame's attention is masked only when a
+    running segment has a padded row in it.
     """
+    groups = p.groups
+    k = len(groups)
     rows = Tensor(objects)
     # state-independent work, once per call: every object's projection and
-    # every frame's context term, for each group
-    projected = [mlp_forward(g.proj, rows) if objects.size else None for g in p.groups]
-    contexts = [linear(image, g.w_c) for g in p.groups]
+    # every frame's context term, for all groups at once
+    proj = MlpParams(w=concat([g.proj.w for g in groups], axis=0),
+                     b=concat([g.proj.b for g in groups]))
+    projected = mlp_forward(proj, rows) if objects.size else None
+    contexts = linear(image, concat([g.w_c for g in groups], axis=0))
+    w_h = concat([g.w_h for g in groups], axis=0)
     row_of = np.zeros(object_mask.shape, dtype=np.intp)     # each object's row in ``objects``
     row_of[object_mask] = np.arange(objects.shape[0])
 
-    batch = object_mask.shape[:-2]
+    batch, frames = object_mask.shape[:-2], object_mask.shape[-2]
     h = Tensor(np.zeros(batch + (p.hidden_size,)))
     c = Tensor(np.zeros(batch + (p.hidden_size,)))
-    empty = Tensor(np.zeros(batch + (p.lstm.wx.shape[1],)))   # K pooled vectors
-    # per frame: the widest object count over the batch
-    widest = object_mask.sum(axis=-1).reshape(-1, object_mask.shape[-2]).max(axis=0)
+    # per frame: the running rows, their widest object count, and whether
+    # one of them is padded there
+    counts = object_mask.sum(axis=-1).reshape(-1, frames)        # B x T, or 1 x T
+    running = np.full(frames, counts.shape[0]) if frame_mask is None else frame_mask.sum(axis=0)
+    live = np.arange(counts.shape[0])[:, None] < running
+    if frame_mask is not None and not np.array_equal(frame_mask, live):
+        raise ContractError("batch rows must be ordered by frame count, longest first")
+    widest = counts.max(axis=0)
+    padded = (live & (counts < widest)).any(axis=0)
     hiddens: list[Tensor] = []
     records: list[list[np.ndarray | None]] = []
-    for t, n in enumerate(widest.tolist()):
+    for t, (a, n, masked) in enumerate(zip(running.tolist(), widest.tolist(), padded.tolist())):
+        at = (slice(a), t) if batch else (t,)
         if n:
-            real = object_mask[..., t, :n]
-            mask = None if real.all() else real     # masks only where a row is padded
-            index = row_of[..., t, :n] if mask is None else row_of[..., t, :n][real]
-            attended = [pair_attention(place_rows(proj, index, mask),
-                                       linear(h, g.w_h, ctx.row(t)), mask)
-                        for g, proj, ctx in zip(p.groups, projected, contexts)]
-            pooled_all = concat([pooled for _, pooled in attended])
-            records.append([alpha for alpha, _ in attended])
+            real, index = object_mask[at][..., :n], row_of[at][..., :n]
+            mask = real if masked else None     # masks only where a row is padded
+            placed = place_rows(projected, index if mask is None else index[real], mask)
+            alpha, pooled = pair_attention(placed, linear(h, w_h, contexts.row(t)), mask, k)
+            records.append([alpha[..., j, :, :] for j in range(k)])
         else:
-            pooled_all = empty
-            records.append([None] * len(p.groups))
-        h, c = lstm_step(p.lstm, pooled_all, h, c)
+            pooled = Tensor(np.zeros(((a,) if batch else ()) + (p.lstm.wx.shape[1],)))
+            records.append([None] * k)
+        h, c = lstm_step(p.lstm, pooled, h, c)
         hiddens.append(h)
     return hiddens, records
 

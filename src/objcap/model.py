@@ -150,39 +150,47 @@ def segment_context(model: Model, image_feats: np.ndarray,
 
 def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
     """Teacher-forced negative log-likelihood of B (segment, encoded caption)
-    pairs as one graph; returns the per-row sums (B) and the number of
-    scored positions.
+    pairs as one graph; returns the per-row sums (B), in the order of
+    ``items``, and the number of scored positions.
 
     Segments are padded to the most frames and objects, captions to the
-    longest; padding changes no row's value or gradient. Masks come only
-    from padding: a frame where no object row is padded attends unmasked,
-    and the frame masks go only to a batch whose segments differ in frame
-    count. A batch of one has nothing to pad, so it runs the path of every
-    other size and equals its segment alone (``segment_context``) bit for
-    bit. Each segment is checked once, by ``check_features``, and a failing
-    one is rejected by id.
+    longest; padding changes no row's value or gradient. The graph runs
+    its rows longest segment first (a stable sort by frame count), so the
+    segments still running at frame t are the first rows: only those are
+    attended and stepped, and a segment past its end carries its last state
+    (``interaction_states``). Only the scored caption positions are
+    projected to the vocabulary (``teacher_forced_nll``). Masks come only
+    from padding: a frame where no running segment has a padded object row
+    attends unmasked, and the frame masks go only to a batch whose segments
+    differ in frame count. A batch of one has nothing to pad, so it runs
+    the path of every other size and equals its segment alone
+    (``segment_context``) bit for bit. Each segment is checked once, by
+    ``check_features``, and a failing one is rejected by id.
     """
     cfg = model.config
-    segments = [seg for seg, _ in items]
-    for seg in segments:
+    for seg, _ in items:
         try:
             check_features(cfg, seg.image_feats, seg.object_feats)
         except ContractError as exc:
             raise ContractError(f"segment {seg.segment_id}: {exc}") from None
+    by_frames = sorted(range(len(items)), key=lambda b: -items[b][0].image_feats.shape[0])
+    segments = [items[b][0] for b in by_frames]
+    captions = [items[b][1] for b in by_frames]
 
-    frames = max(seg.image_feats.shape[0] for seg in segments)
+    frames = segments[0].image_feats.shape[0]
     image = np.zeros((len(segments), frames, cfg.image_dim))
     frame_mask = np.zeros((len(segments), frames), dtype=bool)
     for b, seg in enumerate(segments):
         image[b, :seg.image_feats.shape[0]] = seg.image_feats
         frame_mask[b, :seg.image_feats.shape[0]] = True
+    frame_mask = None if frame_mask.all() else frame_mask
     objects, object_mask = pack_objects([seg.object_feats for seg in segments])
 
-    positions = max(len(ids) for _, ids in items) - 1
+    positions = max(len(ids) for ids in captions) - 1
     inputs = np.zeros((len(items), positions), dtype=np.int64)
     targets = np.zeros((len(items), positions), dtype=np.int64)
     scored = np.zeros((len(items), positions), dtype=bool)
-    for b, (_, ids) in enumerate(items):
+    for b, ids in enumerate(captions):
         inputs[b, :len(ids) - 1] = ids[:-1]
         targets[b, :len(ids) - 1] = ids[1:]
         scored[b, :len(ids) - 1] = True
@@ -190,7 +198,7 @@ def batch_nll(model: Model, items: list[tuple]) -> tuple[Tensor, int]:
     v_c = Tensor(image)
     hiddens = None
     if cfg.use_objects:
-        hiddens, _ = interaction_states(model.interaction, v_c, objects, object_mask)
-    ctx = precompute_frames(model.captioner, v_c, hiddens,
-                            None if frame_mask.all() else frame_mask)
-    return teacher_forced_nll(model.captioner, ctx, inputs, targets, scored), int(scored.sum())
+        hiddens, _ = interaction_states(model.interaction, v_c, objects, object_mask, frame_mask)
+    ctx = precompute_frames(model.captioner, v_c, hiddens, frame_mask)
+    rows = teacher_forced_nll(model.captioner, ctx, inputs, targets, scored, np.argsort(by_frames))
+    return rows, int(scored.sum())

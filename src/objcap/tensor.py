@@ -10,8 +10,12 @@ and a graph is freed as soon as its last reference goes.
 Batch axis: the ops that take vectors also take a batch of them, one per
 row of a matrix, and the ops that take matrices also take a batch of them
 along a leading axis. A segment alone runs the same code as a batch, without
-the leading axis. ``pair_attention``, ``additive_attention`` and ``gather``
-take a mask for padded entries.
+the leading axis. ``pair_attention`` and ``additive_attention`` take a mask
+for padded entries. Two ops let a batch skip rows that need no work:
+``lstm_cell`` steps only the first rows of its state and carries the rest,
+and ``pair_attention`` reads only the first rows of its bias. ``stack_rows``
+can keep only chosen rows, and ``span_sums`` sums a vector's entries back
+into one total per batch row.
 
 Tape policy: each forward pass builds a fresh graph, every op recording its
 node through ``_record``, which marks it as requiring a gradient when any
@@ -292,52 +296,79 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return e / np.where(total > 0.0, total, 1.0)
 
 
-def pair_attention(projected: Tensor, u: Tensor,
-                   mask: np.ndarray | None = None) -> tuple[np.ndarray, Tensor]:
+def pair_attention(projected: Tensor, u: Tensor, mask: np.ndarray | None = None,
+                   groups: int | None = None) -> tuple[np.ndarray, Tensor]:
     """Pairwise self-attention over object rows, pooled, as one node.
 
     ``projected`` is n x d (or B x n x d) and ``u`` one bias of width d (or
-    one per batch row). With ``x = projected + u`` on every row, ``alpha =
-    softmax(x @ x.T / sqrt(d))`` row by row and the result is the mean over
-    rows of ``alpha @ projected``, taken as (mean of alpha's rows) @
-    projected. ``mask`` (n, or B x n) marks the real rows: a padded row or
-    column gets exactly zero attention, the mean runs over the real rows
-    only, and a batch row without one pools to zeros.
+    one per batch row; a ``u`` with more than B rows has only its first B
+    read, and its other rows get no gradient). With ``x = projected + u``
+    on every row, ``alpha = softmax(x @ x.T / sqrt(d))`` row by row and the
+    result is the mean over rows of ``alpha @ projected``, taken as (mean of
+    alpha's rows) @ projected. ``mask`` (n, or B x n) marks the real rows: a
+    padded row or column gets exactly zero attention, the mean runs over the
+    real rows only, and a batch row without one pools to zeros.
 
-    Returns ``alpha``, an array off the tape, and the pooled vector (d, or B
-    x d). The forward repeats the op-by-op chain's numpy operations in order,
-    the transpose as a contiguous copy, so it is the same bit for bit.
+    ``groups=G`` runs G attentions side by side, the group as one more batch
+    axis: the width is G·d, group k owns columns k·d to (k+1)·d of
+    ``projected`` and ``u``, ``alpha`` gains a group axis (G x n x n, or
+    B x G x n x n) and the pooled vector is the G groups' pooled vectors
+    end to end. Each group equals a call on its own columns bit for bit.
+
+    Returns ``alpha``, an array off the tape, and the pooled vector (width,
+    or B x width). The forward repeats the op-by-op chain's numpy operations
+    in order, the transpose as a contiguous copy, so it is the same bit for
+    bit.
     """
     p_shape = projected.shape
-    if len(p_shape) not in (2, 3) or u.shape != p_shape[:-2] + p_shape[-1:]:
-        raise ShapeError(f"pair_attention shape mismatch: rows {p_shape}, bias {u.shape}")
-    if p_shape[-2] < 1:
+    lead, n, width = p_shape[:-2], p_shape[-2], p_shape[-1]
+    k = 1 if groups is None else groups
+    if (len(p_shape) not in (2, 3) or len(u.shape) != len(p_shape) - 1
+            or u.shape[-1] != width or lead and u.shape[0] < lead[0] or k < 1 or width % k):
+        raise ShapeError(f"pair_attention shape mismatch: rows {p_shape}, bias {u.shape}, "
+                         f"groups {groups}")
+    if n < 1:
         raise ContractError("pair_attention needs at least one object row")
-    p = projected.data
-    x = p + u.data[..., None, :]
-    scale = 1.0 / math.sqrt(p_shape[-1])
+    d = width // k
+    bias = u.data[:lead[0]] if lead else u.data
+
+    def by_group():
+        """lead x k x n x d: each group's rows as one contiguous matrix, as
+        a group alone's would be. A copy when k > 1, so the backward makes
+        its own rather than keep this one alive with the graph."""
+        return np.ascontiguousarray(np.swapaxes(projected.data.reshape(lead + (n, k, d)), -2, -3))
+
+    p = by_group()
+    x = p + bias.reshape(lead + (k, 1, d))
+    scale = 1.0 / math.sqrt(d)
     scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
     if mask is None:
         alpha, weights = masked_softmax(scores), None
         mean = alpha.mean(axis=-2)
     else:
-        alpha = masked_softmax(scores, mask[..., :, None] & mask[..., None, :])
-        weights = mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+        pairs = (mask[..., :, None] & mask[..., None, :])[..., None, :, :]
+        alpha = masked_softmax(scores, np.broadcast_to(pairs, scores.shape))
+        weights = (mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1))[..., None, :]
         mean = _rows_times(weights, alpha)
 
     def _backward(out):
-        g = out.grad
-        g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
-        g_alpha = (np.broadcast_to(g_mean[..., None, :] / p_shape[-2], alpha.shape)
+        g = out.grad.reshape(lead + (k, d))
+        g_mean = _rows_times(g, np.swapaxes(by_group(), -1, -2))
+        g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
                    if weights is None else weights[..., :, None] * g_mean[..., None, :])
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
         g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x     # x feeds both sides of x @ x.T
         if projected.requires_grad:
-            projected._accumulate(g_x + mean[..., :, None] * g[..., None, :])
+            g_p = g_x + mean[..., :, None] * g[..., None, :]
+            projected._accumulate(np.swapaxes(g_p, -2, -3).reshape(p_shape))
         if u.requires_grad:
-            u._accumulate(g_x.sum(axis=-2))
+            g_u = g_x.sum(axis=-2).reshape(bias.shape)
+            if g_u.shape != u.shape:
+                g_u = np.concatenate([g_u, np.zeros((u.shape[0] - lead[0], width))])
+            u._accumulate(g_u)
 
-    return alpha, _record(_rows_times(mean, p), (projected, u), _backward)
+    pooled = _rows_times(mean, p).reshape(lead + (width,))
+    return (alpha if groups else alpha[..., 0, :, :]), _record(pooled, (projected, u), _backward)
 
 
 def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
@@ -387,69 +418,95 @@ def log_softmax(x: Tensor) -> Tensor:
     return _record(shifted - lse, (x,), _backward)
 
 
-def gather(x: Tensor, index, mask: np.ndarray | None = None) -> Tensor:
+def gather(x: Tensor, index) -> Tensor:
     """One entry of each vector along the last axis: ``x[..., index]``, with
-    ``index`` shaped like ``x`` without its last axis. Where ``mask`` is
-    False the result is 0.0 and passes no gradient."""
+    ``index`` shaped like ``x`` without its last axis."""
     index = np.asarray(index)
     if len(x.shape) < 1 or index.shape != x.shape[:-1] \
             or not np.issubdtype(index.dtype, np.integer):
         raise ShapeError(f"gather index shape {index.shape} for shape {x.shape}")
-    if mask is not None and mask.shape != index.shape:
-        raise ShapeError(f"gather mask shape {mask.shape} for index shape {index.shape}")
     if np.any((index < 0) | (index >= x.shape[-1])):
         raise ShapeError(f"gather index out of range for shape {x.shape}")
     at = index[..., None]
-    picked = np.take_along_axis(x.data, at, axis=-1)[..., 0]
-    if mask is not None:
-        picked = np.where(mask, picked, 0.0)
 
     def _backward(out):
-        g = out.grad if mask is None else np.where(mask, out.grad, 0.0)
         grad = np.zeros_like(x.data)
-        np.put_along_axis(grad, at, g[..., None], axis=-1)
+        np.put_along_axis(grad, at, out.grad[..., None], axis=-1)
         x._accumulate(grad)
 
-    return _record(picked, (x,), _backward)
+    return _record(np.take_along_axis(x.data, at, axis=-1)[..., 0], (x,), _backward)
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """Join vectors end to end; for batches of vectors, row by row."""
+def span_sums(x: Tensor, lengths) -> Tensor:
+    """Sums of consecutive spans of a vector: sum k adds up the next
+    ``lengths[k]`` entries (each at least 1). Each span is summed as
+    ``Tensor.sum`` sums a vector, so one span equals ``x.sum()`` bit for
+    bit."""
+    lengths = np.asarray(lengths)
+    if len(x.shape) != 1 or lengths.ndim != 1 or lengths.sum() != x.shape[0] \
+            or np.any(lengths < 1):
+        raise ShapeError(f"span_sums: spans {lengths.tolist()} over shape {x.shape}")
+    ends = np.cumsum(lengths).tolist()
+
+    def _backward(out):
+        x._accumulate(np.repeat(out.grad, lengths))
+
+    return _record(np.array([x.data[end - n:end].sum() for n, end in zip(lengths.tolist(), ends)]),
+                   (x,), _backward)
+
+
+def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors end to end along ``axis``, which their shapes must
+    share otherwise: vectors end to end, batches of vectors row by row,
+    and with ``axis=0`` matrices one under another."""
     if not parts:
         raise ContractError("concat of an empty list")
     datas = [p.data for p in parts]
-    lead = datas[0].shape[:-1]
-    for d in datas:
-        if d.ndim < 1 or d.shape[:-1] != lead:
-            raise ShapeError(f"concat needs vectors with equal leading axes, got shape {d.shape}")
+    try:
+        data = np.concatenate(datas, axis=axis)
+    except ValueError:      # ranks or off-axis lengths differ, or no such axis
+        raise ShapeError(f"concat over axis {axis} of shapes "
+                         f"{[d.shape for d in datas]}") from None
+    lead = (slice(None),) * (axis % data.ndim)
 
     def _backward(out):
         off = 0
         for p in parts:
-            n = p.shape[-1]
+            n = p.shape[axis]
             if p.requires_grad:
-                p._accumulate(out.grad[..., off:off + n])
+                p._accumulate(out.grad[lead + (slice(off, off + n),)])
             off += n
 
-    return _record(np.concatenate(datas, axis=-1), tuple(parts), _backward)
+    return _record(data, tuple(parts), _backward)
 
 
-def stack_rows(rows: list[Tensor]) -> Tensor:
+def stack_rows(rows: list[Tensor], at: np.ndarray | None = None) -> Tensor:
     """Stack equal-length vectors into a matrix, one vector per row; stack
-    batches of vectors (B x D each) into B x n x D."""
+    batches of vectors (B x D each) into B x n x D. With ``at``, only some
+    of the stacked rows: read as one matrix, batch row after batch row, the
+    stack gives rows ``at``, in that order (``len(at)`` x D); no row may be
+    taken twice."""
     if not rows:
         raise ContractError("stack_rows of an empty list")
     shape = rows[0].shape
     for r in rows:
         if len(r.shape) < 1 or r.shape != shape:
             raise ShapeError(f"stack_rows needs equal-length vectors, got {r.shape} vs {shape}")
+    data = np.stack([r.data for r in rows], axis=-2)
+    stacked = data.shape
+    if at is not None:
+        data = data.reshape(-1, shape[-1])[at]
 
     def _backward(out):
+        g = out.grad
+        if at is not None:
+            g = np.zeros(stacked)
+            g.reshape(-1, shape[-1])[at] = out.grad
         for i, r in enumerate(rows):
             if r.requires_grad:
-                r._accumulate(out.grad[..., i, :])
+                r._accumulate(g[..., i, :])
 
-    return _record(np.stack([r.data for r in rows], axis=-2), tuple(rows), _backward)
+    return _record(data, tuple(rows), _backward)
 
 
 def place_rows(rows: Tensor, index: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -498,17 +555,20 @@ def take_column(m: Tensor, j) -> Tensor:
 def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
               c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step: ``(h, c)``, two vectors of length H, or one row each
-    per row of a batch (x B x D, h_prev and c_prev B x H).
+    per row of a batch (x a x D, h_prev and c_prev B x H with B >= a).
 
-    Gates are four stacked blocks of ``(wx @ x + wh @ h_prev) + b`` in the
-    order input, forget, cell candidate, output; ``c = f*c_prev + i*g`` and
-    ``h = o*tanh(c)``. ``c`` owns the backward; ``h`` is a node over ``c``
-    that hands its gradient to ``c``'s backward, which runs after it. The
-    backward forms each factor in the order the op-by-op chain of matmul,
-    add, sigmoid, tanh and mul would.
+    Only the first a rows step; the other B - a rows of ``h_prev`` and
+    ``c_prev`` are carried into ``h`` and ``c`` unchanged, with their
+    gradients. Gates are four stacked blocks of ``(wx @ x + wh @ h_prev) +
+    b`` in the order input, forget, cell candidate, output; ``c = f*c_prev +
+    i*g`` and ``h = o*tanh(c)``. ``c`` owns the backward; ``h`` is a node
+    over ``c`` that hands its gradient to ``c``'s backward, which runs after
+    it. The backward forms each factor in the order the op-by-op chain of
+    matmul, add, sigmoid, tanh and mul would.
     """
     x_shape, h_shape = x.data.shape, h_prev.data.shape
-    if len(x_shape) not in (1, 2) or x_shape[:-1] != h_shape[:-1]:
+    if (len(x_shape) not in (1, 2) or len(h_shape) != len(x_shape)
+            or x_shape[:-1] > h_shape[:-1]):
         raise ShapeError(f"lstm_cell needs vector (or batched row) x and h_prev, "
                          f"got {x_shape}, {h_shape}")
     d, hs = x_shape[-1], h_shape[-1]
@@ -517,40 +577,55 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
         raise ShapeError(f"lstm_cell shape mismatch: wx {wx.shape}, wh {wh.shape}, "
                          f"b {b.shape}, x {x.shape}, h_prev {h_prev.shape}, "
                          f"c_prev {c_prev.shape}")
-    z = (x.data @ wx.data.T + h_prev.data @ wh.data.T) + b.data
+    a = x_shape[0] if x_shape[:-1] != h_shape[:-1] else None   # rows stepped, when some carry
+    hp, cp = (h_prev.data, c_prev.data) if a is None else (h_prev.data[:a], c_prev.data[:a])
+    z = (x.data @ wx.data.T + hp @ wh.data.T) + b.data
     # sigmoid split by sign so exp never overflows
     e = np.exp(-np.abs(z))
     s = np.where(z >= 0, 1.0, e) / (1.0 + e)
     i, f, o = s[..., :hs], s[..., hs:2 * hs], s[..., 3 * hs:]
     g = np.tanh(z[..., 2 * hs:3 * hs])
-    c_data = f * c_prev.data + i * g
+    c_data = f * cp + i * g
     tc = np.tanh(c_data)
+    h_data = o * tc
+    if a is not None:
+        c_data = np.concatenate([c_data, c_prev.data[a:]])
+        h_data = np.concatenate([h_data, h_prev.data[a:]])
     handed = []     # h's gradient, from h's backward to c's
 
     def _backward_c(c):
-        dh = handed[0] if handed else 0.0       # h may be off the loss's graph
+        dh = handed[0] if handed else None      # h may be off the loss's graph
+        dc_out = c.grad
+        if a is not None:   # the carried rows pass their gradients straight back
+            carried = [np.zeros((h_shape[0] - a, hs)) if grad is None else grad[a:]
+                       for grad in (dh, dc_out)]
+            dh, dc_out = (None if grad is None else grad[:a] for grad in (dh, dc_out))
+        if dh is None:
+            dh = 0.0
         dc = (1.0 - tc * tc) * (dh * o)
-        if c.grad is not None:
-            dc += c.grad
+        if dc_out is not None:
+            dc += dc_out
         slope = s * (1.0 - s)
         slope[..., 2 * hs:3 * hs] = 1.0 - g * g
-        dz = slope * np.concatenate([dc * g, dc * c_prev.data, dc * i, dh * tc], axis=-1)
+        dz = slope * np.concatenate([dc * g, dc * cp, dc * i, dh * tc], axis=-1)
         dz_rows = dz.reshape(-1, 4 * hs)
         if wx.requires_grad:
             wx._accumulate(_t_times(dz_rows, x.data.reshape(-1, d)))
         if wh.requires_grad:
-            wh._accumulate(_t_times(dz_rows, h_prev.data.reshape(-1, hs)))
+            wh._accumulate(_t_times(dz_rows, hp.reshape(-1, hs)))
         if b.requires_grad:
             b._accumulate(dz_rows.sum(axis=0))
         if x.requires_grad:
             x._accumulate(dz @ wx.data)
         if h_prev.requires_grad:
-            h_prev._accumulate(dz @ wh.data)
+            g_h = dz @ wh.data
+            h_prev._accumulate(g_h if a is None else np.concatenate([g_h, carried[0]]))
         if c_prev.requires_grad:
-            c_prev._accumulate(dc * f)
+            g_c = dc * f
+            c_prev._accumulate(g_c if a is None else np.concatenate([g_c, carried[1]]))
 
     def _backward_h(h):
         handed.append(h.grad)
 
     c = _record(c_data, (wx, wh, b, x, h_prev, c_prev), _backward_c)
-    return _record(o * tc, (c,), _backward_h), c
+    return _record(h_data, (c,), _backward_h), c

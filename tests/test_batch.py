@@ -13,7 +13,7 @@ from objcap.captioner import initial_state
 from objcap.data import SegmentFeatures
 from objcap.interaction import interaction_states, pack_objects
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
-from objcap.tensor import Tensor, gather, take_column
+from objcap.tensor import ContractError, Tensor, gather, take_column
 
 from helpers import FD_TOL, max_fd_error
 
@@ -150,22 +150,38 @@ def test_permuting_objects_leaves_padded_states_unchanged():
     assert worst < 1e-12
 
 
+def longest_first(items):
+    """The items in the order ``batch_nll`` runs them: by frame count,
+    longest first, ties in their given order."""
+    return sorted(items, key=lambda item: -item[0].image_feats.shape[0])
+
+
 def test_padded_objects_and_frames_get_zero_attention():
+    """Only the segments still running at a frame attend there, padded
+    rows get zero attention, and a segment past its end carries its last
+    state."""
     rng = np.random.default_rng(6)
     model = make_model(seed=6)
-    items = ragged_items(rng)
+    items = longest_first(ragged_items(rng))
     image, frame_mask = padded_image(items)
     objects, object_mask = pack_objects([seg.object_feats for seg, _ in items])
     v_c = Tensor(image)
-    hiddens, records = interaction_states(model.interaction, v_c, objects, object_mask)
+    hiddens, records = interaction_states(model.interaction, v_c, objects, object_mask,
+                                          frame_mask)
 
     counts = object_mask.sum(axis=-1)
     for t, frame in enumerate(records):
+        running = int(frame_mask[:, t].sum())
         for alpha in frame:
-            for b, n in enumerate(counts[:, t]):
+            assert alpha.shape[0] == running
+            for b, n in enumerate(counts[:running, t]):
                 assert np.all(alpha[b, n:, :] == 0.0) and np.all(alpha[b, :, n:] == 0.0)
                 if n:
                     assert np.max(np.abs(alpha[b, :n, :n].sum(axis=1) - 1.0)) < 1e-12
+    for b, (seg, _) in enumerate(items):
+        last = seg.image_feats.shape[0] - 1
+        for h in hiddens[last + 1:]:
+            assert np.array_equal(h.data[b], hiddens[last].data[b])
 
     ctx = precompute_frames(model.captioner, v_c, hiddens, frame_mask)
     state = initial_state(model.captioner, (len(items),))
@@ -178,6 +194,39 @@ def test_padded_objects_and_frames_get_zero_attention():
     for b, (seg, _) in enumerate(items):
         single, _ = segment_context(model, seg.image_feats, seg.object_feats)
         assert rel(ctx.pooled.data[b], single.pooled.data) < 1e-12
+
+
+def test_rows_out_of_frame_order_rejected():
+    rng = np.random.default_rng(6)
+    model = make_model(seed=6)
+    items = ragged_items(rng)               # 1, 4, 2 and 4 frames
+    image, frame_mask = padded_image(items)
+    objects, object_mask = pack_objects([seg.object_feats for seg, _ in items])
+    with pytest.raises(ContractError, match="longest first"):
+        interaction_states(model.interaction, Tensor(image), objects, object_mask, frame_mask)
+
+
+def test_permuting_items_permutes_their_rows():
+    """``batch_nll`` sorts its segments by frame count inside; whatever the
+    order of the items, each row belongs to its item and the gradients
+    agree."""
+    model = make_model(seed=8)
+    params = model.named_parameters()
+    items = ragged_items(np.random.default_rng(8))     # two segments tie at 4 frames
+    runs = []
+    for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+        for p in params.values():
+            p.zero_grad()
+        rows, _ = batch_nll(model, [items[i] for i in perm])
+        rows.sum().backward()
+        by_item = np.empty(len(items))
+        by_item[perm] = rows.data
+        runs.append((by_item, {n: p.grad.copy() for n, p in params.items()}))
+    (want, want_grads), rest = runs[0], runs[1:]
+    for got, got_grads in rest:
+        assert rel(got, want) < 1e-12
+        for name, g in want_grads.items():
+            assert rel(got_grads[name], g) < 1e-12, name
 
 
 def test_extending_one_caption_leaves_other_rows_gradients_unchanged():

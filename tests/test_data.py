@@ -43,6 +43,22 @@ class TestSegmentIO:
         save_segment(p, loaded)
         assert p.read_bytes() == first
 
+    def test_empty_first_frame_takes_width_from_a_later_frame(self, tmp_path):
+        """An empty frame may be (0, 0); the width comes from the first frame
+        with objects, so a valid segment whose first frame is empty saves."""
+        rng = np.random.default_rng(0)
+        seg = SegmentFeatures(segment_id="e", image_feats=rng.normal(size=(2, 3)),
+                              object_feats=[np.zeros((0, 0)), rng.normal(size=(3, 4))],
+                              captions=["x"])
+        p = tmp_path / "e.seg"
+        save_segment(p, seg.validate())
+        first = p.read_bytes()
+        loaded = load_segment(p)
+        assert [o.shape for o in loaded.object_feats] == [(0, 4), (3, 4)]
+        assert np.array_equal(loaded.object_feats[1], seg.object_feats[1])
+        save_segment(p, loaded)
+        assert p.read_bytes() == first
+
     def test_too_many_frames_rejected(self, tmp_path):
         seg = SegmentFeatures(
             segment_id="big",

@@ -198,15 +198,17 @@ class TestInteractionSequence:
         for h, oracle in zip(hs, expected, strict=True):
             assert np.max(np.abs(h.data - oracle)) < 1e-12
 
-    def test_objects_projected_once_per_group(self, monkeypatch):
+    def test_objects_projected_once_for_all_groups(self, monkeypatch):
+        """One projection of every object row, through the K groups'
+        weights stacked one under another."""
         rng = np.random.default_rng(18)
         p = make_params(18)
         calls = []
         real = interaction.mlp_forward
         monkeypatch.setattr(interaction, "mlp_forward",
-                            lambda proj, x: calls.append(x.shape) or real(proj, x))
+                            lambda proj, x: calls.append((x.shape, proj.w.shape)) or real(proj, x))
         interaction_sequence(p, *make_segment(rng, [2, 0, 3, 1]))
-        assert calls == [(6, 5), (6, 5)]
+        assert calls == [((6, 5), (2 * 3, 5))]
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):

@@ -18,12 +18,12 @@ from objcap.data import SegmentFeatures
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 from objcap.tensor import log_softmax
 
-INTERACTION_MAX = 336
+INTERACTION_MAX = 187
 TEACHER_FORCED_MAX = 250
 DECODE_STEP_MAX = 12
 BEAM_STEP_MAX = 13
-SEGMENT_MAX = 591
-BATCH_MAX = 591
+SEGMENT_MAX = 442
+BATCH_MAX = 442
 
 
 def op_nodes(roots, stop=()) -> int:

@@ -21,6 +21,7 @@ from objcap.tensor import (
     matmul,
     pair_attention,
     place_rows,
+    span_sums,
     stack_rows,
     take_column,
 )
@@ -182,21 +183,25 @@ class TestSoftmax:
             masked_softmax(np.zeros((2, 3)), np.ones(3, dtype=bool))
 
 
-def _attention_case(op, rng, wide=False):
+def _attention_case(op, rng, wide=False, groups=None, extra_rows=0):
     """Random inputs for one fused attention op: a vector or a batch of 3
     layout, 1 to 4 entries of width 1 to 3 to attend over (``wide``: up to
     15 entries of width 32, the paper's shapes), and a mask or none; a
-    batch's mask has an all-masked row. Returns (leaves, mask)."""
-    lead = [(), (3,)][rng.integers(2)]
+    batch's mask has an all-masked row. ``groups`` widens the entries to
+    that many groups side by side; ``extra_rows`` makes a batch's query
+    that many rows longer (always a batch then). Returns (leaves, mask)."""
+    lead = (3,) if extra_rows else [(), (3,)][rng.integers(2)]
     n, d = (int(rng.integers(1, 16)), 32) if wide else (int(rng.integers(1, 5)),
                                                           int(rng.integers(1, 4)))
+    d *= groups or 1
     mask = None
     if rng.integers(2):
         mask = rng.random(size=lead + (n,)) < 0.6
         if lead:
             mask[0] = False           # a segment with nothing to attend to
             mask[1, 0] = True
-    rows, query = t(rng.normal(size=lead + (n, d))), t(rng.normal(size=lead + (d,)))
+    rows = t(rng.normal(size=lead + (n, d)))
+    query = t(rng.normal(size=(lead[0] + extra_rows,) + (d,) if lead else (d,)))
     leaves = [rows, query] + ([t(rng.normal(size=d))] if op == "additive" else [])
     return leaves, mask
 
@@ -227,6 +232,29 @@ class TestFusedAttention:
             assert np.array_equal(a1, a2) and np.array_equal(o1, o2)
             for x, y in zip(g1, g2):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
+
+    def test_groups_equal_one_call_per_group(self):
+        """Groups side by side, stacked on a batch axis inside the op, give
+        each group's attention, pooled vector and gradients exactly as a
+        call on that group's columns alone; the wide half of the trials has
+        the paper's shapes (n up to 15, d = 32)."""
+        rng = np.random.default_rng(10)
+        for trial in range(200):
+            groups = int(rng.integers(1, 4))
+            leaves, mask = _attention_case("pair", rng, wide=trial % 2 == 1, groups=groups)
+            w = rng.normal(size=leaves[1].shape)
+            alpha, out = pair_attention(*leaves, mask, groups)
+            mul_op(out, t(w, rg=False)).sum().backward()
+            d = leaves[1].shape[-1] // groups
+            for k in range(groups):
+                cols = slice(k * d, (k + 1) * d)
+                alone = [t(np.ascontiguousarray(leaf.data[..., cols])) for leaf in leaves]
+                alpha_k, out_k = pair_attention(*alone, mask)
+                mul_op(out_k, t(np.ascontiguousarray(w[..., cols]), rg=False)).sum().backward()
+                assert np.array_equal(alpha[..., k, :, :], alpha_k)
+                assert np.array_equal(out.data[..., cols], out_k.data)
+                for leaf, leaf_k in zip(leaves, alone):
+                    assert np.array_equal(leaf.grad[..., cols], leaf_k.grad)
 
     def test_padding_gets_zero_attention_and_no_gradient(self):
         rng = np.random.default_rng(9)
@@ -332,6 +360,38 @@ class TestLstmCell:
             assert max_fd_error(loss, leaves) < FD_TOL
 
 
+    def test_carried_rows_pass_through(self):
+        """With fewer rows of x than of the state, the first rows step as
+        a call on those rows alone does, bit for bit, and the others carry
+        their state and its gradient unchanged."""
+        rng = np.random.default_rng(14)
+        for live in (1, 2, 3):
+            w = [t(rng.normal(size=shape)) for shape in [(8, 3), (8, 2), (8,)]]
+            x, h, c = t(rng.normal(size=(live, 3))), t(rng.normal(size=(4, 2))), \
+                t(rng.normal(size=(4, 2)))
+            up = rng.normal(size=(4, 4))
+            h_out, c_out = lstm_cell(*w, x, h, c)
+            mul_op(hc((h_out, c_out)), t(up, rg=False)).sum().backward()
+            first = [t(h.data[:live]), t(c.data[:live])]
+            h_1, c_1 = lstm_cell(*w, t(x.data), *first)
+            mul_op(hc((h_1, c_1)), t(up[:live], rg=False)).sum().backward()
+            assert np.array_equal(h_out.data[:live], h_1.data)
+            assert np.array_equal(c_out.data[:live], c_1.data)
+            assert np.array_equal(h_out.data[live:], h.data[live:])
+            assert np.array_equal(c_out.data[live:], c.data[live:])
+            assert np.array_equal(h.grad[:live], first[0].grad)
+            assert np.array_equal(c.grad[:live], first[1].grad)
+            assert np.array_equal(h.grad[live:], up[live:, :2])
+            assert np.array_equal(c.grad[live:], up[live:, 2:])
+
+
+def test_concat_shapes_checked():
+    for parts, axis in [([(2, 3), (2, 4)], 0), ([(2, 3), (3, 3)], -1), ([(3,), (2, 3)], -1),
+                        ([(), ()], -1), ([(2, 3)], 2)]:
+        with pytest.raises(ShapeError, match="concat over axis"):
+            concat([t(np.zeros(shape)) for shape in parts], axis=axis)
+
+
 def test_row_takes_one_row_at_any_rank():
     rng = np.random.default_rng(13)
     for shape in [(3, 4), (2, 3, 4)]:
@@ -380,6 +440,7 @@ RULE_CASES = {
     "gather": ([(2, 4)], lambda x: gather(x, np.array([1, 3]))),
     "concat": ([(2,), (3,)], lambda a, b: concat([a, b])),
     "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
+    "span_sums": ([(5,)], lambda x: span_sums(x, np.array([2, 3]))),
     "place_rows": ([(3, 3)], lambda x: place_rows(x, np.array([2, 0]),
                                                   np.array([True, False, True]))),
     "take_column": ([(3, 4)], lambda m: take_column(m, np.array([0, 2]))),
@@ -522,8 +583,7 @@ def _fd_case(name, rng):
     if name == "gather":
         a = t(rng.normal(size=(2, 3, 5)))
         index = rng.integers(0, 5, size=(2, 3))
-        mask = rng.random(size=(2, 3)) < 0.7
-        return lambda: gather(log_softmax(a), index, mask).sum(), [a]
+        return lambda: gather(log_softmax(a), index).sum(), [a]
     if name == "take_columns":
         a = t(rng.normal(size=(3, 5)))
         ids = rng.integers(0, 5, size=[(4,), (2, 3)][rng.integers(2)])   # ids may repeat
@@ -535,6 +595,30 @@ def _fd_case(name, rng):
         index = rng.permutation(a.shape[0])[:count]
         w = t(rng.normal(size=(count, 3) if mask is None else (2, 3, 3)), rg=False)
         return lambda: mul_op(place_rows(a, index, mask).tanh(), w).sum(), [a]
+    if name == "lstm_cell_carried":
+        hs, d, rows = 2, 3, int(rng.integers(2, 5))
+        live = int(rng.integers(1, rows))               # the rows after it carry
+        wx, wh = t(rng.normal(size=(4 * hs, d))), t(rng.normal(size=(4 * hs, hs)))
+        b = t(rng.normal(scale=rng.choice([1.0, 40.0]), size=4 * hs))
+        x, h = t(rng.normal(size=(live, d))), t(rng.normal(size=(rows, hs)))
+        c = t(rng.normal(size=(rows, hs)))
+        w = t(rng.normal(size=(rows, 2 * hs)), rg=False)
+        return lambda: mul_op(hc(lstm_cell(wx, wh, b, x, h, c)), w).sum(), [wx, wh, b, x, h, c]
+    if name == "stack_rows_at":
+        lead = [(), (3,)][rng.integers(2)]
+        a, b = t(rng.normal(size=lead + (4,))), t(rng.normal(size=lead + (4,)))
+        at = rng.permutation(2 * (lead or (1,))[0])[:int(rng.integers(1, 2 * (lead or (1,))[0]))]
+        w = t(rng.normal(size=(at.size, 4)), rg=False)
+        return lambda: mul_op(stack_rows([a, b], at), w).sum(), [a, b]
+    if name == "span_sums":
+        lengths = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+        a = t(rng.normal(size=int(lengths.sum())))
+        w = t(rng.normal(size=lengths.size), rg=False)
+        return lambda: mul_op(span_sums(a.tanh(), lengths), w).sum(), [a]
+    if name == "concat_axis0":
+        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(1, 3)))
+        w = t(rng.normal(size=(3, 3)), rg=False)
+        return lambda: mul_op(concat([a, b], axis=0), w).sum(), [a, b]
     if name == "sum_axis":
         a, axis = t(rng.normal(size=(2, 3, 4))), int(rng.integers(-3, 3))
         return lambda: a.sum(axis=axis).tanh().sum(), [a]
@@ -581,6 +665,12 @@ def _fd_case(name, rng):
     if name == "matvec_batched":
         a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=4))
         return lambda: matmul_op(a, b).tanh().sum(), [a, b]
+    if name in ("pair_attention_groups", "pair_attention_longer_u"):
+        groups = int(rng.integers(2, 4)) if name.endswith("groups") else None
+        leaves, mask = _attention_case("pair", rng, groups=groups,
+                                       extra_rows=int(name.endswith("longer_u")))
+        w = t(rng.normal(size=leaves[0].shape[:-2] + leaves[0].shape[-1:]), rg=False)
+        return lambda: mul_op(pair_attention(*leaves, mask, groups)[1], w).sum(), leaves
     if name in ("pair_attention", "additive_attention"):
         leaves, mask = _attention_case(name.split("_")[0], rng)
         if name == "pair_attention":
@@ -601,6 +691,8 @@ ALL_OPS = [
     "stack_rows_batched", "row", "pair_attention", "additive_attention",
     "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
+    "lstm_cell_carried", "pair_attention_groups", "pair_attention_longer_u",
+    "stack_rows_at", "span_sums", "concat_axis0",
 ]
 
 
