@@ -48,7 +48,6 @@ from .tensor import (
     concat,
     linear,
     pair_attention,
-    place_rows,
 )
 
 if TYPE_CHECKING:
@@ -118,10 +117,10 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
 
     The K groups run as one: their weights are stacked once per call, so
     one GEMM projects every object row for all groups, one forms every
-    frame's context terms, and per frame one forms the state terms, one
-    ``place_rows`` lays out the frame's rows and one ``pair_attention``
-    attends with the group as a batch axis, its pooled output already the
-    groups' concatenation.
+    frame's context terms, and per frame one forms the state terms and one
+    ``pair_attention`` gathers the frame's projected rows and attends with
+    the group as a batch axis, its pooled output already the groups'
+    concatenation.
 
     Returns the hidden state after each frame (H, or B x H) and, per frame,
     each group's attention over the frame's widest object count n (n x n,
@@ -161,8 +160,8 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
         if n:
             real, index = object_mask[at][..., :n], row_of[at][..., :n]
             mask = real if masked else None     # masks only where a row is padded
-            placed = place_rows(projected, index if mask is None else index[real], mask)
-            alpha, pooled = pair_attention(placed, linear(h, w_h, contexts.row(t)), mask, k)
+            alpha, pooled = pair_attention(projected, index, linear(h, w_h, contexts.row(t)),
+                                           mask, k)
             records.append([alpha[..., j, :, :] for j in range(k)])
         else:
             pooled = Tensor(np.zeros(((a,) if batch else ()) + (p.lstm.wx.shape[1],)))

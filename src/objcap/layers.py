@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .tensor import Tensor, linear, lstm_cell
+from .tensor import Tensor, linear_tanh, lstm_cell
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
@@ -81,5 +81,6 @@ def init_mlp(rng: np.random.Generator, input_size: int, output_size: int) -> Mlp
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    """Apply the MLP to a vector or, row by row, along the last axis."""
-    return linear(x, p.w, p.b).tanh()
+    """Apply the MLP to a vector or, row by row, along the last axis, as one
+    node (``linear_tanh``)."""
+    return linear_tanh(x, p.w, p.b)

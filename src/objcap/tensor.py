@@ -19,12 +19,16 @@ into one total per batch row.
 
 Tape policy: each forward pass builds a fresh graph, every op recording its
 node through ``_record``, which marks it as requiring a gradient when any
-input does and only then attaches the backward closure. ``backward()`` runs
-once per graph root and raises on a second call. It frees the graph as it
-walks it: once a node has passed its gradient on, it drops its closure, its
-gradient and its links to its inputs, so a spent node lives only as long as
-the caller holds it, and the root keeps only its value. Leaf gradients
-persist until ``zero_grad()``.
+input does and only then attaches the backward closure. A node keeps only
+the arrays its backward reads, beyond its inputs: an intermediate that is
+cheap to form is formed again in backward by the same numpy operations, so
+no bit moves (``pair_attention``'s gathered rows and ``x = p + u``,
+``additive_attention``'s tanh, ``linear_tanh``'s pre-activation).
+``backward()`` runs once per graph root and raises on a second call. It
+frees the graph as it walks it: once a node has passed its gradient on, it
+drops its closure, its gradient and its links to its inputs, so a spent node
+lives only as long as the caller holds it, and the root keeps only its
+value. Leaf gradients persist until ``zero_grad()``.
 """
 
 from __future__ import annotations
@@ -176,14 +180,6 @@ class Tensor:
 
         return _record(self.data[..., i, :], (self,), _backward)
 
-    # -- activations -------------------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        def _backward(out):
-            self._accumulate((1.0 - out.data * out.data) * out.grad)
-
-        return _record(np.tanh(self.data), (self,), _backward)
-
     # -- reductions & layout -----------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
@@ -253,9 +249,9 @@ def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ m)[..., 0, :]
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w.T + b`` over the last axis of ``x``: ``w`` is out x in, one
-    row per output. ``b`` is a vector of outputs or has the output's shape."""
+def _affine(x: Tensor, w: Tensor, b: Tensor | None):
+    """``x @ w.T + b`` as a fresh array, and the backward that takes that
+    array's gradient to ``x``, ``w`` and ``b``."""
     if len(w.shape) != 2 or len(x.shape) < 1 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape}.T")
     out_data = x.data @ w.data.T
@@ -264,8 +260,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ShapeError(f"linear bias shape {b.shape} for output {out_data.shape}")
         out_data += b.data
 
-    def _backward(out):
-        g = out.grad
+    def grads(g):
         rows = g.reshape(-1, w.shape[0])
         if x.requires_grad:
             x._accumulate(g @ w.data)
@@ -274,7 +269,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             b._accumulate(g if b.shape == g.shape else rows.sum(axis=0))
 
-    return _record(out_data, (x, w) if b is None else (x, w, b), _backward)
+    return out_data, grads, ((x, w) if b is None else (x, w, b))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w.T + b`` over the last axis of ``x``: ``w`` is out x in, one
+    row per output. ``b`` is a vector of outputs or has the output's shape."""
+    data, grads, inputs = _affine(x, w, b)
+    return _record(data, inputs, lambda out: grads(out.grad))
+
+
+def linear_tanh(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``tanh(linear(x, w, b))`` as one node, which keeps no pre-activation:
+    the backward forms ``(1 - y*y) * grad`` from the output y and hands it
+    to ``linear``'s backward, as the two-node chain did, bit for bit."""
+    data, grads, inputs = _affine(x, w, b)
+    return _record(np.tanh(data, out=data), inputs,
+                   lambda out: grads((1.0 - out.data * out.data) * out.grad))
 
 
 def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -296,50 +307,63 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return e / np.where(total > 0.0, total, 1.0)
 
 
-def pair_attention(projected: Tensor, u: Tensor, mask: np.ndarray | None = None,
+def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray | None = None,
                    groups: int | None = None) -> tuple[np.ndarray, Tensor]:
-    """Pairwise self-attention over object rows, pooled, as one node.
+    """Pairwise self-attention over one frame's object rows, pooled, as one
+    node.
 
-    ``projected`` is n x d (or B x n x d) and ``u`` one bias of width d (or
-    one per batch row; a ``u`` with more than B rows has only its first B
-    read, and its other rows get no gradient). With ``x = projected + u``
-    on every row, ``alpha = softmax(x @ x.T / sqrt(d))`` row by row and the
-    result is the mean over rows of ``alpha @ projected``, taken as (mean of
-    alpha's rows) @ projected. ``mask`` (n, or B x n) marks the real rows: a
-    padded row or column gets exactly zero attention, the mean runs over the
-    real rows only, and a batch row without one pools to zeros.
+    ``rows`` is a matrix of packed rows, and ``index`` (n, or B x n) names
+    the frame's rows in it, in order, no row twice; the gathered rows p are
+    n x d (or B x n x d). ``mask`` (index's shape) marks the real entries: a
+    False entry is a padded position, whose index is not read and whose row
+    of p is zeros. ``u`` is one bias of width d (or one per batch row; a
+    ``u`` with more than B rows has only its first B read, and its other
+    rows get no gradient). With ``x = p + u`` on every row, ``alpha =
+    softmax(x @ x.T / sqrt(d))`` row by row and the result is the mean over
+    rows of ``alpha @ p``, taken as (mean of alpha's rows) @ p. A padded row
+    or column gets exactly zero attention, the mean runs over the real rows
+    only, and a batch row without one pools to zeros.
 
     ``groups=G`` runs G attentions side by side, the group as one more batch
-    axis: the width is G·d, group k owns columns k·d to (k+1)·d of
-    ``projected`` and ``u``, ``alpha`` gains a group axis (G x n x n, or
-    B x G x n x n) and the pooled vector is the G groups' pooled vectors
-    end to end. Each group equals a call on its own columns bit for bit.
+    axis: the width is G·d, group k owns columns k·d to (k+1)·d of ``rows``
+    and ``u``, ``alpha`` gains a group axis (G x n x n, or B x G x n x n)
+    and the pooled vector is the G groups' pooled vectors end to end. Each
+    group equals a call on its own columns bit for bit.
 
     Returns ``alpha``, an array off the tape, and the pooled vector (width,
     or B x width). The forward repeats the op-by-op chain's numpy operations
     in order, the transpose as a contiguous copy, so it is the same bit for
-    bit.
+    bit. The node keeps ``alpha`` and the pooling weights; its backward
+    gathers p and forms x again with the same operations.
     """
-    p_shape = projected.shape
-    lead, n, width = p_shape[:-2], p_shape[-2], p_shape[-1]
+    index = np.asarray(index)
+    if index.ndim not in (1, 2) or index.dtype.kind not in "iu" or len(rows.shape) != 2:
+        raise ShapeError(f"pair_attention index {index.shape} into rows {rows.shape}")
+    lead, n, width = index.shape[:-1], index.shape[-1], rows.shape[-1]
     k = 1 if groups is None else groups
-    if (len(p_shape) not in (2, 3) or len(u.shape) != len(p_shape) - 1
+    if (mask is not None and mask.shape != index.shape or len(u.shape) != index.ndim
             or u.shape[-1] != width or lead and u.shape[0] < lead[0] or k < 1 or width % k):
-        raise ShapeError(f"pair_attention shape mismatch: rows {p_shape}, bias {u.shape}, "
-                         f"groups {groups}")
+        raise ShapeError(f"pair_attention shape mismatch: rows {rows.shape}, index "
+                         f"{index.shape}, mask {None if mask is None else mask.shape}, "
+                         f"bias {u.shape}, groups {groups}")
     if n < 1:
         raise ContractError("pair_attention needs at least one object row")
     d = width // k
-    bias = u.data[:lead[0]] if lead else u.data
+    bias = (u.data[:lead[0]] if lead else u.data).reshape(lead + (k, 1, d))
+    taken = index if mask is None else index[mask]
 
-    def by_group():
+    def gathered():
         """lead x k x n x d: each group's rows as one contiguous matrix, as
-        a group alone's would be. A copy when k > 1, so the backward makes
-        its own rather than keep this one alive with the graph."""
-        return np.ascontiguousarray(np.swapaxes(projected.data.reshape(lead + (n, k, d)), -2, -3))
+        a group alone's would be, with zero rows at padded positions."""
+        if mask is None:
+            placed = rows.data[index]
+        else:
+            placed = np.zeros(index.shape + (width,))
+            placed[mask] = rows.data[taken]
+        return np.ascontiguousarray(np.swapaxes(placed.reshape(lead + (n, k, d)), -2, -3))
 
-    p = by_group()
-    x = p + bias.reshape(lead + (k, 1, d))
+    p = gathered()
+    x = p + bias
     scale = 1.0 / math.sqrt(d)
     scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
     if mask is None:
@@ -352,23 +376,28 @@ def pair_attention(projected: Tensor, u: Tensor, mask: np.ndarray | None = None,
         mean = _rows_times(weights, alpha)
 
     def _backward(out):
+        p = gathered()
+        x = p + bias
         g = out.grad.reshape(lead + (k, d))
-        g_mean = _rows_times(g, np.swapaxes(by_group(), -1, -2))
+        g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
         g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
                    if weights is None else weights[..., :, None] * g_mean[..., None, :])
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
         g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x     # x feeds both sides of x @ x.T
-        if projected.requires_grad:
-            g_p = g_x + mean[..., :, None] * g[..., None, :]
-            projected._accumulate(np.swapaxes(g_p, -2, -3).reshape(p_shape))
+        if rows.requires_grad:
+            g_p = np.swapaxes(g_x + mean[..., :, None] * g[..., None, :], -2, -3)
+            g_p = g_p.reshape(index.shape + (width,))
+            if rows.grad is None:
+                rows.grad = np.zeros_like(rows.data)
+            rows.grad[taken] += g_p if mask is None else g_p[mask]
         if u.requires_grad:
-            g_u = g_x.sum(axis=-2).reshape(bias.shape)
+            g_u = g_x.sum(axis=-2).reshape(lead + (width,))
             if g_u.shape != u.shape:
                 g_u = np.concatenate([g_u, np.zeros((u.shape[0] - lead[0], width))])
             u._accumulate(g_u)
 
     pooled = _rows_times(mean, p).reshape(lead + (width,))
-    return (alpha if groups else alpha[..., 0, :, :]), _record(pooled, (projected, u), _backward)
+    return (alpha if groups else alpha[..., 0, :, :]), _record(pooled, (rows, u), _backward)
 
 
 def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
@@ -379,26 +408,31 @@ def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
 
     Where ``mask`` (T, or B x T) is False the weight is exactly 0.0 and
     passes no gradient. The forward repeats the op-by-op chain's numpy
-    operations in its order, so the result is the same bit for bit.
+    operations in its order, so the result is the same bit for bit. The
+    node keeps only ``alpha``; its backward forms the tanh again.
     """
     k_shape = keys.shape
     if (len(k_shape) not in (2, 3) or query.shape != k_shape[:-2] + k_shape[-1:]
             or w_a.shape != k_shape[-1:]):
         raise ShapeError(f"additive_attention shape mismatch: keys {k_shape}, "
                          f"query {query.shape}, w_a {w_a.shape}")
-    hidden = np.tanh(keys.data + query.data[..., None, :])
-    alpha = masked_softmax(hidden @ w_a.data, mask)
+
+    def hidden():
+        return np.tanh(keys.data + query.data[..., None, :])
+
+    alpha = masked_softmax(hidden() @ w_a.data, mask)
 
     def _backward(out):
+        hid = hidden()
         g = out.grad
         g_scores = alpha * (g - (g * alpha).sum(axis=-1, keepdims=True))
-        g_z = (1.0 - hidden * hidden) * (g_scores[..., None] * w_a.data)
+        g_z = (1.0 - hid * hid) * (g_scores[..., None] * w_a.data)
         if keys.requires_grad:
             keys._accumulate(g_z)
         if query.requires_grad:
             query._accumulate(g_z.sum(axis=-2))
         if w_a.requires_grad:
-            w_a._accumulate(g_scores.reshape(-1) @ hidden.reshape(-1, k_shape[-1]))
+            w_a._accumulate(g_scores.reshape(-1) @ hid.reshape(-1, k_shape[-1]))
 
     return _record(alpha, (keys, query, w_a), _backward)
 
@@ -507,29 +541,6 @@ def stack_rows(rows: list[Tensor], at: np.ndarray | None = None) -> Tensor:
                 r._accumulate(g[..., i, :])
 
     return _record(data, tuple(rows), _backward)
-
-
-def place_rows(rows: Tensor, index: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Rows ``index`` of a matrix, in that order: as they are, shaped
-    ``index.shape + (width,)`` for an index of any shape (B x n for a frame
-    with no padded row), or, for a flat index, placed at the True entries
-    of ``mask`` (taken in C order) with a zero row at every other position,
-    shaped ``mask.shape + (width,)``. No row may be placed twice, so each
-    row's gradient is the one entry it was placed at."""
-    if len(rows.shape) != 2 or mask is not None and np.shape(index) != (np.count_nonzero(mask),):
-        raise ShapeError(f"place_rows: index {np.shape(index)} into rows {rows.shape}")
-    data = rows.data[index]
-    if mask is not None:
-        placed = np.zeros(mask.shape + rows.shape[1:])
-        placed[mask] = data
-        data = placed
-
-    def _backward(out):
-        if rows.grad is None:
-            rows.grad = np.zeros_like(rows.data)
-        rows.grad[index] += out.grad if mask is None else out.grad[mask]
-
-    return _record(data, (rows,), _backward)
 
 
 def take_column(m: Tensor, j) -> Tensor:

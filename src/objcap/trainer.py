@@ -188,9 +188,14 @@ def train(cfg: TrainConfig, dataset: Dataset,
     overrides = {} if model_overrides is None else model_overrides
     if not isinstance(overrides, dict) or "vocab_size" in overrides:
         raise ContractError("model config must be a JSON object without 'vocab_size'")
+    # the width of the first training frame with objects; an empty frame may be (0, 0)
+    object_dim = next((objs.shape[1] for seg in dataset.train for objs in seg.object_feats
+                       if objs.shape[0]), None)
+    if object_dim is None:
+        raise ContractError("no training frame has an object, so the object width is unknown")
     model_cfg = ModelConfig.from_dict({
         "image_dim": dataset.train[0].image_feats.shape[1],
-        "object_dim": dataset.train[0].object_feats[0].shape[1],
+        "object_dim": object_dim,
         **overrides, "vocab_size": vocab.size})
     model = init_model(model_cfg, seed=cfg.seed)
 

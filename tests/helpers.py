@@ -189,8 +189,8 @@ def matmul_reference(a, b):
 # -- the op-by-op attention chains that tensor.pair_attention and
 # tensor.additive_attention fused, kept as references. The add, transpose,
 # softmax and matrix product ops they used are no longer in the core, so
-# each is rebuilt here from its former code; so is the element-wise
-# product that weights op outputs in the FD cases.
+# each is rebuilt here from its former code; so are tanh and the
+# element-wise product that weights op outputs in the FD cases.
 
 def _node(data, parents, grads):
     """A tape node over ``parents`` whose backward hands ``grads(out_grad)``
@@ -217,6 +217,14 @@ def add_op(a, b):
     assert not rows or b.shape == a.shape[:-2] + a.shape[-1:], (a.shape, b.shape)
     return _node(a.data + (b.data[..., None, :] if rows else b.data), [a, b],
                  lambda g: [g, g.sum(axis=-2) if rows else g])
+
+
+def tanh_op(x):
+    """Element-wise tanh; its backward reads only the output. The core's
+    tanh is fused into ``tensor.linear_tanh``; the FD cases squash op
+    outputs with this one."""
+    y = np.tanh(x.data)
+    return _node(y, [x], lambda g: [(1.0 - y * y) * g])
 
 
 def mul_op(a, b):
@@ -277,7 +285,80 @@ def pair_attention_chain(projected, u, mask=None):
 
 def additive_attention_chain(keys, query, w_a, mask=None):
     """``tensor.additive_attention`` as the chain of ops it replaced."""
-    return softmax_op(matmul_op(add_op(keys, query).tanh(), w_a), mask)
+    return softmax_op(matmul_op(tanh_op(add_op(keys, query)), w_a), mask)
+
+
+# -- the former two-op path of tensor.pair_attention: place_rows gathered a
+# frame's rows into a padded copy, and the op attended over that copy and
+# kept it, with x = p + u, for its backward. Both are kept verbatim as the
+# reference that the gathering op is held to with ==.
+
+def place_rows_reference(rows, index, mask=None):
+    """Rows ``index`` of a matrix, in that order: as they are, shaped
+    ``index.shape + (width,)``, or, for a flat index, placed at the True
+    entries of ``mask`` (taken in C order) with a zero row at every other
+    position, shaped ``mask.shape + (width,)``."""
+    from objcap.tensor import _record
+
+    data = rows.data[index]
+    if mask is not None:
+        placed = np.zeros(mask.shape + rows.shape[1:])
+        placed[mask] = data
+        data = placed
+
+    def _backward(out):
+        if rows.grad is None:
+            rows.grad = np.zeros_like(rows.data)
+        rows.grad[index] += out.grad if mask is None else out.grad[mask]
+
+    return _record(data, (rows,), _backward)
+
+
+def pair_attention_placed(projected, u, mask=None, groups=None):
+    """The former ``tensor.pair_attention`` over placed rows ``projected``
+    (n x d, or B x n x d)."""
+    from objcap.tensor import _record, _rows_times, masked_softmax
+
+    p_shape = projected.shape
+    lead, n, width = p_shape[:-2], p_shape[-2], p_shape[-1]
+    k = 1 if groups is None else groups
+    d = width // k
+    bias = u.data[:lead[0]] if lead else u.data
+
+    def by_group():
+        return np.ascontiguousarray(np.swapaxes(projected.data.reshape(lead + (n, k, d)), -2, -3))
+
+    p = by_group()
+    x = p + bias.reshape(lead + (k, 1, d))
+    scale = 1.0 / math.sqrt(d)
+    scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
+    if mask is None:
+        alpha, weights = masked_softmax(scores), None
+        mean = alpha.mean(axis=-2)
+    else:
+        pairs = (mask[..., :, None] & mask[..., None, :])[..., None, :, :]
+        alpha = masked_softmax(scores, np.broadcast_to(pairs, scores.shape))
+        weights = (mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1))[..., None, :]
+        mean = _rows_times(weights, alpha)
+
+    def _backward(out):
+        g = out.grad.reshape(lead + (k, d))
+        g_mean = _rows_times(g, np.swapaxes(by_group(), -1, -2))
+        g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
+                   if weights is None else weights[..., :, None] * g_mean[..., None, :])
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
+        g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x
+        if projected.requires_grad:
+            g_p = g_x + mean[..., :, None] * g[..., None, :]
+            projected._accumulate(np.swapaxes(g_p, -2, -3).reshape(p_shape))
+        if u.requires_grad:
+            g_u = g_x.sum(axis=-2).reshape(bias.shape)
+            if g_u.shape != u.shape:
+                g_u = np.concatenate([g_u, np.zeros((u.shape[0] - lead[0], width))])
+            u._accumulate(g_u)
+
+    pooled = _rows_times(mean, p).reshape(lead + (width,))
+    return (alpha if groups else alpha[..., 0, :, :]), _record(pooled, (projected, u), _backward)
 
 
 # -- corpus BLEU and CIDEr-D as they were written before metrics.ngrams

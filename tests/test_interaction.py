@@ -55,18 +55,23 @@ def oracle_sequence(p, image, object_feats):
     return hiddens, alphas
 
 
+def attend(projected, u):
+    """One group's attention over every row of ``projected``, in order."""
+    return pair_attention(projected, np.arange(projected.shape[0]), u)
+
+
 class TestGroupAttend:
     def test_single_object(self):
         rng = np.random.default_rng(1)
         projected = Tensor(rng.normal(size=(1, 3)))
-        alpha, pooled = pair_attention(projected, Tensor(rng.normal(size=3)))
+        alpha, pooled = attend(projected, Tensor(rng.normal(size=3)))
         assert alpha.tolist() == [[1.0]]
         assert np.max(np.abs(pooled.data - projected.data[0])) < 1e-12
 
     def test_identical_objects_give_uniform_attention(self):
         rng = np.random.default_rng(2)
         row = rng.normal(size=3)
-        alpha, pooled = pair_attention(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
+        alpha, pooled = attend(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
         assert np.max(np.abs(alpha - 1.0 / 3)) < 1e-12
         assert np.max(np.abs(pooled.data - row)) < 1e-9
 
@@ -74,7 +79,7 @@ class TestGroupAttend:
         rng = np.random.default_rng(3)
         proj = rng.normal(size=(4, 3))
         u = rng.normal(size=3)
-        alpha_t, pooled_t = pair_attention(Tensor(proj), Tensor(u))
+        alpha_t, pooled_t = attend(Tensor(proj), Tensor(u))
 
         # explicit scalar recomputation: bias, score, softmax, pool
         x = proj + u
@@ -90,14 +95,14 @@ class TestGroupAttend:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 5):
-            alpha, _ = pair_attention(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
+            alpha, _ = attend(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
             sums = alpha.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
             assert np.all(alpha > 0)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ContractError):
-            pair_attention(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
+            attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
 
     def test_score_scaling_uses_sqrt_attn_dim(self):
         # attention width 3: scores must equal the unscaled oracle / sqrt(3)
@@ -106,7 +111,7 @@ class TestGroupAttend:
         u = rng.normal(size=3)
         x = proj + u
         unscaled = x @ x.T
-        alpha, _ = pair_attention(Tensor(proj), Tensor(u))
+        alpha, _ = attend(Tensor(proj), Tensor(u))
         expected = np.array([scalar_softmax(r.tolist())
                              for r in unscaled * (1.0 / math.sqrt(3))])
         assert np.max(np.abs(alpha - expected)) < 1e-12

@@ -1,7 +1,13 @@
 """Tape-node counts at the paper's shapes: T=30 frames, N=15 objects per
 frame, K=2 groups, widths 32, V=1000 and a 21-word caption. The counts
 depend on the graph's structure only, so their bounds hold on any machine.
-Each count is printed as a ``TAPE <name>: <count> (bound <max>)`` line."""
+Each count is printed as a ``TAPE <name>: <count> (bound <max>)`` line.
+
+The bytes one batch graph of 32 holds, traced by ``tracemalloc``, depend on
+numpy's allocations as well, so their bounds carry a stated margin; each is
+printed as a ``MEMORY <name>: <MiB> MiB (bound <max> MiB)`` line."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +22,19 @@ from objcap.captioner import (
 )
 from objcap.data import SegmentFeatures
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
-from objcap.tensor import log_softmax
+from objcap.tensor import collector_paused, log_softmax
 
-INTERACTION_MAX = 187
+INTERACTION_MAX = 156
 TEACHER_FORCED_MAX = 250
 DECODE_STEP_MAX = 12
 BEAM_STEP_MAX = 13
-SEGMENT_MAX = 442
-BATCH_MAX = 442
+SEGMENT_MAX = 410
+BATCH_MAX = 410
+# MiB that test_batch_graph_memory's batch of 32 holds once its forward is
+# built, and at most while its backward runs: 18.99 and 28.11 measured
+# (numpy 2.4.6), plus a 3% margin
+GRAPH_HELD_MAX_MIB = 19.6
+GRAPH_PEAK_MAX_MIB = 29.0
 
 
 def op_nodes(roots, stop=()) -> int:
@@ -44,16 +55,17 @@ def op_nodes(roots, stop=()) -> int:
 
 
 @pytest.fixture
-def tape(capsys):
-    """Print a count's ``TAPE`` line past pytest's capture, then return it."""
-    def _tape(name, count, bound):
+def report(capsys):
+    """Print a ``TAPE`` or ``MEMORY`` line past pytest's capture, then
+    return its value."""
+    def _report(kind, name, value, bound, unit=""):
         with capsys.disabled():
-            print(f"\nTAPE {name}: {count} (bound {bound})")
-        return count
-    return _tape
+            print(f"\n{kind} {name}: {value}{unit} (bound {bound}{unit})")
+        return value
+    return _report
 
 
-def test_tape_node_counts_at_paper_shapes(tape):
+def test_tape_node_counts_at_paper_shapes(report):
     rng = np.random.default_rng(0)
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
     image = rng.normal(size=(30, 32))
@@ -67,17 +79,18 @@ def test_tape_node_counts_at_paper_shapes(tape):
     step_roots = [step.word_logits, step.alpha_temp, step.state.h1, step.state.c1,
                   step.state.h2, step.state.c2]
 
-    assert tape("interaction", op_nodes(ctx.states._prev), INTERACTION_MAX) <= INTERACTION_MAX
-    assert tape("teacher-forced", op_nodes([loss], stop=context),
-                TEACHER_FORCED_MAX) <= TEACHER_FORCED_MAX
-    assert tape("decode step", op_nodes(step_roots, stop=context),
-                DECODE_STEP_MAX) <= DECODE_STEP_MAX
-    assert tape("segment", op_nodes([loss]), SEGMENT_MAX) <= SEGMENT_MAX
+    for name, count, bound in [
+            ("interaction", op_nodes(ctx.states._prev), INTERACTION_MAX),
+            ("teacher-forced", op_nodes([loss], stop=context), TEACHER_FORCED_MAX),
+            ("decode step", op_nodes(step_roots, stop=context), DECODE_STEP_MAX),
+            ("segment", op_nodes([loss]), SEGMENT_MAX)]:
+        assert report("TAPE", name, count, bound) <= bound
 
 
-def batch_nodes(m, batch_size, rng) -> int:
-    """Op nodes of one padded training batch whose first segment has the
-    paper's largest shapes and whose others are ragged and smaller."""
+def paper_batch(batch_size, rng) -> list:
+    """(segment, caption) pairs of one padded training batch whose first
+    segment has the paper's largest shapes and whose others are ragged and
+    smaller."""
     items = []
     for b in range(batch_size):
         frames = 30 if b == 0 else int(rng.integers(1, 31))
@@ -88,20 +101,49 @@ def batch_nodes(m, batch_size, rng) -> int:
                               captions=["unused"])
         caption = [BOS_ID] + [int(w) for w in rng.integers(4, 1000, size=words)] + [EOS_ID]
         items.append((seg, caption))
-    rows, _ = batch_nll(m, items)
+    return items
+
+
+def batch_nodes(m, batch_size, rng) -> int:
+    """Op nodes of the graph of one ``paper_batch``."""
+    rows, _ = batch_nll(m, paper_batch(batch_size, rng))
     return op_nodes([rows.sum()])
 
 
-def test_batch_node_count_does_not_depend_on_batch_size(tape):
+def test_batch_node_count_does_not_depend_on_batch_size(report):
     """A batch of one runs the padded path too, so it counts the same."""
     rng = np.random.default_rng(1)
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
-    pair, full, one = (tape(f"batch of {size}", batch_nodes(m, size, rng), BATCH_MAX)
+    pair, full, one = (report("TAPE", f"batch of {size}", batch_nodes(m, size, rng), BATCH_MAX)
                        for size in (2, 32, 1))
     assert one == pair == full <= BATCH_MAX
 
 
-def test_beam_step_node_count_does_not_depend_on_width(tape):
+def test_batch_graph_memory(report):
+    """The traced bytes a batch graph of 32 holds after its forward, and
+    its peak while backward runs and frees it: a node keeps only what its
+    backward reads. The collector is paused, as in training."""
+    m = init_model(ModelConfig(vocab_size=1000), seed=0)
+    items = paper_batch(32, np.random.default_rng(1))
+    with collector_paused():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows, _ = batch_nll(m, items)
+            loss = rows.sum()
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    for name, size, bound in [("after forward", held, GRAPH_HELD_MAX_MIB),
+                              ("backward peak", peak, GRAPH_PEAK_MAX_MIB)]:
+        assert report("MEMORY", f"batch of 32 {name}", round(size / 2 ** 20, 2), bound,
+                      " MiB") <= bound
+
+
+def test_beam_step_node_count_does_not_depend_on_width(report):
     """A beam step, ``decode_step`` over the tiled pool plus
     ``log_softmax``, builds the same graph at any width."""
     rng = np.random.default_rng(2)
@@ -113,8 +155,8 @@ def test_beam_step_node_count_does_not_depend_on_width(tape):
         step = decode_step(m.captioner, tile_context(ctx, width), np.full(width, BOS_ID),
                            initial_state(m.captioner, (width,)))
         state = step.state
-        counts.append(tape(f"beam step at width {width}",
-                           op_nodes([log_softmax(step.word_logits), step.alpha_temp,
-                                     state.h1, state.c1, state.h2, state.c2]),
-                           BEAM_STEP_MAX))
+        counts.append(report("TAPE", f"beam step at width {width}",
+                             op_nodes([log_softmax(step.word_logits), step.alpha_temp,
+                                       state.h1, state.c1, state.h2, state.c2]),
+                             BEAM_STEP_MAX))
     assert counts[0] == counts[1] <= BEAM_STEP_MAX

@@ -155,6 +155,29 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(TrainConfig(max_epochs=1), ds, SMALL_MODEL)
 
+    def test_object_width_comes_from_a_frame_with_objects(self):
+        """A valid first frame with no objects may be ``(0, 0)``: the width
+        comes from the first training frame with objects, so the run equals
+        the one whose empty frame is ``(0, 6)``."""
+        rng = np.random.default_rng(23)
+        segs = [SegmentFeatures(f"s{k}", rng.normal(size=(2, 5)),
+                                [np.zeros((0, 6)), rng.normal(size=(2, 6))], ["a b"])
+                for k in range(2)]
+        cfg = TrainConfig(max_epochs=1, batch_size=2, seed=3)
+        runs = []
+        for empty in (np.zeros((0, 0)), np.zeros((0, 6))):
+            segs[0].object_feats[0] = empty
+            runs.append(train(cfg, Dataset(train=segs, val=segs), SMALL_MODEL))
+        assert runs[0].model.config.object_dim == 6 and runs[0].log == runs[1].log
+        for name, p in runs[0].model.named_parameters().items():
+            assert np.array_equal(p.data, runs[1].model.named_parameters()[name].data)
+
+    def test_no_training_object_rejected(self):
+        rng = np.random.default_rng(24)
+        seg = SegmentFeatures("s0", rng.normal(size=(2, 5)), [np.zeros((0, 0))] * 2, ["a b"])
+        with pytest.raises(ContractError, match="no training frame has an object"):
+            train(TrainConfig(max_epochs=1), Dataset(train=[seg], val=[seg]), SMALL_MODEL)
+
     @pytest.mark.parametrize("batch_size", [1, 8])
     def test_non_finite_loss_rejected_before_any_update(self, tmp_path, monkeypatch,
                                                         batch_size):
