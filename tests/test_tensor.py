@@ -348,6 +348,42 @@ class TestFusedAttention:
             additive_attention(z, t(np.zeros(3)), t(np.zeros(2)))
 
 
+class TestPlaceRows:
+    """The placement the former ``place_rows`` did, now inside
+    ``pair_attention``: the frame's rows in index order, a zero row at each
+    padded position, whose index is never read."""
+
+    def test_places_rows_in_mask_order_over_zeros(self):
+        rows = t(np.arange(12.0).reshape(4, 3))
+        mask = np.array([[True, False], [False, True], [True, False]])
+        index = np.array([[3, 1], [1, 0], [2, 1]])      # padded positions name row 1
+        placed = t([[9, 10, 11], [0, 0, 0], [0, 0, 0], [0, 1, 2], [6, 7, 8], [0, 0, 0]])
+        rng = np.random.default_rng(12)
+        u, w = t(rng.normal(size=(3, 3)), rg=False), t(rng.normal(size=(3, 3)), rg=False)
+        runs = []
+        for source, at in ((rows, index), (placed, np.arange(6).reshape(3, 2))):
+            alpha, out = pair_attention(source, at, u, mask)
+            mul_op(out, w).sum().backward()
+            runs.append((alpha, out.data))
+        for new, old in zip(*runs):
+            assert np.array_equal(new, old)
+        assert np.array_equal(rows.grad[[3, 0, 2]], placed.grad[[0, 3, 4]])
+        assert np.all(rows.grad[1] == 0.0) and np.all(placed.grad[[1, 2, 5]] == 0.0)
+        u = t(rng.normal(size=3), rg=False)
+        alpha, out = pair_attention(rows, np.array([3, 0]), u)
+        alpha_taken, out_taken = pair_attention(t(rows.data[[3, 0]]), np.array([0, 1]), u)
+        assert np.array_equal(alpha, alpha_taken) and np.array_equal(out.data, out_taken.data)
+
+    def test_shapes_checked(self):
+        rows, mask, u = t(np.zeros((3, 2))), np.array([True, True]), t(np.zeros(2))
+        with pytest.raises(ShapeError):
+            pair_attention(rows, np.array([0]), u, mask)            # fewer entries than the mask
+        with pytest.raises(ShapeError):
+            pair_attention(rows, np.array([0, 1, 2]), u, mask)      # more
+        with pytest.raises(ShapeError):
+            pair_attention(t(np.zeros(3)), np.array([0, 1]), u)    # rows not a matrix
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t([[1.0, -2.0], [0.5, 3.0]])
@@ -487,6 +523,8 @@ RULE_CASES = {
     "concat": ([(2,), (3,)], lambda a, b: concat([a, b])),
     "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
     "span_sums": ([(5,)], lambda x: span_sums(x, np.array([2, 3]))),
+    "place_rows": ([(3, 3), (3,)], lambda p, u: pair_attention(
+        p, np.array([2, 1, 0]), u, np.array([True, False, True]))[1]),
     "take_column": ([(3, 4)], lambda m: take_column(m, np.array([0, 2]))),
     "lstm_cell": ([(8, 3), (8, 2), (8,), (3,), (2,), (2,)], lambda *a: hc(lstm_cell(*a))),
 }
@@ -737,6 +775,19 @@ def _fd_case(name, rng):
         w = t(rng.normal(size=index.shape[:-1] + rows.shape[-1:]), rg=False)
         return lambda: mul_op(pair_attention(rows, index, query, mask, groups)[1],
                               w).sum(), leaves
+    if name == "place_rows":
+        # the rows alone, through a masked index whose padded positions name
+        # a row no real entry takes: that row's gradient must stay zero
+        lead = [(), (3,)][rng.integers(2)]
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        count = n * (lead or (1,))[0]
+        rows = t(rng.normal(size=(count + int(rng.integers(1, 3)), d)))
+        order = rng.permutation(rows.shape[0])
+        mask = rng.random(size=lead + (n,)) < 0.6
+        mask[..., 0] = True
+        index = np.where(mask, order[:count].reshape(lead + (n,)), order[count])
+        u, w = t(rng.normal(size=lead + (d,)), rg=False), t(rng.normal(size=lead + (d,)), rg=False)
+        return lambda: mul_op(pair_attention(rows, index, u, mask)[1], w).sum(), [rows]
     if name in ("pair_attention", "additive_attention"):
         leaves, mask, index = _attention_case(name.split("_")[0], rng)
         if name == "pair_attention":
@@ -754,7 +805,7 @@ ALL_OPS = [
     "concat", "stack_rows", "take_column",
     "add_rows_batched", "vecmat_batched", "linear", "linear_tanh",
     "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
-    "sum_axis", "mean_axis", "concat_rows",
+    "place_rows", "sum_axis", "mean_axis", "concat_rows",
     "stack_rows_batched", "row", "pair_attention", "additive_attention",
     "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
