@@ -31,13 +31,13 @@ from .tensor import (
     Tensor,
     additive_attention,
     concat,
-    gather,
     linear,
     log_softmax,
     matmul,
     span_sums,
     stack_rows,
     take_column,
+    target_log_probs,
 )
 
 if TYPE_CHECKING:
@@ -263,12 +263,10 @@ def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarr
         state, _ = advance(p, ctx, embeddings.row(i), state)
         tops.append(state.h2)
     if inputs.ndim == 1:
-        logits = linear(stack_rows(tops), p.out_w, p.out_b)
-        return gather(log_softmax(logits), targets).sum() * -1.0
+        return target_log_probs(stack_rows(tops), p.out_w, p.out_b, targets).sum() * -1.0
     scored = mask[order]
     at = np.arange(inputs.size).reshape(inputs.shape)[order][scored]
-    logits = linear(stack_rows(tops, at), p.out_w, p.out_b)
-    picked = gather(log_softmax(logits), targets.reshape(-1)[at])
+    picked = target_log_probs(stack_rows(tops, at), p.out_w, p.out_b, targets.reshape(-1)[at])
     return span_sums(picked, scored.sum(axis=-1)) * -1.0
 
 

@@ -23,7 +23,12 @@ input does and only then attaches the backward closure. A node keeps only
 the arrays its backward reads, beyond its inputs: an intermediate that is
 cheap to form is formed again in backward by the same numpy operations, so
 no bit moves (``pair_attention``'s gathered rows and ``x = p + u``,
-``additive_attention``'s tanh, ``linear_tanh``'s pre-activation).
+``additive_attention``'s tanh, ``linear_tanh``'s pre-activation,
+``lstm_cell``'s ``tanh(c)``; ``target_log_probs`` keeps no logits). Nor
+does a backward make a temporary of a large output's full size: a node owns
+its gradient, a C-ordered array no other array views, so ``linear_tanh``
+forms its slope in it a block of rows at a time, and ``target_log_probs``
+turns its kept log-probabilities into the logits' gradient in place.
 ``backward()`` runs once per graph root and raises on a second call. It
 frees the graph as it walks it: once a node has passed its gradient on, it
 drops its closure, its gradient and its links to its inputs, so a spent node
@@ -109,7 +114,8 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` (this tensor's shape) to the gradient; the first one is
         stored as a C-ordered copy, since ``g`` may be a view of another
-        array or a ``broadcast_to``."""
+        array or a ``broadcast_to``. So a node owns its gradient, as it does
+        where an op allocates it, and a backward may write into it."""
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
@@ -279,13 +285,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record(data, inputs, lambda out: grads(out.grad))
 
 
+# rows of the output that linear_tanh's backward forms its slope over at once
+_SLOPE_ROWS = 1024
+
+
 def linear_tanh(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``tanh(linear(x, w, b))`` as one node, which keeps no pre-activation:
-    the backward forms ``(1 - y*y) * grad`` from the output y and hands it
-    to ``linear``'s backward, as the two-node chain did, bit for bit."""
+    """``tanh(linear(x, w, b))`` as one node, which keeps no pre-activation.
+    The backward forms ``(1 - y*y) * grad`` from the output y into the
+    node's own gradient (which it owns, C-ordered), ``_SLOPE_ROWS`` rows at
+    a time, so it makes no array of the output's size, and hands it to
+    ``linear``'s backward. The product is the two-node chain's, factors
+    swapped, so the bits are the same."""
     data, grads, inputs = _affine(x, w, b)
-    return _record(np.tanh(data, out=data), inputs,
-                   lambda out: grads((1.0 - out.data * out.data) * out.grad))
+
+    def _backward(out):
+        y, g = (a.reshape(-1, a.shape[-1]) for a in (out.data, out.grad))
+        for start in range(0, y.shape[0], _SLOPE_ROWS):
+            block = slice(start, start + _SLOPE_ROWS)
+            slope = y[block] * y[block]
+            np.subtract(1.0, slope, out=slope)
+            g[block] *= slope
+        grads(out.grad)
+
+    return _record(np.tanh(data, out=data), inputs, _backward)
 
 
 def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -452,23 +474,36 @@ def log_softmax(x: Tensor) -> Tensor:
     return _record(shifted - lse, (x,), _backward)
 
 
-def gather(x: Tensor, index) -> Tensor:
-    """One entry of each vector along the last axis: ``x[..., index]``, with
-    ``index`` shaped like ``x`` without its last axis."""
-    index = np.asarray(index)
-    if len(x.shape) < 1 or index.shape != x.shape[:-1] \
-            or not np.issubdtype(index.dtype, np.integer):
-        raise ShapeError(f"gather index shape {index.shape} for shape {x.shape}")
-    if np.any((index < 0) | (index >= x.shape[-1])):
-        raise ShapeError(f"gather index out of range for shape {x.shape}")
-    at = index[..., None]
+def target_log_probs(x: Tensor, w: Tensor, b: Tensor, targets) -> Tensor:
+    """The log-probability of each row's target under ``softmax(linear(x, w,
+    b))``, ``targets`` shaped like ``x`` without its last axis: one node for
+    ``linear``, ``log_softmax`` and one entry per row, with their numpy
+    operations in their order, so value and gradients keep their bits. The
+    logits become the log-probabilities in place, and only those are kept;
+    the backward, their last reader, turns them into the logits' gradient
+    in place: ``0.0 - exp(logp) * g`` off the target, ``g - exp(logp) * g``
+    at it, the second ``g`` being the chain's row sum of the one-entry
+    gradient (``g`` itself, a ``-0.0`` made ``+0.0``)."""
+    logp, grads, inputs = _affine(x, w, b)
+    targets = np.asarray(targets)
+    if targets.shape != logp.shape[:-1] or targets.dtype.kind not in "iu":
+        raise ShapeError(f"target_log_probs targets {targets.shape} for logits {logp.shape}")
+    if np.any((targets < 0) | (targets >= logp.shape[-1])):
+        raise ShapeError(f"target_log_probs target out of range for logits {logp.shape}")
+    at = targets[..., None]
+    logp -= logp.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
 
     def _backward(out):
-        grad = np.zeros_like(x.data)
-        np.put_along_axis(grad, at, out.grad[..., None], axis=-1)
-        x._accumulate(grad)
+        g = out.grad[..., None]
+        d = np.exp(logp, out=logp)      # the last read of logp
+        d *= g + 0.0
+        picked = np.take_along_axis(d, at, axis=-1)
+        np.subtract(0.0, d, out=d)
+        np.put_along_axis(d, at, g - picked, axis=-1)
+        grads(d)
 
-    return _record(np.take_along_axis(x.data, at, axis=-1)[..., 0], (x,), _backward)
+    return _record(np.take_along_axis(logp, at, axis=-1)[..., 0], inputs, _backward)
 
 
 def span_sums(x: Tensor, lengths) -> Tensor:
@@ -575,7 +610,9 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
     i*g`` and ``h = o*tanh(c)``. ``c`` owns the backward; ``h`` is a node
     over ``c`` that hands its gradient to ``c``'s backward, which runs after
     it. The backward forms each factor in the order the op-by-op chain of
-    matmul, add, sigmoid, tanh and mul would.
+    matmul, add, sigmoid, tanh and mul would. The node keeps one array of
+    gate activations, the candidate's tanh in the block its sigmoid would
+    take, and its backward forms ``tanh(c)`` again from ``c``.
     """
     x_shape, h_shape = x.data.shape, h_prev.data.shape
     if (len(x_shape) not in (1, 2) or len(h_shape) != len(x_shape)
@@ -591,14 +628,14 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
     a = x_shape[0] if x_shape[:-1] != h_shape[:-1] else None   # rows stepped, when some carry
     hp, cp = (h_prev.data, c_prev.data) if a is None else (h_prev.data[:a], c_prev.data[:a])
     z = (x.data @ wx.data.T + hp @ wh.data.T) + b.data
-    # sigmoid split by sign so exp never overflows
+    # sigmoid split by sign so exp never overflows; the cell candidate's
+    # block then holds its tanh instead
     e = np.exp(-np.abs(z))
     s = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    i, f, o = s[..., :hs], s[..., hs:2 * hs], s[..., 3 * hs:]
-    g = np.tanh(z[..., 2 * hs:3 * hs])
+    s[..., 2 * hs:3 * hs] = np.tanh(z[..., 2 * hs:3 * hs])
+    i, f, g, o = s[..., :hs], s[..., hs:2 * hs], s[..., 2 * hs:3 * hs], s[..., 3 * hs:]
     c_data = f * cp + i * g
-    tc = np.tanh(c_data)
-    h_data = o * tc
+    h_data = o * np.tanh(c_data)
     if a is not None:
         c_data = np.concatenate([c_data, c_prev.data[a:]])
         h_data = np.concatenate([h_data, h_prev.data[a:]])
@@ -613,6 +650,7 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
             dh, dc_out = (None if grad is None else grad[:a] for grad in (dh, dc_out))
         if dh is None:
             dh = 0.0
+        tc = np.tanh(c.data if a is None else c.data[:a])
         dc = (1.0 - tc * tc) * (dh * o)
         if dc_out is not None:
             dc += dc_out

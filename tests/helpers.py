@@ -227,6 +227,29 @@ def tanh_op(x):
     return _node(y, [x], lambda g: [(1.0 - y * y) * g])
 
 
+def gather_op(x, index):
+    """One entry of each vector along the last axis: ``x[..., index]``.
+    The former core ``gather``, verbatim: the word loss took it after
+    ``log_softmax``, and ``tensor.target_log_probs`` is held to that chain;
+    the batch tests pick one row's loss with it."""
+    from objcap.tensor import ShapeError, _record
+
+    index = np.asarray(index)
+    if len(x.shape) < 1 or index.shape != x.shape[:-1] \
+            or not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"gather index shape {index.shape} for shape {x.shape}")
+    if np.any((index < 0) | (index >= x.shape[-1])):
+        raise ShapeError(f"gather index out of range for shape {x.shape}")
+    at = index[..., None]
+
+    def _backward(out):
+        grad = np.zeros_like(x.data)
+        np.put_along_axis(grad, at, out.grad[..., None], axis=-1)
+        x._accumulate(grad)
+
+    return _record(np.take_along_axis(x.data, at, axis=-1)[..., 0], (x,), _backward)
+
+
 def mul_op(a, b):
     """Element-wise product of equal shapes: the FD cases weight an op's
     output with it."""
@@ -458,3 +481,84 @@ def cider_d_reference(candidates, references):
                     total += penalty * dot / (cand_norm[n] * ref_norm[n]) / 4
         per_segment.append(10.0 * total / len(refs))
     return sum(per_segment) / len(per_segment), per_segment
+
+
+# -- the former forms of the ops whose backward no longer makes full-size
+# temporaries, verbatim, as the references they are held to with ==: the
+# word loss as three nodes, linear_tanh's slope as one array of the output's
+# size, and lstm_cell keeping a separate candidate tanh and tanh(c).
+
+def target_log_probs_chain(x, w, b, targets):
+    """``tensor.target_log_probs`` as the three nodes it replaced."""
+    from objcap.tensor import linear, log_softmax
+
+    return gather_op(log_softmax(linear(x, w, b)), targets)
+
+
+def linear_tanh_reference(x, w, b):
+    """The former ``tensor.linear_tanh``."""
+    from objcap.tensor import _affine, _record
+
+    data, grads, inputs = _affine(x, w, b)
+    return _record(np.tanh(data, out=data), inputs,
+                   lambda out: grads((1.0 - out.data * out.data) * out.grad))
+
+
+def lstm_cell_reference(wx, wh, b, x, h_prev, c_prev):
+    """The former ``tensor.lstm_cell``, its shape checks left out."""
+    from objcap.tensor import _record, _t_times
+
+    x_shape, h_shape = x.data.shape, h_prev.data.shape
+    d, hs = x_shape[-1], h_shape[-1]
+    a = x_shape[0] if x_shape[:-1] != h_shape[:-1] else None   # rows stepped, when some carry
+    hp, cp = (h_prev.data, c_prev.data) if a is None else (h_prev.data[:a], c_prev.data[:a])
+    z = (x.data @ wx.data.T + hp @ wh.data.T) + b.data
+    # sigmoid split by sign so exp never overflows
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    i, f, o = s[..., :hs], s[..., hs:2 * hs], s[..., 3 * hs:]
+    g = np.tanh(z[..., 2 * hs:3 * hs])
+    c_data = f * cp + i * g
+    tc = np.tanh(c_data)
+    h_data = o * tc
+    if a is not None:
+        c_data = np.concatenate([c_data, c_prev.data[a:]])
+        h_data = np.concatenate([h_data, h_prev.data[a:]])
+    handed = []     # h's gradient, from h's backward to c's
+
+    def _backward_c(c):
+        dh = handed[0] if handed else None      # h may be off the loss's graph
+        dc_out = c.grad
+        if a is not None:   # the carried rows pass their gradients straight back
+            carried = [np.zeros((h_shape[0] - a, hs)) if grad is None else grad[a:]
+                       for grad in (dh, dc_out)]
+            dh, dc_out = (None if grad is None else grad[:a] for grad in (dh, dc_out))
+        if dh is None:
+            dh = 0.0
+        dc = (1.0 - tc * tc) * (dh * o)
+        if dc_out is not None:
+            dc += dc_out
+        slope = s * (1.0 - s)
+        slope[..., 2 * hs:3 * hs] = 1.0 - g * g
+        dz = slope * np.concatenate([dc * g, dc * cp, dc * i, dh * tc], axis=-1)
+        dz_rows = dz.reshape(-1, 4 * hs)
+        if wx.requires_grad:
+            wx._accumulate(_t_times(dz_rows, x.data.reshape(-1, d)))
+        if wh.requires_grad:
+            wh._accumulate(_t_times(dz_rows, hp.reshape(-1, hs)))
+        if b.requires_grad:
+            b._accumulate(dz_rows.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(dz @ wx.data)
+        if h_prev.requires_grad:
+            g_h = dz @ wh.data
+            h_prev._accumulate(g_h if a is None else np.concatenate([g_h, carried[0]]))
+        if c_prev.requires_grad:
+            g_c = dc * f
+            c_prev._accumulate(g_c if a is None else np.concatenate([g_c, carried[1]]))
+
+    def _backward_h(h):
+        handed.append(h.grad)
+
+    c = _record(c_data, (wx, wh, b, x, h_prev, c_prev), _backward_c)
+    return _record(h_data, (c,), _backward_h), c

@@ -13,9 +13,9 @@ from objcap.captioner import initial_state
 from objcap.data import SegmentFeatures
 from objcap.interaction import interaction_states, pack_objects
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
-from objcap.tensor import ContractError, Tensor, gather, take_column
+from objcap.tensor import ContractError, Tensor, take_column
 
-from helpers import FD_TOL, max_fd_error
+from helpers import FD_TOL, gather_op, max_fd_error
 
 DIMS = dict(image_dim=4, object_dim=5, num_groups=2, attn_dim=3, interaction_hidden=4,
             img_proj_dim=3, embed_dim=3, attn_hidden=4, lang_hidden=4)
@@ -69,7 +69,7 @@ def row_gradients(model, items, row):
     for p in params.values():
         p.zero_grad()
     rows, _ = batch_nll(model, items)
-    gather(rows, np.array(row)).backward()
+    gather_op(rows, np.array(row)).backward()
     return {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
             for n, p in params.items()}
 

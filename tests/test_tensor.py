@@ -13,7 +13,6 @@ from objcap.tensor import (
     Tensor,
     additive_attention,
     concat,
-    gather,
     linear,
     linear_tanh,
     log_softmax,
@@ -24,12 +23,16 @@ from objcap.tensor import (
     span_sums,
     stack_rows,
     take_column,
+    target_log_probs,
 )
 
 from helpers import (
     FD_TOL,
     add_op,
     additive_attention_chain,
+    gather_op,
+    linear_tanh_reference,
+    lstm_cell_reference,
     matmul_op,
     matmul_reference,
     max_fd_error,
@@ -41,6 +44,7 @@ from helpers import (
     softmax_op,
     t_times_reference,
     tanh_op,
+    target_log_probs_chain,
     transpose_op,
 )
 
@@ -519,7 +523,8 @@ RULE_CASES = {
     "pair_attention": ([(3, 2), (2,)], lambda p, u: pair_attention(p, np.array([2, 0]), u)[1]),
     "additive_attention": ([(3, 2), (2,), (2,)], additive_attention),
     "log_softmax": ([(4,)], log_softmax),
-    "gather": ([(2, 4)], lambda x: gather(x, np.array([1, 3]))),
+    "target_log_probs": ([(2, 3), (4, 3), (4,)],
+                         lambda x, w, b: target_log_probs(x, w, b, np.array([1, 3]))),
     "concat": ([(2,), (3,)], lambda a, b: concat([a, b])),
     "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
     "span_sums": ([(5,)], lambda x: span_sums(x, np.array([2, 3]))),
@@ -611,6 +616,126 @@ def test_linear_tanh_equals_linear_then_tanh():
             assert runs[0] == runs[1], (lead, full_bias)
 
 
+def _grad_bytes(out, leaves, up):
+    """The bytes of ``out`` and of every leaf's gradient after a backward
+    that weights ``out`` with the array ``up``."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    mul_op(out, t(up, rg=False)).sum().backward()
+    return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+
+def test_target_log_probs_equals_the_three_node_chain():
+    """The word loss as one node equals ``linear``, ``log_softmax`` and
+    ``gather`` as three, bit for bit, in value and every gradient, zero
+    signs included: one vector, S = 1, rows and a batch of them, targets
+    in the first and last columns among others."""
+    rng = np.random.default_rng(20)
+    for trial in range(40):
+        lead = [(), (1,), (7,), (3, 4)][trial % 4]
+        vocab = [1, 2, 9, 504][trial // 4 % 4]
+        leaves = [t(_signed_zeros(rng, lead + (6,))), t(_signed_zeros(rng, (vocab, 6))),
+                  t(_signed_zeros(rng, (vocab,)))]
+        targets = rng.integers(0, vocab, size=lead)
+        targets.reshape(-1)[:2] = [0, vocab - 1][:targets.size]
+        up = _signed_zeros(rng, lead, share=0.4)
+        runs = [_grad_bytes(op(*leaves, targets), leaves, up)
+                for op in (target_log_probs, target_log_probs_chain)]
+        assert runs[0] == runs[1], (lead, vocab)
+
+
+def test_target_log_probs_checks_its_targets():
+    x, w, b = t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros(4))
+    for targets in [np.array([1]), np.array([[1, 2]]), np.array([0.0, 1.0])]:
+        with pytest.raises(ShapeError, match="target_log_probs targets"):
+            target_log_probs(x, w, b, targets)
+    for targets in [np.array([0, 4]), np.array([-1, 0])]:
+        with pytest.raises(ShapeError, match="out of range"):
+            target_log_probs(x, w, b, targets)
+
+
+def test_linear_tanh_slope_in_blocks_keeps_its_bits():
+    """The slope formed a block of rows at a time in the node's own
+    gradient equals the former one-array form, bit for bit, in value and
+    every gradient: at rank 3 and at row counts around the block size and
+    at the paper's 6335 object rows."""
+    rng = np.random.default_rng(21)
+    block = tensor._SLOPE_ROWS
+    for lead in [(1,), (block - 1,), (block,), (block + 1,), (6335,), (3, 5), (2, 700)]:
+        leaves = [t(_signed_zeros(rng, lead + (4,))), t(_signed_zeros(rng, (6, 4))),
+                  t(_signed_zeros(rng, (6,)))]
+        up = _signed_zeros(rng, lead + (6,))
+        runs = [_grad_bytes(op(*leaves), leaves, up)
+                for op in (linear_tanh, linear_tanh_reference)]
+        assert runs[0] == runs[1], lead
+
+
+def test_lstm_cell_equals_its_former_form():
+    """Keeping the candidate's tanh in the gate array and forming tanh(c)
+    again in backward leaves every value and gradient as the former form
+    gave them, bit for bit: a vector, rows, rows with some carried, and
+    with ``h`` off the loss's graph."""
+    rng = np.random.default_rng(22)
+    hs, d = 3, 4
+    for trial in range(60):
+        rows = [None, 1, 5, 5][trial % 4]
+        live = int(rng.integers(1, rows)) if trial % 4 == 3 else rows    # the others carry
+        lead, x_lead = (() if rows is None else (rows,)), (() if rows is None else (live,))
+        leaves = [t(_signed_zeros(rng, (4 * hs, d))), t(_signed_zeros(rng, (4 * hs, hs))),
+                  t(rng.normal(scale=[1.0, 40.0][trial % 2], size=4 * hs)),
+                  t(_signed_zeros(rng, x_lead + (d,))), t(_signed_zeros(rng, lead + (hs,))),
+                  t(_signed_zeros(rng, lead + (hs,)))]
+        c_only = trial % 5 == 0
+        up = _signed_zeros(rng, lead + ((hs,) if c_only else (2 * hs,)))
+        runs = []
+        for op in (lstm_cell, lstm_cell_reference):
+            h, c = op(*leaves)
+            runs.append([h.data.tobytes()] + _grad_bytes(c if c_only else hc((h, c)), leaves, up))
+        assert runs[0] == runs[1], (rows, live, c_only)
+
+
+def test_node_gradients_are_owned_arrays():
+    """Every node's gradient, when its backward runs, is a C-ordered array
+    of its own, no view of another array (or none yet): ``linear_tanh``'s
+    backward writes into it. Checked over a training graph with every op of a
+    batch, and over a caption's graph alone."""
+    from objcap.captioner import BOS_ID, EOS_ID, forward_teacher_forced
+    from objcap.data import SegmentFeatures
+    from objcap.model import ModelConfig, batch_nll, init_model, segment_context
+
+    rng = np.random.default_rng(23)
+    m = init_model(ModelConfig(vocab_size=9, image_dim=4, object_dim=5, attn_dim=3,
+                               interaction_hidden=4, img_proj_dim=3, embed_dim=3,
+                               attn_hidden=4, lang_hidden=4), seed=3)
+    items = [(SegmentFeatures(segment_id=f"s{i}", image_feats=rng.normal(size=(len(n), 4)),
+                              object_feats=[rng.normal(size=(k, 5)) for k in n],
+                              captions=["unused"]), [BOS_ID, *words, EOS_ID])
+             for i, (n, words) in enumerate([([2, 3], [4, 5]), ([3, 0, 1], [6]),
+                                             ([1], [7, 8, 4])])]
+    seg, caption = items[0]
+    ctx, _ = segment_context(m, seg.image_feats, seg.object_feats)
+    checked = []
+    for loss in (batch_nll(m, items)[0].sum(),
+                 forward_teacher_forced(m.captioner, ctx, caption).loss):
+        seen, todo = set(), [loss]
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            todo.extend(node._prev)
+            if node._backward is not None:
+                def owned(out, backward=node._backward):
+                    grad = out.grad     # None for an lstm_cell's c off the loss's graph
+                    assert grad is None or grad.base is None and grad.flags.c_contiguous \
+                        and grad.flags.owndata, backward.__qualname__
+                    checked.append(backward.__qualname__.split(".")[0])
+                    backward(out)
+                node._backward = owned
+        loss.backward()
+    assert {"linear_tanh", "target_log_probs", "lstm_cell", "pair_attention"} <= set(checked)
+
+
 def _fd_case(name, rng):
     """Build (loss_fn, leaves) for one randomized per-op check."""
     if name == "add":
@@ -692,7 +817,14 @@ def _fd_case(name, rng):
     if name == "gather":
         a = t(rng.normal(size=(2, 3, 5)))
         index = rng.integers(0, 5, size=(2, 3))
-        return lambda: gather(log_softmax(a), index).sum(), [a]
+        return lambda: gather_op(log_softmax(a), index).sum(), [a]
+    if name == "target_log_probs":
+        lead = [(), (1,), (3,), (2, 3)][rng.integers(4)]
+        x, w = t(rng.normal(size=lead + (4,))), t(rng.normal(size=(5, 4)))
+        b = t(rng.normal(size=5))
+        targets = rng.integers(0, 5, size=lead)
+        up = t(rng.normal(size=lead), rg=False)
+        return lambda: mul_op(target_log_probs(x, w, b, targets), up).sum(), [x, w, b]
     if name == "take_columns":
         a = t(rng.normal(size=(3, 5)))
         ids = rng.integers(0, 5, size=[(4,), (2, 3)][rng.integers(2)])   # ids may repeat
@@ -810,7 +942,7 @@ ALL_OPS = [
     "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
     "lstm_cell_carried", "pair_attention_groups", "pair_attention_longer_u",
-    "stack_rows_at", "span_sums", "concat_axis0",
+    "stack_rows_at", "span_sums", "concat_axis0", "target_log_probs",
 ]
 
 
