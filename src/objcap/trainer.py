@@ -142,6 +142,16 @@ def _dataset_items(segments, vocab):
     return items
 
 
+# Validation runs in chunks of this many segments whatever the training
+# batch size (the default batch), so its loss does not depend on it.
+VALIDATION_CHUNK = 32
+
+
+def _fault(items, split: str, what) -> ContractError:
+    ids = ", ".join(dict.fromkeys(seg.segment_id for seg, _ in items))
+    return ContractError(f"{split} batch of segments {ids}: {what}")
+
+
 @contextmanager
 def _faults_named(items, split: str):
     """Re-raise a floating-point fault in a step over ``items`` as a
@@ -150,18 +160,34 @@ def _faults_named(items, split: str):
     try:
         yield
     except FloatingPointError as exc:
-        ids = ", ".join(dict.fromkeys(seg.segment_id for seg, _ in items))
-        raise ContractError(f"{split} batch of segments {ids}: {exc}") from None
+        raise _fault(items, split, exc) from None
 
 
-def _mean_loss(model: Model, items, batch_size: int) -> float:
+def _faults_alone(model: Model, item) -> bool:
+    try:
+        rows, _ = batch_nll(model, [item])
+    except FloatingPointError:
+        return True
+    return not np.isfinite(rows.data).all()
+
+
+def _mean_loss(model: Model, items, chunk_size: int) -> float:
+    """Mean loss per scored position over ``items``, in chunks of
+    ``chunk_size`` as forward-only graphs. A fault names only the faulting
+    segments: those of non-finite rows, or for a numpy fault those that
+    fault alone (the whole chunk if none does)."""
     total, count = 0.0, 0
-    for start in range(0, len(items), batch_size):
-        chunk = items[start:start + batch_size]
-        with _faults_named(chunk, "validation"):
+    for start in range(0, len(items), chunk_size):
+        chunk = items[start:start + chunk_size]
+        try:
             rows, tokens = batch_nll(model, chunk)
-            if not np.isfinite(rows.data).all():
-                raise FloatingPointError("non-finite loss")
+        except FloatingPointError as exc:
+            bad = [item for item in chunk if _faults_alone(model, item)]
+            raise _fault(bad or chunk, "validation", exc) from None
+        finite = np.isfinite(rows.data)
+        if not finite.all():
+            bad = [item for item, ok in zip(chunk, finite) if not ok]
+            raise _fault(bad, "validation", "non-finite loss")
         total += float(np.sum(rows.data))
         count += tokens
         del rows    # a graph never backpropagated: free it before the next chunk builds one
@@ -174,8 +200,8 @@ def train(cfg: TrainConfig, dataset: Dataset,
     """Teacher-forced training over the manifest's train split.
 
     The vocabulary comes from the training captions, feature widths from the
-    data itself. Each batch, and each validation chunk of ``batch_size``
-    segments, runs as one padded graph (``model.batch_nll``). Identical
+    data itself. Each batch runs as one padded graph (``model.batch_nll``),
+    and validation as chunks of ``VALIDATION_CHUNK`` segments. Identical
     (config, dataset) pairs produce byte-identical checkpoints: shuffling,
     initialization and accumulation order all flow from the seed. The cyclic
     garbage collector is paused meanwhile.
@@ -236,7 +262,7 @@ def train(cfg: TrainConfig, dataset: Dataset,
                 del grads
 
         train_loss = epoch_total / epoch_count
-        val_loss = _mean_loss(model, val_items, cfg.batch_size)
+        val_loss = _mean_loss(model, val_items, VALIDATION_CHUNK)
         log.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
                     "val_loss": val_loss})
 

@@ -230,9 +230,12 @@ class TestMalformedInputs:
         assert not (tmp_path / "p.json").exists()
 
     @pytest.mark.parametrize("split, batch", [("training", "seg_0003, seg_0002"),
-                                              ("validation", "seg_0002, seg_0003")])
+                                              ("validation", "seg_0003")])
     def test_overflowing_features_in_train_exit_2(self, tmp_path, corpus, capsys, split,
                                                   batch):
+        """A training fault names the batch's segments; a validation fault
+        names only the segments that fault alone, so seg_0002, which shares
+        the validation chunk, is not named."""
         overflow_segment(corpus / "seg_0003.seg")
         if split == "validation":
             (corpus / "manifest.json").write_text(json.dumps({

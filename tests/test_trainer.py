@@ -235,6 +235,70 @@ class TestTrainLoop:
             assert np.max(np.abs(seen[0][name] - g * scale), initial=0.0) < 1e-15
 
 
+def ragged_dataset(train_segments, val_segments, seed=31):
+    """Segments of 1-3 frames with 0-3 objects per frame (1-3 in the first,
+    width 6 even when empty) and one caption of 1-4 words from four."""
+    rng = np.random.default_rng(seed)
+    words = ["a", "b", "c", "d"]
+    segs = []
+    for k in range(train_segments + val_segments):
+        frames = int(rng.integers(1, 4))
+        segs.append(SegmentFeatures(
+            f"s{k:02d}", rng.normal(size=(frames, 6)),
+            [rng.normal(size=(int(rng.integers(1 if t == 0 else 0, 4)), 6))
+             for t in range(frames)],
+            [" ".join(rng.choice(words, size=int(rng.integers(1, 5))))]))
+    return Dataset(train=segs[:train_segments], val=segs[train_segments:])
+
+
+class TestValidation:
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_chunks_of_32_whatever_the_batch_size(self, monkeypatch, batch_size):
+        """A 33-segment validation split runs as chunks of 32 and 1, and its
+        loss equals batch-1 validation of the same model to 1e-12."""
+        ds = ragged_dataset(3, 33)
+        val_ids = {seg.segment_id for seg in ds.val}
+        chunks = []
+
+        def recording_batch_nll(model, items):
+            if items[0][0].segment_id in val_ids:
+                chunks.append(len(items))
+            return batch_nll(model, items)
+
+        monkeypatch.setattr(trainer, "batch_nll", recording_batch_nll)
+        res = train(TrainConfig(max_epochs=1, batch_size=batch_size, seed=5), ds,
+                    SMALL_MODEL)
+        assert chunks == [32, 1]
+        monkeypatch.undo()
+        one_by_one = trainer._mean_loss(
+            res.model, trainer._dataset_items(ds.val, res.vocab), 1)
+        logged = res.log[-1]["val_loss"]
+        assert abs(logged - one_by_one) <= 1e-12 * abs(one_by_one)
+
+    def test_non_finite_loss_names_only_its_segments(self):
+        """With numpy's faults ignored, a non-finite validation loss names
+        the segments whose rows are non-finite, not the whole chunk."""
+        ds = ragged_dataset(3, 6)
+        bad = ds.val[4]
+        bad.image_feats[0, 0] = 8.5e158
+        with np.errstate(all="ignore"), pytest.raises(ContractError) as info:
+            train(TrainConfig(max_epochs=1, batch_size=1, seed=5), ds, SMALL_MODEL)
+        assert str(info.value) == f"validation batch of segments {bad.segment_id}: non-finite loss"
+
+    def test_numpy_fault_no_segment_makes_alone_names_the_chunk(self, monkeypatch):
+        ds = ragged_dataset(3, 6)
+
+        def chunk_faulting_batch_nll(model, items):
+            if len(items) > 1 and items[0][0] is ds.val[0]:
+                raise FloatingPointError("overflow encountered in matmul")
+            return batch_nll(model, items)
+
+        monkeypatch.setattr(trainer, "batch_nll", chunk_faulting_batch_nll)
+        ids = ", ".join(seg.segment_id for seg in ds.val)
+        with pytest.raises(ContractError, match=f"^validation batch of segments {ids}: overflow"):
+            train(TrainConfig(max_epochs=1, batch_size=1, seed=5), ds, SMALL_MODEL)
+
+
 class TestCollectorPause:
     def test_train_and_caption_leave_no_cycles(self, tmp_path):
         ds = small_dataset(tmp_path)
