@@ -18,7 +18,7 @@ Mode flags cut pathways out:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,13 +48,13 @@ if TYPE_CHECKING:
 class CaptionerParams:
     img_proj: MlpParams | None   # image_dim -> img_proj_dim, absent without image pathway
     attn_lstm: LstmParams
-    temporal_w_h: Tensor = field(metadata={"name": "temporal.w_h"})  # img_proj_dim x attn_hidden
-    temporal_w_c: Tensor = field(metadata={"name": "temporal.w_c"})  # img_proj_dim x key_dim
-    temporal_w_a: Tensor = field(metadata={"name": "temporal.w_a"})  # img_proj_dim
+    temporal_w_h: Tensor         # img_proj_dim x attn_hidden
+    temporal_w_c: Tensor         # img_proj_dim x key_dim
+    temporal_w_a: Tensor         # img_proj_dim
     embed: Tensor                # embed_dim x vocab_size, one column per word
     lang_lstm: LstmParams
-    out_w: Tensor = field(metadata={"name": "out.w"})  # vocab_size x lang_hidden
-    out_b: Tensor = field(metadata={"name": "out.b"})  # vocab_size
+    out_w: Tensor                # vocab_size x lang_hidden
+    out_b: Tensor                # vocab_size
     use_image: bool = True
     use_objects: bool = True
     use_coattention: bool = True

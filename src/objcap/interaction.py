@@ -8,11 +8,13 @@ vector per group. The K pooled vectors are concatenated and driven through a
 shared LSTM across frames, so the hidden state at time t summarizes the
 object interactions seen so far.
 
-Only the hidden-state term of the bias depends on the recurrence, so the
-object projections and frame contexts are computed once per segment, for
-all frames together, before the frame loop. The K groups run as one: their
-weights are stacked into one matrix per role, and each frame makes one
-attention call with the group as a batch axis.
+The K groups' weights are stored stacked, one matrix per role with group
+k's attn_dim rows as its k-th row block, as multi-head attention keeps its
+heads. So the K groups run as one: one GEMM per role, and per frame one
+attention call with the group as a batch axis. Only the hidden-state term
+of the bias depends on the recurrence, so the object projections and frame
+contexts are computed once per segment, for all frames together, before the
+frame loop.
 
 A batch of segments runs as one recurrence over padded arrays: each frame
 attends over its widest object count, and masks give padded object rows
@@ -28,7 +30,7 @@ is assumed, and all outputs are invariant to row permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,29 +44,21 @@ from .layers import (
     lstm_step,
     mlp_forward,
 )
-from .tensor import (
-    ContractError,
-    Tensor,
-    concat,
-    linear,
-    pair_attention,
-)
+from .tensor import ContractError, Tensor, linear, pair_attention
 
 if TYPE_CHECKING:
     from .model import ModelConfig
 
 
 @dataclass
-class GroupParams:
-    w_h: Tensor      # attn_dim x hidden
-    w_c: Tensor      # attn_dim x image_dim
-    proj: MlpParams  # object_dim -> attn_dim
-
-
-@dataclass
 class InteractionParams:
-    groups: list[GroupParams] = field(metadata={"name": "group"})
+    """The K groups' weights stacked, group k's as row block k."""
+
+    w_h: Tensor      # K*attn_dim x hidden
+    w_c: Tensor      # K*attn_dim x image_dim
+    proj: MlpParams  # object_dim -> K*attn_dim
     lstm: LstmParams
+    num_groups: int
 
     @property
     def hidden_size(self) -> int:
@@ -72,15 +66,21 @@ class InteractionParams:
 
 
 def init_interaction(rng: np.random.Generator, cfg: ModelConfig) -> InteractionParams:
-    groups = []
-    for _ in range(cfg.num_groups):
-        groups.append(GroupParams(
-            w_h=glorot_uniform(rng, cfg.attn_dim, cfg.interaction_hidden),
-            w_c=glorot_uniform(rng, cfg.attn_dim, cfg.image_dim),
-            proj=init_mlp(rng, cfg.object_dim, cfg.attn_dim),
-        ))
-    lstm = init_lstm(rng, cfg.num_groups * cfg.attn_dim, cfg.interaction_hidden)
-    return InteractionParams(groups=groups, lstm=lstm)
+    """Draw group by group (``w_h``, ``w_c``, then the projection), each
+    with its own glorot bound, stack the groups, then draw the LSTM."""
+    d = cfg.attn_dim
+    draws = [(glorot_uniform(rng, d, cfg.interaction_hidden),
+              glorot_uniform(rng, d, cfg.image_dim),
+              init_mlp(rng, cfg.object_dim, d)) for _ in range(cfg.num_groups)]
+
+    def stacked(parts) -> Tensor:
+        return Tensor(np.concatenate([t.data for t in parts]), requires_grad=True)
+
+    w_h, w_c, projs = zip(*draws)
+    proj = MlpParams(w=stacked(m.w for m in projs), b=stacked(m.b for m in projs))
+    lstm = init_lstm(rng, cfg.num_groups * d, cfg.interaction_hidden)
+    return InteractionParams(w_h=stacked(w_h), w_c=stacked(w_c), proj=proj, lstm=lstm,
+                             num_groups=cfg.num_groups)
 
 
 def pack_objects(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +115,11 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     segment's end carries its last state unchanged (``lstm_cell``), which
     the decoder's frame mask gives zero weight.
 
-    The K groups run as one: their weights are stacked once per call, so
-    one GEMM projects every object row for all groups, one forms every
-    frame's context terms, and per frame one forms the state terms and one
-    ``pair_attention`` gathers the frame's projected rows and attends with
-    the group as a batch axis, its pooled output already the groups'
-    concatenation.
+    The K groups run as one on the stacked weights: one GEMM projects
+    every object row for all groups, one forms every frame's context terms,
+    and per frame one forms the state terms and one ``pair_attention``
+    gathers the frame's projected rows and attends with the group as a
+    batch axis, its pooled output already the groups' concatenation.
 
     Returns the hidden state after each frame (H, or B x H) and, per frame,
     each group's attention over the frame's widest object count n (n x n,
@@ -128,16 +127,11 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     feeds zeros to the LSTM). A frame's attention is masked only when a
     running segment has a padded row in it.
     """
-    groups = p.groups
-    k = len(groups)
-    rows = Tensor(objects)
+    k = p.num_groups
     # state-independent work, once per call: every object's projection and
     # every frame's context term, for all groups at once
-    proj = MlpParams(w=concat([g.proj.w for g in groups], axis=0),
-                     b=concat([g.proj.b for g in groups]))
-    projected = mlp_forward(proj, rows) if objects.size else None
-    contexts = linear(image, concat([g.w_c for g in groups], axis=0))
-    w_h = concat([g.w_h for g in groups], axis=0)
+    projected = mlp_forward(p.proj, Tensor(objects)) if objects.size else None
+    contexts = linear(image, p.w_c)
     row_of = np.zeros(object_mask.shape, dtype=np.intp)     # each object's row in ``objects``
     row_of[object_mask] = np.arange(objects.shape[0])
 
@@ -160,7 +154,7 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
         if n:
             real, index = object_mask[at][..., :n], row_of[at][..., :n]
             mask = real if masked else None     # masks only where a row is padded
-            alpha, pooled = pair_attention(projected, index, linear(h, w_h, contexts.row(t)),
+            alpha, pooled = pair_attention(projected, index, linear(h, p.w_h, contexts.row(t)),
                                            mask, k)
             records.append([alpha[..., j, :, :] for j in range(k)])
         else:

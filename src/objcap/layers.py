@@ -9,7 +9,7 @@ initialized to 1.0; all weight matrices draw from a seeded uniform
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -22,19 +22,16 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tenso
 
 
 def named_tensors(params, prefix: str = "") -> dict[str, Tensor]:
-    """Name the tensors of the dataclass ``params`` in field order, after
-    ``prefix``: a field by its ``metadata["name"]``, else its attribute name;
-    a nested dataclass's tensors under ``<name>.``; a list's k-th item as
-    ``<name><k>``. ``None`` and mode flags give nothing."""
+    """Name the tensors of the dataclass ``params`` by attribute path, in
+    field order, after ``prefix``: a nested dataclass's tensors under
+    ``<field>.``. Anything else (``None``, counts, mode flags) gives nothing."""
     out = {}
     for f in fields(params):
-        name = prefix + f.metadata.get("name", f.name)
         value = getattr(params, f.name)
-        for k, item in (enumerate(value) if isinstance(value, list) else [("", value)]):
-            if isinstance(item, Tensor):
-                out[f"{name}{k}"] = item
-            elif is_dataclass(item):
-                out.update(named_tensors(item, f"{name}{k}."))
+        if isinstance(value, Tensor):
+            out[prefix + f.name] = value
+        elif is_dataclass(value):
+            out.update(named_tensors(value, f"{prefix}{f.name}."))
     return out
 
 
@@ -71,8 +68,8 @@ def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple
 class MlpParams:
     """One affine layer followed by tanh: ``w`` (out x in), ``b`` (out)."""
 
-    w: Tensor = field(metadata={"name": "l0.w"})
-    b: Tensor = field(metadata={"name": "l0.b"})
+    w: Tensor
+    b: Tensor
 
 
 def init_mlp(rng: np.random.Generator, input_size: int, output_size: int) -> MlpParams:

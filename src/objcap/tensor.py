@@ -156,11 +156,6 @@ class Tensor:
                 node.grad = None       # passed on to the inputs; free it now
             node._prev = ()            # the last reference to a spent input goes
 
-    def _check_axis(self, axis: int | None, op: str) -> None:
-        rank = len(self.shape)
-        if axis is not None and not -rank <= axis < rank:
-            raise ShapeError(f"{op} over axis {axis} unsupported for shape {self.shape}")
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: float) -> "Tensor":
@@ -188,19 +183,18 @@ class Tensor:
 
     # -- reductions & layout -----------------------------------------------
 
-    def sum(self, axis: int | None = None) -> "Tensor":
-        """Sum of every entry, or along one axis."""
-        self._check_axis(axis, "sum")
+    def sum(self) -> "Tensor":
+        """Sum of every entry."""
 
         def _backward(out):
-            g = out.grad if axis is None else np.expand_dims(out.grad, axis)
-            self._accumulate(np.broadcast_to(g, self.shape))
+            self._accumulate(np.broadcast_to(out.grad, self.shape))
 
-        return _record(self.data.sum(axis=axis), (self,), _backward)
+        return _record(self.data.sum(), (self,), _backward)
 
     def mean(self, axis: int) -> "Tensor":
         """Mean along one axis."""
-        self._check_axis(axis, "mean")
+        if not -len(self.shape) <= axis < len(self.shape):
+            raise ShapeError(f"mean over axis {axis} unsupported for shape {self.shape}")
         n = self.shape[axis]
 
         def _backward(out):
@@ -524,26 +518,24 @@ def span_sums(x: Tensor, lengths) -> Tensor:
                    (x,), _backward)
 
 
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors end to end along ``axis``, which their shapes must
-    share otherwise: vectors end to end, batches of vectors row by row,
-    and with ``axis=0`` matrices one under another."""
+def concat(parts: list[Tensor]) -> Tensor:
+    """Join tensors end to end along the last axis, which their shapes must
+    share otherwise: vectors end to end, batches of vectors row by row."""
     if not parts:
         raise ContractError("concat of an empty list")
     datas = [p.data for p in parts]
     try:
-        data = np.concatenate(datas, axis=axis)
-    except ValueError:      # ranks or off-axis lengths differ, or no such axis
-        raise ShapeError(f"concat over axis {axis} of shapes "
+        data = np.concatenate(datas, axis=-1)
+    except ValueError:      # ranks or leading lengths differ, or a part is a scalar
+        raise ShapeError(f"concat over the last axis of shapes "
                          f"{[d.shape for d in datas]}") from None
-    lead = (slice(None),) * (axis % data.ndim)
 
     def _backward(out):
         off = 0
         for p in parts:
-            n = p.shape[axis]
+            n = p.shape[-1]
             if p.requires_grad:
-                p._accumulate(out.grad[lead + (slice(off, off + n),)])
+                p._accumulate(out.grad[..., off:off + n])
             off += n
 
     return _record(data, tuple(parts), _backward)

@@ -4,7 +4,7 @@ deterministic batching, and a versioned binary checkpoint.
 Checkpoint layout (integers little-endian u32 unless noted):
 
     magic      4 bytes  b"VCKP"
-    version    u32      1
+    version    u32      2
     step       u64      optimizer step counter
     config     u32 byte length + UTF-8 JSON (model dims, train settings,
                         vocabulary)
@@ -14,9 +14,11 @@ Checkpoint layout (integers little-endian u32 unless noted):
                    data   float64 little-endian, row-major
 
 Entry names are "param/", "adam_m/" and "adam_v/" plus the model's parameter
-name; those names are the keys of one dict, so no two entries share a name,
-and reloading reproduces forward outputs bitwise. A JSON sidecar
-(path + ".json") echoes the config block.
+name, its attribute path (``interaction.proj.w``, ``captioner.out_w``);
+those names are the keys of one dict, so no two entries share a name, and
+reloading reproduces forward outputs bitwise. Version 1 named the K
+interaction groups' weights one group at a time; its files are rejected and
+must be retrained. A JSON sidecar (path + ".json") echoes the config block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .model import Model, ModelConfig, batch_nll, config_from_dict, init_model
 from .tensor import ContractError, Tensor, collector_paused
 
 CKPT_MAGIC = b"VCKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 @dataclass
@@ -152,17 +153,6 @@ def _fault(items, split: str, what) -> ContractError:
     return ContractError(f"{split} batch of segments {ids}: {what}")
 
 
-@contextmanager
-def _faults_named(items, split: str):
-    """Re-raise a floating-point fault in a step over ``items`` as a
-    ``ContractError`` naming their segments: numpy's, under the CLI's
-    ``np.errstate``, or a non-finite loss, checked before any update."""
-    try:
-        yield
-    except FloatingPointError as exc:
-        raise _fault(items, split, exc) from None
-
-
 def _faults_alone(model: Model, item) -> bool:
     try:
         rows, _ = batch_nll(model, [item])
@@ -171,23 +161,31 @@ def _faults_alone(model: Model, item) -> bool:
     return not np.isfinite(rows.data).all()
 
 
+def _checked_nll(model: Model, items, split: str) -> tuple[Tensor, int]:
+    """``batch_nll`` over ``items``, a fault raised as a ``ContractError``
+    that names only the faulting segments: for a non-finite loss those of
+    non-finite rows, for a numpy fault (under the CLI's ``np.errstate``)
+    those that fault alone, found on the error path only (the whole batch
+    if none does)."""
+    try:
+        rows, tokens = batch_nll(model, items)
+    except FloatingPointError as exc:
+        bad = [item for item in items if _faults_alone(model, item)]
+        raise _fault(bad or items, split, exc) from None
+    finite = np.isfinite(rows.data)
+    if not finite.all():
+        bad = [item for item, ok in zip(items, finite) if not ok]
+        raise _fault(bad, split, "non-finite loss")
+    return rows, tokens
+
+
 def _mean_loss(model: Model, items, chunk_size: int) -> float:
     """Mean loss per scored position over ``items``, in chunks of
-    ``chunk_size`` as forward-only graphs. A fault names only the faulting
-    segments: those of non-finite rows, or for a numpy fault those that
-    fault alone (the whole chunk if none does)."""
+    ``chunk_size`` as forward-only graphs; a fault names the faulting
+    segments (``_checked_nll``)."""
     total, count = 0.0, 0
     for start in range(0, len(items), chunk_size):
-        chunk = items[start:start + chunk_size]
-        try:
-            rows, tokens = batch_nll(model, chunk)
-        except FloatingPointError as exc:
-            bad = [item for item in chunk if _faults_alone(model, item)]
-            raise _fault(bad or chunk, "validation", exc) from None
-        finite = np.isfinite(rows.data)
-        if not finite.all():
-            bad = [item for item, ok in zip(chunk, finite) if not ok]
-            raise _fault(bad, "validation", "non-finite loss")
+        rows, tokens = _checked_nll(model, items[start:start + chunk_size], "validation")
         total += float(np.sum(rows.data))
         count += tokens
         del rows    # a graph never backpropagated: free it before the next chunk builds one
@@ -240,10 +238,8 @@ def train(cfg: TrainConfig, dataset: Dataset,
         epoch_total, epoch_count = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
-            with _faults_named(batch, "training"):
-                rows, tokens = batch_nll(model, batch)
-                if not np.isfinite(rows.data).all():
-                    raise FloatingPointError("non-finite loss")
+            rows, tokens = _checked_nll(model, batch, "training")
+            try:    # a fault past the loss, in backward or ADAM, names the batch
                 loss_sum = rows.sum()
                 batch_loss = loss_sum * (1.0 / tokens)
                 batch_loss.backward()
@@ -260,6 +256,8 @@ def train(cfg: TrainConfig, dataset: Dataset,
                 for p in params.values():   # no gradient outlives its step
                     p.zero_grad()
                 del grads
+            except FloatingPointError as exc:
+                raise _fault(batch, "training", exc) from None
 
         train_loss = epoch_total / epoch_count
         val_loss = _mean_loss(model, val_items, VALIDATION_CHUNK)

@@ -229,13 +229,13 @@ class TestMalformedInputs:
                       "segment seg_0001: overflow encountered in")
         assert not (tmp_path / "p.json").exists()
 
-    @pytest.mark.parametrize("split, batch", [("training", "seg_0003, seg_0002"),
+    @pytest.mark.parametrize("split, batch", [("training", "seg_0003"),
                                               ("validation", "seg_0003")])
     def test_overflowing_features_in_train_exit_2(self, tmp_path, corpus, capsys, split,
                                                   batch):
-        """A training fault names the batch's segments; a validation fault
-        names only the segments that fault alone, so seg_0002, which shares
-        the validation chunk, is not named."""
+        """A training or validation fault names only the segments that fault
+        alone, so seg_0002, which shares the batch or the validation chunk,
+        is not named."""
         overflow_segment(corpus / "seg_0003.seg")
         if split == "validation":
             (corpus / "manifest.json").write_text(json.dumps({
@@ -337,17 +337,27 @@ class TestMalformedInputs:
         if kind == "param":
             ckpt.model.captioner.out_b = Tensor(np.zeros(shape))
         else:
-            ckpt.adam.m["captioner.out.b"] = np.zeros(shape)
+            ckpt.adam.m["captioner.out_b"] = np.zeros(shape)
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, ckpt.model, ckpt.vocab, ckpt.adam, ckpt.train_config)
         assert_exit_2(caption_args(tmp_path, corpus, bad), capsys,
-                      f"{kind}/captioner.out.b has shape {shape}")
+                      f"{kind}/captioner.out_b has shape {shape}")
 
     def test_checkpoint_trailing_bytes_exit_2(self, tmp_path, corpus, capsys):
         ckpt = run_train(tmp_path, corpus) / "model.ckpt"
         ckpt.write_bytes(ckpt.read_bytes() + b"\0")
         assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys,
                       "checkpoint 1 trailing bytes")
+
+    def test_checkpoint_version_1_exits_2(self, tmp_path, corpus, capsys):
+        """Version 1 named the interaction groups' weights group by group; a
+        file of that version is refused, not read."""
+        ckpt = run_train(tmp_path, corpus) / "model.ckpt"
+        raw = ckpt.read_bytes()
+        assert struct.unpack("<I", raw[4:8]) == (2,)
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        assert_exit_2(caption_args(tmp_path, corpus, ckpt), capsys,
+                      "checkpoint version 1 is unsupported (at byte 4)")
 
     def test_checkpoint_entry_rank_above_two_exits_2(self, tmp_path, corpus, capsys):
         """A mutated rank would read thousands of dimensions and build a

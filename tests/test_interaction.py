@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from objcap import interaction
 from objcap.interaction import init_interaction, interaction_sequence
-from objcap.layers import lstm_step, named_tensors
+from objcap.layers import init_lstm, lstm_step, named_tensors
 from objcap.model import ModelConfig, init_model, segment_context
 from objcap.tensor import ContractError, Tensor, pair_attention
 
@@ -24,22 +25,31 @@ def make_segment(rng, counts, object_dim=5, image_dim=4):
     return image, [rng.normal(size=(n, object_dim)) for n in counts]
 
 
+def group_weights(p, k):
+    """Group k's row block of each stacked role: w_h, w_c and the
+    projection's w and b."""
+    d = p.w_h.shape[0] // p.num_groups
+    block = slice(k * d, (k + 1) * d)
+    return p.w_h.data[block], p.w_c.data[block], p.proj.w.data[block], p.proj.b.data[block]
+
+
 def oracle_sequence(p, image, object_feats):
     """Pure-numpy fold of the recurrence: per frame and group, project,
     bias, score, softmax and pool, then one scalar LSTM step."""
     h, c = [0.0] * p.hidden_size, [0.0] * p.hidden_size
-    attn_dim = p.groups[0].w_h.shape[0]
+    attn_dim = p.w_h.shape[0] // p.num_groups
     hiddens, alphas = [], []
     for v, objs in zip(image, object_feats):
         pooled, frame_alphas = [], []
-        for g in p.groups:
+        for g in range(p.num_groups):
             if objs.shape[0] == 0:
                 pooled += [0.0] * attn_dim
                 frame_alphas.append(None)
                 continue
-            layer = (g.proj.w.data.tolist(), g.proj.b.data.tolist())
+            w_h, w_c, proj_w, proj_b = group_weights(p, g)
+            layer = (proj_w.tolist(), proj_b.tolist())
             proj = np.array([scalar_mlp([layer], row.tolist()) for row in objs])
-            u = g.w_h.data @ np.array(h) + g.w_c.data @ v
+            u = w_h @ np.array(h) + w_c @ v
             x = proj + u
             n = objs.shape[0]
             scores = [[float(np.dot(x[i], x[j])) / math.sqrt(attn_dim) for j in range(n)]
@@ -131,12 +141,12 @@ class TestInteractionStep:
     def test_identical_groups_produce_identical_pooled(self):
         rng = np.random.default_rng(8)
         p = make_params(8)
-        for name, t in named_tensors(p.groups[1]).items():
-            t.data[:] = named_tensors(p.groups[0])[name].data
+        for t in (p.w_h, p.w_c, p.proj.w, p.proj.b):
+            t.data[3:] = t.data[:3]     # group 1's row block := group 0's
         image, objects = make_segment(rng, [3])
         _, records = interaction_sequence(p, image, objects)
-        mlp = p.groups[0].proj
-        proj = np.tanh(objects[0] @ mlp.w.data.T + mlp.b.data)
+        _, _, proj_w, proj_b = group_weights(p, 0)
+        proj = np.tanh(objects[0] @ proj_w.T + proj_b)
         pooled = [(alpha @ proj).mean(axis=0) for alpha in records[0]]
         assert np.array_equal(records[0][0], records[0][1])
         assert np.array_equal(pooled[0], pooled[1])
@@ -228,6 +238,29 @@ class TestInteractionSequence:
             p, image, [o[rng.permutation(o.shape[0])] for o in objects])
         for h1, h2 in zip(hs1, hs2):
             assert np.max(np.abs(h1.data - h2.data)) < 1e-12
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+def test_init_draws_group_by_group_then_the_lstm(groups):
+    """Initialization draws each group in turn, w_h, w_c, then its
+    projection, each with the group's own glorot bound, stacks group k as
+    row block k, and draws the LSTM after them: a reordered draw would move
+    every initial value, and with it every trained artifact."""
+    cfg = replace(CONFIG, num_groups=groups)
+    p = init_interaction(np.random.default_rng(19), cfg)
+    rng = np.random.default_rng(19)
+    d = cfg.attn_dim
+    assert p.num_groups == groups and p.w_h.shape[0] == groups * d
+    for k in range(groups):
+        w_h, w_c, proj_w, proj_b = group_weights(p, k)
+        for block, fan_in in [(w_h, cfg.interaction_hidden), (w_c, cfg.image_dim),
+                              (proj_w, cfg.object_dim)]:
+            bound = np.sqrt(6.0 / (fan_in + d))
+            assert (block == rng.uniform(-bound, bound, size=(d, fan_in))).all()
+        assert (proj_b == 0.0).all()
+    lstm = init_lstm(rng, groups * d, cfg.interaction_hidden)
+    for name, t in named_tensors(p.lstm).items():
+        assert (t.data == getattr(lstm, name).data).all()
 
 
 def test_gradient_of_final_state_wrt_all_params():

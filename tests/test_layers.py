@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -149,61 +149,33 @@ def test_glorot_bound_and_determinism():
 
 
 # Model.named_parameters() keys, in order: they name every checkpoint entry
-# and fix the summation order of the gradient-clip norm.
+# and fix the summation order of the gradient-clip norm. Each is the
+# parameter's attribute path; K groups stack into one tensor per role.
 DEFAULT_NAMES = [
-    "interaction.group0.w_h", "interaction.group0.w_c",
-    "interaction.group0.proj.l0.w", "interaction.group0.proj.l0.b",
-    "interaction.group1.w_h", "interaction.group1.w_c",
-    "interaction.group1.proj.l0.w", "interaction.group1.proj.l0.b",
+    "interaction.w_h", "interaction.w_c", "interaction.proj.w", "interaction.proj.b",
     "interaction.lstm.wx", "interaction.lstm.wh", "interaction.lstm.b",
-    "captioner.img_proj.l0.w", "captioner.img_proj.l0.b",
+    "captioner.img_proj.w", "captioner.img_proj.b",
     "captioner.attn_lstm.wx", "captioner.attn_lstm.wh", "captioner.attn_lstm.b",
-    "captioner.temporal.w_h", "captioner.temporal.w_c", "captioner.temporal.w_a",
+    "captioner.temporal_w_h", "captioner.temporal_w_c", "captioner.temporal_w_a",
     "captioner.embed",
     "captioner.lang_lstm.wx", "captioner.lang_lstm.wh", "captioner.lang_lstm.b",
-    "captioner.out.w", "captioner.out.b",
+    "captioner.out_w", "captioner.out_b",
 ]
-NO_IMAGE_NAMES = [
-    "interaction.group0.w_h", "interaction.group0.w_c",
-    "interaction.group0.proj.l0.w", "interaction.group0.proj.l0.b",
-    "interaction.group1.w_h", "interaction.group1.w_c",
-    "interaction.group1.proj.l0.w", "interaction.group1.proj.l0.b",
-    "interaction.lstm.wx", "interaction.lstm.wh", "interaction.lstm.b",
-    "captioner.attn_lstm.wx", "captioner.attn_lstm.wh", "captioner.attn_lstm.b",
-    "captioner.temporal.w_h", "captioner.temporal.w_c", "captioner.temporal.w_a",
-    "captioner.embed",
-    "captioner.lang_lstm.wx", "captioner.lang_lstm.wh", "captioner.lang_lstm.b",
-    "captioner.out.w", "captioner.out.b",
-]
-THREE_GROUP_NAMES = [
-    "interaction.group0.w_h", "interaction.group0.w_c",
-    "interaction.group0.proj.l0.w", "interaction.group0.proj.l0.b",
-    "interaction.group1.w_h", "interaction.group1.w_c",
-    "interaction.group1.proj.l0.w", "interaction.group1.proj.l0.b",
-    "interaction.group2.w_h", "interaction.group2.w_c",
-    "interaction.group2.proj.l0.w", "interaction.group2.proj.l0.b",
-    "interaction.lstm.wx", "interaction.lstm.wh", "interaction.lstm.b",
-    "captioner.img_proj.l0.w", "captioner.img_proj.l0.b",
-    "captioner.attn_lstm.wx", "captioner.attn_lstm.wh", "captioner.attn_lstm.b",
-    "captioner.temporal.w_h", "captioner.temporal.w_c", "captioner.temporal.w_a",
-    "captioner.embed",
-    "captioner.lang_lstm.wx", "captioner.lang_lstm.wh", "captioner.lang_lstm.b",
-    "captioner.out.w", "captioner.out.b",
-]
+NO_IMAGE_NAMES = [name for name in DEFAULT_NAMES if not name.startswith("captioner.img_proj.")]
 
 
 @dataclass
 class _Leaf:
     w: Tensor
-    b: Tensor = field(metadata={"name": "bias"})
+    b: Tensor
 
 
 @dataclass
 class _Tree:
     absent: _Leaf | None
-    items: list[_Leaf] = field(metadata={"name": "item"})
-    rows: list[Tensor]
+    leaf: _Leaf
     top: Tensor
+    count: int = 2
     flag: bool = True
 
 
@@ -213,20 +185,16 @@ class TestNamedTensors:
         ({"use_image": False}, NO_IMAGE_NAMES),
         ({"use_objects": False}, DEFAULT_NAMES),
         ({"use_coattention": False}, DEFAULT_NAMES),
-        ({"num_groups": 3}, THREE_GROUP_NAMES),
+        ({"num_groups": 3}, DEFAULT_NAMES),
     ], ids=["default", "no_image", "no_objects", "no_coattention", "three_groups"])
     def test_model_parameter_names_in_order(self, overrides, names):
         model = init_model(ModelConfig(vocab_size=14, **overrides), seed=0)
         assert list(model.named_parameters()) == names
 
-    def test_walks_lists_of_containers_and_skips_none_and_flags(self):
-        leaves = [_Leaf(w=Tensor(np.zeros(1)), b=Tensor(np.zeros(2))) for _ in range(2)]
-        rows = [Tensor(np.zeros(3)), Tensor(np.zeros(4))]
+    def test_walks_nested_containers_and_skips_none_counts_and_flags(self):
+        leaf = _Leaf(w=Tensor(np.zeros(1)), b=Tensor(np.zeros(2)))
         top = Tensor(np.zeros(5))
-        tree = _Tree(absent=None, items=leaves, rows=rows, top=top)
-        named = named_tensors(tree, "root.")
-        assert list(named) == ["root.item0.w", "root.item0.bias", "root.item1.w",
-                               "root.item1.bias", "root.rows0", "root.rows1", "root.top"]
-        expected = [leaves[0].w, leaves[0].b, leaves[1].w, leaves[1].b, *rows, top]
-        assert all(a is b for a, b in zip(named.values(), expected))
-        assert list(named_tensors(leaves[0])) == ["w", "bias"]
+        named = named_tensors(_Tree(absent=None, leaf=leaf, top=top), "root.")
+        assert list(named) == ["root.leaf.w", "root.leaf.b", "root.top"]
+        assert all(a is b for a, b in zip(named.values(), [leaf.w, leaf.b, top], strict=True))
+        assert list(named_tensors(leaf)) == ["w", "b"]

@@ -24,17 +24,17 @@ from objcap.data import SegmentFeatures
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 from objcap.tensor import collector_paused, log_softmax
 
-INTERACTION_MAX = 156
+INTERACTION_MAX = 152
 TEACHER_FORCED_MAX = 248
 DECODE_STEP_MAX = 12
 BEAM_STEP_MAX = 13
-SEGMENT_MAX = 408
-BATCH_MAX = 408
+SEGMENT_MAX = 404
+BATCH_MAX = 404
 # MiB that test_batch_graph_memory's batch of 32 holds once its forward is
-# built, and at most while its backward runs: 15.08 and 15.74 measured
+# built, and at most while its backward runs: 15.02 and 15.68 measured
 # (numpy 2.4.6), plus a 3% margin
-GRAPH_HELD_MAX_MIB = 15.6
-GRAPH_PEAK_MAX_MIB = 16.3
+GRAPH_HELD_MAX_MIB = 15.5
+GRAPH_PEAK_MAX_MIB = 16.2
 
 
 def op_nodes(roots, stop=()) -> int:

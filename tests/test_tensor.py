@@ -493,10 +493,9 @@ class TestLstmCell:
 
 
 def test_concat_shapes_checked():
-    for parts, axis in [([(2, 3), (2, 4)], 0), ([(2, 3), (3, 3)], -1), ([(3,), (2, 3)], -1),
-                        ([(), ()], -1), ([(2, 3)], 2)]:
-        with pytest.raises(ShapeError, match="concat over axis"):
-            concat([t(np.zeros(shape)) for shape in parts], axis=axis)
+    for parts in [[(2, 3), (3, 3)], [(3,), (2, 3)], [(), ()]]:
+        with pytest.raises(ShapeError, match="concat over the last axis"):
+            concat([t(np.zeros(shape)) for shape in parts])
 
 
 def test_row_takes_one_row_at_any_rank():
@@ -514,7 +513,7 @@ def test_row_takes_one_row_at_any_rank():
 RULE_CASES = {
     "mul": ([(3,)], lambda x: x * 2.0),
     "row": ([(2, 3)], lambda x: x.row(1)),
-    "sum": ([(2, 3)], lambda x: x.sum(axis=0)),
+    "sum": ([(2, 3)], lambda x: x.sum()),
     "mean": ([(2, 3)], lambda x: x.mean(axis=0)),
     "matmul": ([(2,), (2, 3)], matmul),
     "linear": ([(2, 3), (4, 3), (4,)], linear),
@@ -849,13 +848,6 @@ def _fd_case(name, rng):
         a = t(rng.normal(size=int(lengths.sum())))
         w = t(rng.normal(size=lengths.size), rg=False)
         return lambda: mul_op(span_sums(tanh_op(a), lengths), w).sum(), [a]
-    if name == "concat_axis0":
-        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(1, 3)))
-        w = t(rng.normal(size=(3, 3)), rg=False)
-        return lambda: mul_op(concat([a, b], axis=0), w).sum(), [a, b]
-    if name == "sum_axis":
-        a, axis = t(rng.normal(size=(2, 3, 4))), int(rng.integers(-3, 3))
-        return lambda: tanh_op(a.sum(axis=axis)).sum(), [a]
     if name == "mean_axis":
         a = t(rng.normal(size=(2, 3, 4)))
         return lambda: tanh_op(a.mean(axis=-2)).sum(), [a]
@@ -937,12 +929,12 @@ ALL_OPS = [
     "concat", "stack_rows", "take_column",
     "add_rows_batched", "vecmat_batched", "linear", "linear_tanh",
     "lstm_cell_rows", "log_softmax_rows", "gather", "take_columns",
-    "place_rows", "sum_axis", "mean_axis", "concat_rows",
+    "place_rows", "mean_axis", "concat_rows",
     "stack_rows_batched", "row", "pair_attention", "additive_attention",
     "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
     "lstm_cell_carried", "pair_attention_groups", "pair_attention_longer_u",
-    "stack_rows_at", "span_sums", "concat_axis0", "target_log_probs",
+    "stack_rows_at", "span_sums", "target_log_probs",
 ]
 
 

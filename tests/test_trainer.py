@@ -71,14 +71,14 @@ class TestAdamStep:
             adam_step(p, {"w": np.zeros(4)}, AdamState(), lr=1e-3)
 
     def test_in_place_update_keeps_the_expression_bits(self):
-        """Five steps over the desk model's 25 parameters, with zero and
+        """Five steps over the desk model's 21 parameters, with zero and
         tiny gradients, equal the plain expression byte for byte."""
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(17)
         model = init_model(ModelConfig(vocab_size=14), seed=0)
         params = {name: Tensor(p.data.copy(), requires_grad=True)
                   for name, p in model.named_parameters().items()}
-        assert len(params) == 25
+        assert len(params) == 21
         ref = {name: p.data.copy() for name, p in params.items()}
         ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
         ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
@@ -92,7 +92,7 @@ class TestAdamStep:
                 g[u < 0.05] = rng.normal() * 1e-160    # g * g underflows
                 g[u > 0.95] *= 1e-310                  # subnormal
                 grads[name] = g
-            grads["captioner.out.b"][:] = 0.0
+            grads["captioner.out_b"][:] = 0.0
             adam_step(params, grads, state, lr, b1, b2, eps)
             for name, p in ref.items():
                 g, m, v = grads[name], ref_m[name], ref_v[name]
@@ -182,7 +182,7 @@ class TestTrainLoop:
     def test_non_finite_loss_rejected_before_any_update(self, tmp_path, monkeypatch,
                                                         batch_size):
         """With numpy's floating-point faults ignored, as an API caller may
-        run, an overflowing segment still stops training, naming its batch,
+        run, an overflowing segment still stops training, naming it,
         before ADAM runs on that batch."""
         ds = small_dataset(tmp_path)
         bad = ds.train[0]
@@ -197,6 +197,20 @@ class TestTrainLoop:
                 match=rf"training batch of segments [^:]*{bad.segment_id}[^:]*: non-finite loss"):
             train(cfg, ds, SMALL_MODEL)
         assert len(calls) == updates_before
+
+    @pytest.mark.parametrize("mode", ["ignore", "raise"])
+    def test_fault_names_only_the_faulting_segment(self, tmp_path, mode):
+        """At batch 8 the four desk segments train as one batch, and an
+        overflowing value in seg_0000 names seg_0000 alone: its row is the
+        non-finite one when numpy ignores the fault, and it is the segment
+        that faults alone when numpy raises."""
+        ds = small_dataset(tmp_path)
+        bad = ds.train[0]
+        assert bad.segment_id == "seg_0000"
+        bad.image_feats[0, 0] = 8.5e158
+        with np.errstate(all=mode), pytest.raises(ContractError) as info:
+            train(TrainConfig(max_epochs=1, batch_size=8, seed=3), ds, SMALL_MODEL)
+        assert str(info.value).startswith("training batch of segments seg_0000: ")
 
     def test_stop_train_loss_shortens_run(self, tmp_path):
         ds = small_dataset(tmp_path)
@@ -461,7 +475,7 @@ class TestCheckpoint:
         res.model.captioner.out_b.data[1] = np.nan
         p = tmp_path / "nan.ckpt"
         save_checkpoint(p, res.model, res.vocab, res.adam, cfg)
-        with pytest.raises(ContractError, match="param/captioner.out.b has non-finite"):
+        with pytest.raises(ContractError, match="param/captioner.out_b has non-finite"):
             load_checkpoint(p)
 
     def test_config_blob_validated(self, tmp_path):
