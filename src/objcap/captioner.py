@@ -169,14 +169,15 @@ def precompute_frames(p: CaptionerParams, v_c: Tensor,
                       frame_mask: np.ndarray | None = None) -> SegmentContext:
     """Project the frame features, pool them, stack interaction states, and
     compute the frame-attention keys. ``v_c`` is T x D, or B x T x D for a
-    padded batch whose real frames ``frame_mask`` marks."""
+    padded batch whose real frames ``frame_mask`` marks; the interaction
+    states are B x H each, a lone segment's 1 x H, read as its T x H."""
     length = v_c.shape[-2]
     if p.use_objects:
         if not interactions:
             raise ContractError("object pathway active but no interaction states given")
         if len(interactions) != length:
             raise ShapeError(f"{len(interactions)} interaction states for {length} frames")
-        states = stack_rows(interactions)
+        states = stack_rows(interactions, np.arange(length) if len(v_c.shape) == 2 else None)
     else:
         states = None
     if p.use_image:
@@ -273,7 +274,6 @@ def teacher_forced_nll(p: CaptionerParams, ctx: SegmentContext, inputs: np.ndarr
 @dataclass
 class TeacherForcedResult:
     loss: Tensor            # mean negative log-likelihood over the caption's positions
-    loss_sum: Tensor
 
 
 def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
@@ -299,7 +299,7 @@ def forward_teacher_forced(p: CaptionerParams, ctx: SegmentContext,
 
     ids = np.array(caption)
     loss_sum = teacher_forced_nll(p, ctx, ids[:-1], ids[1:])
-    return TeacherForcedResult(loss=loss_sum * (1.0 / (len(caption) - 1)), loss_sum=loss_sum)
+    return TeacherForcedResult(loss=loss_sum * (1.0 / (len(caption) - 1)))
 
 
 def tile_context(ctx: SegmentContext, rows: int) -> SegmentContext:

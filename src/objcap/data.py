@@ -253,6 +253,8 @@ class SynthSpec:
             raise ValidationError("vocab_words", "must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError("val_fraction", "must be in [0, 1)")
+        if round(self.segments * self.val_fraction) == self.segments:
+            raise ValidationError("val_fraction", "leaves no segment to train on")
         return self
 
 

@@ -16,13 +16,13 @@ of the bias depends on the recurrence, so the object projections and frame
 contexts are computed once per segment, for all frames together, before the
 frame loop.
 
-A batch of segments runs as one recurrence over padded arrays: each frame
-attends over its widest object count, and masks give padded object rows
-exactly zero attention. With the batch ordered longest segment first, the
-segments still running at a frame are the first rows, and only they are
-attended and stepped; a segment past its end carries its last state. Masks
-come only from padding: a frame where no running segment has a padded row
-attends unmasked, as a segment alone does.
+A batch of segments runs as one recurrence over padded arrays, and a
+segment alone as a batch of one: each frame attends over its widest object
+count, and masks give padded object rows exactly zero attention. With the
+batch ordered longest segment first, the segments still running at a frame
+are the first rows, and only they are attended and stepped; a segment past
+its end carries its last state. Masks come only from padding: a frame
+where no running segment has a padded row attends unmasked.
 
 Object rows are an unordered set: no identity or cross-frame correspondence
 is assumed, and all outputs are invariant to row permutation.
@@ -103,10 +103,10 @@ def pack_objects(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarr
 def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
                        object_mask: np.ndarray, frame_mask: np.ndarray | None = None,
                        ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
-    """Run the recurrence from a zero initial state over a segment (image
-    T x image_dim, object_mask T x N) or a padded batch of them (B x T x
-    image_dim, B x T x N); ``objects`` holds the rows ``object_mask`` marks,
-    in its C order (see ``pack_objects``).
+    """Run the recurrence from a zero initial state over a padded batch of
+    segments (image B x T x image_dim, object_mask B x T x N); ``objects``
+    holds the rows ``object_mask`` marks, in its C order (see
+    ``pack_objects``).
 
     ``frame_mask`` (B x T) marks each segment's real frames, its rows
     ordered longest segment first; None means every segment runs to the
@@ -121,11 +121,11 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     gathers the frame's projected rows and attends with the group as a
     batch axis, its pooled output already the groups' concatenation.
 
-    Returns the hidden state after each frame (H, or B x H) and, per frame,
-    each group's attention over the frame's widest object count n (n x n,
-    or a_t x n x n; None when no running segment has an object there, which
-    feeds zeros to the LSTM). A frame's attention is masked only when a
-    running segment has a padded row in it.
+    Returns the hidden state after each frame (B x H) and, per frame, each
+    group's attention over the frame's widest object count n (a_t x n x n;
+    None when no running segment has an object there, which feeds zeros to
+    the LSTM). A frame's attention is masked only when a running segment
+    has a padded row in it.
     """
     k = p.num_groups
     # state-independent work, once per call: every object's projection and
@@ -135,14 +135,14 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     row_of = np.zeros(object_mask.shape, dtype=np.intp)     # each object's row in ``objects``
     row_of[object_mask] = np.arange(objects.shape[0])
 
-    batch, frames = object_mask.shape[:-2], object_mask.shape[-2]
-    h = Tensor(np.zeros(batch + (p.hidden_size,)))
-    c = Tensor(np.zeros(batch + (p.hidden_size,)))
+    segments, frames = object_mask.shape[:2]
+    h = Tensor(np.zeros((segments, p.hidden_size)))
+    c = Tensor(np.zeros((segments, p.hidden_size)))
     # per frame: the running rows, their widest object count, and whether
     # one of them is padded there
-    counts = object_mask.sum(axis=-1).reshape(-1, frames)        # B x T, or 1 x T
-    running = np.full(frames, counts.shape[0]) if frame_mask is None else frame_mask.sum(axis=0)
-    live = np.arange(counts.shape[0])[:, None] < running
+    counts = object_mask.sum(axis=-1)
+    running = np.full(frames, segments) if frame_mask is None else frame_mask.sum(axis=0)
+    live = np.arange(segments)[:, None] < running
     if frame_mask is not None and not np.array_equal(frame_mask, live):
         raise ContractError("batch rows must be ordered by frame count, longest first")
     widest = counts.max(axis=0)
@@ -150,15 +150,14 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     hiddens: list[Tensor] = []
     records: list[list[np.ndarray | None]] = []
     for t, (a, n, masked) in enumerate(zip(running.tolist(), widest.tolist(), padded.tolist())):
-        at = (slice(a), t) if batch else (t,)
         if n:
-            real, index = object_mask[at][..., :n], row_of[at][..., :n]
+            real, index = object_mask[:a, t, :n], row_of[:a, t, :n]
             mask = real if masked else None     # masks only where a row is padded
             alpha, pooled = pair_attention(projected, index, linear(h, p.w_h, contexts.row(t)),
                                            mask, k)
-            records.append([alpha[..., j, :, :] for j in range(k)])
+            records.append([alpha[:, j] for j in range(k)])
         else:
-            pooled = Tensor(np.zeros(((a,) if batch else ()) + (p.lstm.wx.shape[1],)))
+            pooled = Tensor(np.zeros((a, p.lstm.wx.shape[1])))
             records.append([None] * k)
         h, c = lstm_step(p.lstm, pooled, h, c)
         hiddens.append(h)
@@ -168,13 +167,15 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
 def interaction_sequence(p: InteractionParams, image_feats: Tensor,
                          object_feats: list[np.ndarray],
                          ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
-    """Run the recurrence over one segment from a zero initial state.
+    """Run the recurrence over one segment, as a batch of one, from a zero
+    initial state.
 
-    ``image_feats`` is T x image_dim; ``object_feats`` holds one n_t x
-    object_dim array per frame (n_t may be 0). Returns the hidden state after
-    each frame and, per frame, each group's attention matrix (None for an
-    empty frame, which contributes zero pooled vectors).
-    ``model.check_features`` checks the segment.
+    ``image_feats`` is T x image_dim (off the tape); ``object_feats`` holds
+    one n_t x object_dim array per frame (n_t may be 0). Returns the 1 x H
+    hidden state after each frame and, per frame, each group's n_t x n_t
+    attention matrix (None for an empty frame, which contributes zero pooled
+    vectors). ``model.check_features`` checks the segment.
     """
     objects, mask = pack_objects([object_feats])
-    return interaction_states(p, image_feats, objects, mask[0])
+    hiddens, records = interaction_states(p, Tensor(image_feats.data[None]), objects, mask)
+    return hiddens, [[a if a is None else a[0] for a in frame] for frame in records]

@@ -9,9 +9,9 @@ and a graph is freed as soon as its last reference goes.
 
 Batch axis: the ops that take vectors also take a batch of them, one per
 row of a matrix, and the ops that take matrices also take a batch of them
-along a leading axis. A segment alone runs the same code as a batch, without
-the leading axis. ``pair_attention`` and ``additive_attention`` take a mask
-for padded entries. Two ops let a batch skip rows that need no work:
+along a leading axis, which a segment alone runs without; ``pair_attention``
+takes only a batch. It and ``additive_attention`` take a mask for padded
+entries. Two ops let a batch skip rows that need no work:
 ``lstm_cell`` steps only the first rows of its state and carries the rest,
 and ``pair_attention`` reads only the first rows of its bias. ``stack_rows``
 can keep only chosen rows, and ``span_sums`` sums a vector's entries back
@@ -323,60 +323,57 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return e / np.where(total > 0.0, total, 1.0)
 
 
-def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray | None = None,
-                   groups: int | None = None) -> tuple[np.ndarray, Tensor]:
+def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray | None,
+                   groups: int) -> tuple[np.ndarray, Tensor]:
     """Pairwise self-attention over one frame's object rows, pooled, as one
-    node.
+    node, for each of B batch rows and G groups side by side.
 
-    ``rows`` is a matrix of packed rows, and ``index`` (n, or B x n) names
-    the frame's rows in it, in order, no row twice; the gathered rows p are
-    n x d (or B x n x d). ``mask`` (index's shape) marks the real entries: a
-    False entry is a padded position, whose index is not read and whose row
-    of p is zeros. ``u`` is one bias of width d (or one per batch row; a
-    ``u`` with more than B rows has only its first B read, and its other
-    rows get no gradient). With ``x = p + u`` on every row, ``alpha =
-    softmax(x @ x.T / sqrt(d))`` row by row and the result is the mean over
-    rows of ``alpha @ p``, taken as (mean of alpha's rows) @ p. A padded row
-    or column gets exactly zero attention, the mean runs over the real rows
-    only, and a batch row without one pools to zeros.
+    ``rows`` is a matrix of packed rows, and ``index`` (B x n) names each
+    batch row's objects in it, in order, no row twice. ``mask`` (B x n, or
+    None when nothing is padded) marks the real entries: a False entry is a
+    padded position, whose index is not read and whose gathered row is
+    zeros. ``u`` holds one bias per batch row (a ``u`` with more than B rows
+    has only its first B read, and its other rows get no gradient). The
+    width is G·d: group k owns columns k·d to (k+1)·d of ``rows`` and ``u``,
+    and gathers its rows p as one n x d matrix. With ``x = p + u`` on every
+    row, ``alpha = softmax(x @ x.T / sqrt(d))`` row by row and the group's
+    result is the mean over rows of ``alpha @ p``, taken as (mean of
+    alpha's rows) @ p. A padded row or column gets exactly zero attention,
+    the mean runs over the real rows only, and a batch row without one
+    pools to zeros. Each group equals a call on its own columns bit for
+    bit.
 
-    ``groups=G`` runs G attentions side by side, the group as one more batch
-    axis: the width is G·d, group k owns columns k·d to (k+1)·d of ``rows``
-    and ``u``, ``alpha`` gains a group axis (G x n x n, or B x G x n x n)
-    and the pooled vector is the G groups' pooled vectors end to end. Each
-    group equals a call on its own columns bit for bit.
-
-    Returns ``alpha``, an array off the tape, and the pooled vector (width,
-    or B x width). The forward repeats the op-by-op chain's numpy operations
-    in order, the transpose as a contiguous copy, so it is the same bit for
-    bit. The node keeps ``alpha`` and the pooling weights; its backward
-    gathers p and forms x again with the same operations.
+    Returns ``alpha`` (B x G x n x n), an array off the tape, and the
+    pooled vectors (B x G·d), each the G groups' pooled vectors end to end.
+    The forward repeats the op-by-op chain's numpy operations in order, the
+    transpose as a contiguous copy, so it is the same bit for bit. The node
+    keeps ``alpha`` and the pooling weights; its backward gathers p and
+    forms x again with the same operations.
     """
     index = np.asarray(index)
-    if index.ndim not in (1, 2) or index.dtype.kind not in "iu" or len(rows.shape) != 2:
+    if index.ndim != 2 or index.dtype.kind not in "iu" or len(rows.shape) != 2:
         raise ShapeError(f"pair_attention index {index.shape} into rows {rows.shape}")
-    lead, n, width = index.shape[:-1], index.shape[-1], rows.shape[-1]
-    k = 1 if groups is None else groups
-    if (mask is not None and mask.shape != index.shape or len(u.shape) != index.ndim
-            or u.shape[-1] != width or lead and u.shape[0] < lead[0] or k < 1 or width % k):
+    (b, n), width, k = index.shape, rows.shape[-1], groups
+    if (mask is not None and mask.shape != index.shape or len(u.shape) != 2
+            or u.shape[-1] != width or u.shape[0] < b or k < 1 or width % k):
         raise ShapeError(f"pair_attention shape mismatch: rows {rows.shape}, index "
                          f"{index.shape}, mask {None if mask is None else mask.shape}, "
                          f"bias {u.shape}, groups {groups}")
     if n < 1:
         raise ContractError("pair_attention needs at least one object row")
     d = width // k
-    bias = (u.data[:lead[0]] if lead else u.data).reshape(lead + (k, 1, d))
+    bias = u.data[:b].reshape(b, k, 1, d)
     taken = index if mask is None else index[mask]
 
     def gathered():
-        """lead x k x n x d: each group's rows as one contiguous matrix, as
-        a group alone's would be, with zero rows at padded positions."""
+        """B x k x n x d: each group's rows as one contiguous matrix, as a
+        group alone's would be, with zero rows at padded positions."""
         if mask is None:
             placed = rows.data[index]
         else:
             placed = np.zeros(index.shape + (width,))
             placed[mask] = rows.data[taken]
-        return np.ascontiguousarray(np.swapaxes(placed.reshape(lead + (n, k, d)), -2, -3))
+        return np.ascontiguousarray(np.swapaxes(placed.reshape(b, n, k, d), -2, -3))
 
     p = gathered()
     x = p + bias
@@ -394,7 +391,7 @@ def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray 
     def _backward(out):
         p = gathered()
         x = p + bias
-        g = out.grad.reshape(lead + (k, d))
+        g = out.grad.reshape(b, k, d)
         g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
         g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
                    if weights is None else weights[..., :, None] * g_mean[..., None, :])
@@ -407,13 +404,12 @@ def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray 
                 rows.grad = np.zeros_like(rows.data)
             rows.grad[taken] += g_p if mask is None else g_p[mask]
         if u.requires_grad:
-            g_u = g_x.sum(axis=-2).reshape(lead + (width,))
-            if g_u.shape != u.shape:
-                g_u = np.concatenate([g_u, np.zeros((u.shape[0] - lead[0], width))])
+            g_u = np.zeros(u.shape)
+            g_u[:b] = g_x.sum(axis=-2).reshape(b, width)
             u._accumulate(g_u)
 
-    pooled = _rows_times(mean, p).reshape(lead + (width,))
-    return (alpha if groups else alpha[..., 0, :, :]), _record(pooled, (rows, u), _backward)
+    pooled = _rows_times(mean, p).reshape(b, width)
+    return alpha, _record(pooled, (rows, u), _backward)
 
 
 def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,

@@ -8,8 +8,8 @@ padding (frames, objects, caption positions) is present.
 import numpy as np
 import pytest
 
-from objcap.captioner import BOS_ID, EOS_ID, advance, forward_teacher_forced, precompute_frames
-from objcap.captioner import initial_state
+from objcap.captioner import BOS_ID, EOS_ID, advance, precompute_frames
+from objcap.captioner import initial_state, teacher_forced_nll
 from objcap.data import SegmentFeatures
 from objcap.interaction import interaction_states, pack_objects
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
@@ -57,7 +57,8 @@ def padded_image(items):
 
 def alone(model, seg, ids):
     ctx, _ = segment_context(model, seg.image_feats, seg.object_feats)
-    return forward_teacher_forced(model.captioner, ctx, ids).loss_sum
+    ids = np.array(ids)
+    return teacher_forced_nll(model.captioner, ctx, ids[:-1], ids[1:])
 
 
 def rel(got, want):

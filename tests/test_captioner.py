@@ -16,6 +16,7 @@ from objcap.captioner import (
     forward_teacher_forced,
     initial_state,
     precompute_frames,
+    teacher_forced_nll,
     tile_context,
 )
 from objcap.data import PAD_ID
@@ -192,7 +193,9 @@ class TestTeacherForcing:
         m = tiny_model(11)
         ctx = make_ctx(m, np.random.default_rng(11))
         res = forward_teacher_forced(m.captioner, ctx, [BOS_ID, 4, EOS_ID])
-        assert res.loss.item() == res.loss_sum.item() * (1.0 / 2)
+        ids = np.array([BOS_ID, 4, EOS_ID])
+        loss_sum = teacher_forced_nll(m.captioner, ctx, ids[:-1], ids[1:])
+        assert res.loss.item() == loss_sum.item() * (1.0 / 2)
 
     def test_trailing_pad_excluded(self):
         """PAD is rejected wherever it sits, trailing included: batches are

@@ -58,6 +58,15 @@ class TestSynth:
         assert code == 2
         assert "max_objects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segments, fraction", [("1", "0.6"), ("3", "0.9")])
+    def test_val_split_taking_every_segment_exits_2(self, tmp_path, capsys, segments, fraction):
+        code = main(["synth", "--segments", segments, "--val-fraction", fraction,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "val_fraction" in err and "no segment to train on" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_writes_manifest_and_refs(self, corpus):
         assert (corpus / "manifest.json").exists()
         refs = json.loads((corpus / "refs.json").read_text())

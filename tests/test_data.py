@@ -198,6 +198,20 @@ class TestSynthDataset:
         ds = load_manifest(synth_dataset(1, spec, tmp_path))
         assert len(ds.train) == 3 and len(ds.val) == 2
 
+    @pytest.mark.parametrize("segments, fraction", [(1, 0.6), (3, 0.9), (2, 0.75)])
+    def test_val_fraction_taking_every_segment_rejected(self, tmp_path, segments, fraction):
+        """A split that rounds to all segments would leave training none."""
+        spec = SynthSpec(segments=segments, val_fraction=fraction)
+        with pytest.raises(ValidationError, match="val_fraction: leaves no segment to train on"):
+            synth_dataset(1, spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_val_fraction_leaving_one_segment_to_train_accepted(self, tmp_path):
+        spec = SynthSpec(segments=3, val_fraction=0.8, feature_dim=4,
+                         max_frames=2, max_objects=2, vocab_words=4)
+        ds = load_manifest(synth_dataset(1, spec, tmp_path))
+        assert len(ds.train) == 1 and len(ds.val) == 2
+
     def test_planted_rule_recoverable_by_logistic_probe(self, tmp_path):
         # the caption's content word must be predictable from the pooled
         # object features, otherwise the overfit tests rest on noise

@@ -66,29 +66,31 @@ def oracle_sequence(p, image, object_feats):
 
 
 def attend(projected, u):
-    """One group's attention over every row of ``projected``, in order."""
-    return pair_attention(projected, np.arange(projected.shape[0]), u)
+    """One group's attention over every row of ``projected``, in order, as a
+    batch of one: the n x n attention and the 1 x d pooled vector."""
+    alpha, pooled = pair_attention(projected, np.arange(projected.shape[0])[None], u, None, 1)
+    return alpha[0, 0], pooled
 
 
 class TestGroupAttend:
     def test_single_object(self):
         rng = np.random.default_rng(1)
         projected = Tensor(rng.normal(size=(1, 3)))
-        alpha, pooled = attend(projected, Tensor(rng.normal(size=3)))
+        alpha, pooled = attend(projected, Tensor(rng.normal(size=(1, 3))))
         assert alpha.tolist() == [[1.0]]
         assert np.max(np.abs(pooled.data - projected.data[0])) < 1e-12
 
     def test_identical_objects_give_uniform_attention(self):
         rng = np.random.default_rng(2)
         row = rng.normal(size=3)
-        alpha, pooled = attend(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=3)))
+        alpha, pooled = attend(Tensor(np.tile(row, (3, 1))), Tensor(rng.normal(size=(1, 3))))
         assert np.max(np.abs(alpha - 1.0 / 3)) < 1e-12
         assert np.max(np.abs(pooled.data - row)) < 1e-9
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         proj = rng.normal(size=(4, 3))
-        u = rng.normal(size=3)
+        u = rng.normal(size=(1, 3))
         alpha_t, pooled_t = attend(Tensor(proj), Tensor(u))
 
         # explicit scalar recomputation: bias, score, softmax, pool
@@ -105,20 +107,20 @@ class TestGroupAttend:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 5):
-            alpha, _ = attend(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=3)))
+            alpha, _ = attend(Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=(1, 3))))
             sums = alpha.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
             assert np.all(alpha > 0)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ContractError):
-            attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
+            attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros((1, 3))))
 
     def test_score_scaling_uses_sqrt_attn_dim(self):
         # attention width 3: scores must equal the unscaled oracle / sqrt(3)
         rng = np.random.default_rng(6)
         proj = rng.normal(size=(3, 3))
-        u = rng.normal(size=3)
+        u = rng.normal(size=(1, 3))
         x = proj + u
         unscaled = x @ x.T
         alpha, _ = attend(Tensor(proj), Tensor(u))
@@ -136,7 +138,7 @@ class TestInteractionStep:
         for t in named_tensors(p.lstm).values():
             t.data[:] = 0.0
         hs, _ = interaction_sequence(p, *make_segment(rng, [3]))
-        assert np.array_equal(hs[0].data, np.zeros(4))
+        assert np.array_equal(hs[0].data, np.zeros((1, 4)))
 
     def test_identical_groups_produce_identical_pooled(self):
         rng = np.random.default_rng(8)
@@ -156,8 +158,8 @@ class TestInteractionStep:
         p = make_params(9)
         hs, records = interaction_sequence(p, *make_segment(rng, [0]))
         assert records == [[None, None]]
-        zeros = Tensor(np.zeros(4))
-        h, _ = lstm_step(p.lstm, Tensor(np.zeros(6)), zeros, zeros)
+        zeros = Tensor(np.zeros((1, 4)))
+        h, _ = lstm_step(p.lstm, Tensor(np.zeros((1, 6))), zeros, zeros)
         assert np.array_equal(hs[0].data, h.data)
 
     def test_permutation_leaves_state_unchanged(self):
@@ -176,8 +178,9 @@ class TestInteractionSequence:
         image, objects = make_segment(rng, [2])
         hs, recs = interaction_sequence(p, image, objects)
         expected, _ = oracle_sequence(p, image.data, objects)
-        assert np.max(np.abs(hs[0].data - expected[0])) < 1e-12
-        assert len(recs) == 1 and len(recs[0]) == 2
+        assert hs[0].shape == (1, 4)        # the segment runs as a batch of one
+        assert np.max(np.abs(hs[0].data[0] - expected[0])) < 1e-12
+        assert len(recs) == 1 and [alpha.shape for alpha in recs[0]] == [(2, 2)] * 2
 
     def test_all_zero_inputs_zero_params_give_zero_states(self):
         p = make_params(12)
@@ -185,7 +188,7 @@ class TestInteractionSequence:
             t.data[:] = 0.0
         hs, _ = interaction_sequence(p, Tensor(np.zeros((3, 4))), [np.zeros((2, 5))] * 3)
         for h in hs:
-            assert np.array_equal(h.data, np.zeros(4))
+            assert np.array_equal(h.data, np.zeros((1, 4)))
 
     def test_three_frames_match_stepwise_fold(self):
         # the middle frame is empty

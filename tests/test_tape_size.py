@@ -65,7 +65,9 @@ def report(capsys):
     return _report
 
 
-def test_tape_node_counts_at_paper_shapes(report):
+def paper_segment_counts() -> dict[str, int]:
+    """The tape-node counts of one segment and its caption at the paper's
+    shapes, by ``TAPE`` line name."""
     rng = np.random.default_rng(0)
     m = init_model(ModelConfig(vocab_size=1000), seed=0)
     image = rng.normal(size=(30, 32))
@@ -78,13 +80,17 @@ def test_tape_node_counts_at_paper_shapes(report):
     step = decode_step(m.captioner, ctx, BOS_ID, initial_state(m.captioner))
     step_roots = [step.word_logits, step.alpha_temp, step.state.h1, step.state.c1,
                   step.state.h2, step.state.c2]
+    return {"interaction": op_nodes(ctx.states._prev),
+            "teacher-forced": op_nodes([loss], stop=context),
+            "decode step": op_nodes(step_roots, stop=context),
+            "segment": op_nodes([loss])}
 
-    for name, count, bound in [
-            ("interaction", op_nodes(ctx.states._prev), INTERACTION_MAX),
-            ("teacher-forced", op_nodes([loss], stop=context), TEACHER_FORCED_MAX),
-            ("decode step", op_nodes(step_roots, stop=context), DECODE_STEP_MAX),
-            ("segment", op_nodes([loss]), SEGMENT_MAX)]:
-        assert report("TAPE", name, count, bound) <= bound
+
+def test_tape_node_counts_at_paper_shapes(report):
+    bounds = {"interaction": INTERACTION_MAX, "teacher-forced": TEACHER_FORCED_MAX,
+              "decode step": DECODE_STEP_MAX, "segment": SEGMENT_MAX}
+    for name, count in paper_segment_counts().items():
+        assert report("TAPE", name, count, bounds[name]) <= bounds[name]
 
 
 def paper_batch(batch_size, rng) -> list:

@@ -198,7 +198,9 @@ def _attention_case(op, rng, wide=False, groups=None, extra_rows=0):
     that many groups side by side; ``extra_rows`` makes a batch's query
     that many rows longer (always a batch then). The pair op gathers its
     entries from packed rows through a shuffled index, which may leave a
-    row out. Returns (leaves, mask, index); the additive op has no index."""
+    row out, and takes only a batch: its vector layout is a batch of one,
+    drawn from the same values. Returns (leaves, mask, index); the
+    additive op has no index."""
     lead = (3,) if extra_rows else [(), (3,)][rng.integers(2)]
     n, d = (int(rng.integers(1, 16)), 32) if wide else (int(rng.integers(1, 5)),
                                                           int(rng.integers(1, 4)))
@@ -211,7 +213,9 @@ def _attention_case(op, rng, wide=False, groups=None, extra_rows=0):
             mask[1, 0] = True
     index = None
     if op == "pair":
-        count = n * (lead or (1,))[0]
+        lead = lead or (1,)
+        mask = None if mask is None else mask.reshape(lead + (n,))
+        count = n * lead[0]
         rows = t(rng.normal(size=(count + int(rng.integers(2)), d)))
         index = rng.permutation(rows.shape[0])[:count].reshape(lead + (n,))
     else:
@@ -241,8 +245,11 @@ class TestFusedAttention:
                     leaf.zero_grad()
                 if op == "pair":
                     rows, query = leaves
-                    alpha, out = (pair_attention(rows, index, query, mask) if fused else
-                                  pair_attention_chain(_placed(rows, index, mask), query, mask))
+                    if fused:
+                        alpha, out = pair_attention(rows, index, query, mask, 1)
+                        alpha = alpha[:, 0]
+                    else:
+                        alpha, out = pair_attention_chain(_placed(rows, index, mask), query, mask)
                 else:
                     out = (additive_attention if fused else additive_attention_chain)(
                         *leaves, mask)
@@ -271,9 +278,9 @@ class TestFusedAttention:
             for k in range(groups):
                 cols = slice(k * d, (k + 1) * d)
                 alone = [t(np.ascontiguousarray(leaf.data[..., cols])) for leaf in leaves]
-                alpha_k, out_k = pair_attention(alone[0], index, alone[1], mask)
+                alpha_k, out_k = pair_attention(alone[0], index, alone[1], mask, 1)
                 mul_op(out_k, t(np.ascontiguousarray(w[..., cols]), rg=False)).sum().backward()
-                assert np.array_equal(alpha[..., k, :, :], alpha_k)
+                assert np.array_equal(alpha[:, k], alpha_k[:, 0])
                 assert np.array_equal(out.data[..., cols], out_k.data)
                 for leaf, leaf_k in zip(leaves, alone):
                     assert np.array_equal(leaf.grad[..., cols], leaf_k.grad)
@@ -289,9 +296,9 @@ class TestFusedAttention:
         mul_op(alpha, t(rng.normal(size=(2, 4)), rg=False)).sum().backward()
         assert np.all(rows.grad[~mask] == 0.0) and np.all(query.grad[1] == 0.0)
         packed, index = t(rows.data.reshape(8, 3)), np.arange(8).reshape(2, 4)
-        pairs, pooled = pair_attention(packed, np.where(mask, index, 8), query, mask)
+        pairs, pooled = pair_attention(packed, np.where(mask, index, 8), query, mask, 1)
         pair_mask = mask[:, :, None] & mask[:, None, :]
-        assert np.all(pairs[~pair_mask] == 0.0) and np.array_equal(pooled.data[1], np.zeros(3))
+        assert np.all(pairs[:, 0][~pair_mask] == 0.0) and np.array_equal(pooled.data[1], np.zeros(3))
         mul_op(pooled, t(rng.normal(size=(2, 3)), rg=False)).sum().backward()
         assert np.all(packed.grad[index[~mask]] == 0.0)
 
@@ -299,29 +306,27 @@ class TestFusedAttention:
         """The op gathers the frame's rows itself and forms them and
         ``x = p + u`` again in its backward. Its alpha, pooled vector and
         every gradient equal the former path, ``place_rows`` then the
-        former op over the placed copy, bit for bit: vector and batch rank,
-        masked and not, one group (with and without the group axis) and two,
-        and a ``u`` longer than the batch; half the trials at the paper's
-        shapes."""
+        former op over the placed copy, bit for bit: a batch of one and of
+        three, masked and not, one group and two, and a ``u`` longer than
+        the batch; half the trials at the paper's shapes."""
         rng = np.random.default_rng(15)
-        cases = [(lead, masked, groups, extra) for lead in ((), (3,)) for masked in (False, True)
-                 for groups in (None, 1, 2) for extra in (0, 2) if lead or not extra]
+        cases = [(batch, masked, groups, extra) for batch in (1, 3) for masked in (False, True)
+                 for groups in (1, 2) for extra in (0, 2)]
         for trial in range(20):
-            for lead, masked, groups, extra in cases:
+            for batch, masked, groups, extra in cases:
                 n, d = (int(rng.integers(1, 16)), 32) if trial % 2 else (int(rng.integers(1, 5)),
                                                                           int(rng.integers(1, 4)))
-                width = d * (groups or 1)
-                count = n * (lead or (1,))[0]
-                rows = t(rng.normal(size=(count + int(rng.integers(3)), width)))
-                index = rng.permutation(rows.shape[0])[:count].reshape(lead + (n,))
+                width = d * groups
+                rows = t(rng.normal(size=(n * batch + int(rng.integers(3)), width)))
+                index = rng.permutation(rows.shape[0])[:n * batch].reshape(batch, n)
                 mask = None
                 if masked:
                     mask = rng.random(size=index.shape) < 0.6
                     mask[..., 0] = True
-                    if lead:
+                    if batch > 1:
                         mask[1] = False
-                u = t(rng.normal(size=(lead[0] + extra, width) if lead else (width,)))
-                w = t(rng.normal(size=lead + (width,)), rg=False)
+                u = t(rng.normal(size=(batch + extra, width)))
+                w = t(rng.normal(size=(batch, width)), rg=False)
                 runs = []
                 for gather in (True, False):
                     rows.zero_grad()
@@ -332,22 +337,26 @@ class TestFusedAttention:
                     mul_op(out, w).sum().backward()
                     runs.append([alpha, out.data, rows.grad, u.grad])
                 for new, old in zip(*runs):
-                    assert np.array_equal(new, old), (lead, masked, groups, extra)
+                    assert np.array_equal(new, old), (batch, masked, groups, extra)
 
     def test_shapes_checked(self):
-        z, two = t(np.zeros((2, 3))), np.array([1, 0])
-        for rows, index, u, mask in [
-                (z, two, t(np.zeros(2)), None),                        # bias width
-                (t(np.zeros((1, 2, 3))), two, t(np.zeros(3)), None),   # rows not a matrix
-                (z, np.array([1.0, 0.0]), t(np.zeros(3)), None),       # index not ints
-                (z, np.array(1), t(np.zeros(3)), None),                # index a scalar
-                (z, two, t(np.zeros(3)), np.array([True])),            # mask shape
-                (z, two[None], t(np.zeros(3)), None),                  # bias rank
-                (z, np.array([[1, 0], [0, 1]]), t(np.zeros((1, 3))), None)]:   # too few biases
+        z, two, one = t(np.zeros((2, 3))), np.array([[1, 0]]), t(np.zeros((1, 3)))
+        for rows, index, u, mask, groups in [
+                (z, two, t(np.zeros((1, 2))), None, 1),          # bias width
+                (t(np.zeros((1, 2, 3))), two, one, None, 1),     # rows not a matrix
+                (z, np.array([[1.0, 0.0]]), one, None, 1),       # index not ints
+                (z, np.array(1), one, None, 1),                  # index a scalar
+                (z, np.array([1, 0]), t(np.zeros(3)), None, 1),  # the former one-frame form
+                (z, np.array([1, 0]), one, None, 1),             # index a vector
+                (z, two, one, np.array([[True]]), 1),            # mask shape
+                (z, two, t(np.zeros(3)), None, 1),               # bias rank
+                (z, np.array([[1, 0], [0, 1]]), one, None, 1),   # too few biases
+                (z, two, one, None, 2),                          # groups split no width
+                (z, two, one, None, 0)]:                         # no group
             with pytest.raises(ShapeError):
-                pair_attention(rows, index, u, mask)
+                pair_attention(rows, index, u, mask, groups)
         with pytest.raises(ContractError):
-            pair_attention(t(np.zeros((0, 3))), np.zeros(0, dtype=int), t(np.zeros(3)))
+            pair_attention(t(np.zeros((0, 3))), np.zeros((1, 0), dtype=int), one, None, 1)
         with pytest.raises(ShapeError):
             additive_attention(z, t(np.zeros(3)), t(np.zeros(2)))
 
@@ -366,26 +375,27 @@ class TestPlaceRows:
         u, w = t(rng.normal(size=(3, 3)), rg=False), t(rng.normal(size=(3, 3)), rg=False)
         runs = []
         for source, at in ((rows, index), (placed, np.arange(6).reshape(3, 2))):
-            alpha, out = pair_attention(source, at, u, mask)
+            alpha, out = pair_attention(source, at, u, mask, 1)
             mul_op(out, w).sum().backward()
             runs.append((alpha, out.data))
         for new, old in zip(*runs):
             assert np.array_equal(new, old)
         assert np.array_equal(rows.grad[[3, 0, 2]], placed.grad[[0, 3, 4]])
         assert np.all(rows.grad[1] == 0.0) and np.all(placed.grad[[1, 2, 5]] == 0.0)
-        u = t(rng.normal(size=3), rg=False)
-        alpha, out = pair_attention(rows, np.array([3, 0]), u)
-        alpha_taken, out_taken = pair_attention(t(rows.data[[3, 0]]), np.array([0, 1]), u)
+        u = t(rng.normal(size=(1, 3)), rg=False)
+        alpha, out = pair_attention(rows, np.array([[3, 0]]), u, None, 1)
+        alpha_taken, out_taken = pair_attention(t(rows.data[[3, 0]]), np.array([[0, 1]]), u,
+                                                None, 1)
         assert np.array_equal(alpha, alpha_taken) and np.array_equal(out.data, out_taken.data)
 
     def test_shapes_checked(self):
-        rows, mask, u = t(np.zeros((3, 2))), np.array([True, True]), t(np.zeros(2))
+        rows, mask, u = t(np.zeros((3, 2))), np.array([[True, True]]), t(np.zeros((1, 2)))
         with pytest.raises(ShapeError):
-            pair_attention(rows, np.array([0]), u, mask)            # fewer entries than the mask
+            pair_attention(rows, np.array([[0]]), u, mask, 1)        # fewer entries than the mask
         with pytest.raises(ShapeError):
-            pair_attention(rows, np.array([0, 1, 2]), u, mask)      # more
+            pair_attention(rows, np.array([[0, 1, 2]]), u, mask, 1)  # more
         with pytest.raises(ShapeError):
-            pair_attention(t(np.zeros(3)), np.array([0, 1]), u)    # rows not a matrix
+            pair_attention(t(np.zeros(3)), np.array([[0, 1]]), u, None, 1)  # rows not a matrix
 
 
 class TestBackward:
@@ -519,7 +529,8 @@ RULE_CASES = {
     "linear": ([(2, 3), (4, 3), (4,)], linear),
     "linear_no_bias": ([(2, 3), (4, 3)], linear),
     "linear_tanh": ([(2, 3), (4, 3), (4,)], linear_tanh),
-    "pair_attention": ([(3, 2), (2,)], lambda p, u: pair_attention(p, np.array([2, 0]), u)[1]),
+    "pair_attention": ([(3, 2), (1, 2)],
+                       lambda p, u: pair_attention(p, np.array([[2, 0]]), u, None, 1)[1]),
     "additive_attention": ([(3, 2), (2,), (2,)], additive_attention),
     "log_softmax": ([(4,)], log_softmax),
     "target_log_probs": ([(2, 3), (4, 3), (4,)],
@@ -527,8 +538,8 @@ RULE_CASES = {
     "concat": ([(2,), (3,)], lambda a, b: concat([a, b])),
     "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
     "span_sums": ([(5,)], lambda x: span_sums(x, np.array([2, 3]))),
-    "place_rows": ([(3, 3), (3,)], lambda p, u: pair_attention(
-        p, np.array([2, 1, 0]), u, np.array([True, False, True]))[1]),
+    "place_rows": ([(3, 3), (1, 3)], lambda p, u: pair_attention(
+        p, np.array([[2, 1, 0]]), u, np.array([[True, False, True]]), 1)[1]),
     "take_column": ([(3, 4)], lambda m: take_column(m, np.array([0, 2]))),
     "lstm_cell": ([(8, 3), (8, 2), (8,), (3,), (2,), (2,)], lambda *a: hc(lstm_cell(*a))),
 }
@@ -892,7 +903,7 @@ def _fd_case(name, rng):
         a, b = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=4))
         return lambda: tanh_op(matmul_op(a, b)).sum(), [a, b]
     if name in ("pair_attention_groups", "pair_attention_longer_u"):
-        groups = int(rng.integers(2, 4)) if name.endswith("groups") else None
+        groups = int(rng.integers(2, 4)) if name.endswith("groups") else 1
         leaves, mask, index = _attention_case("pair", rng, groups=groups,
                                               extra_rows=int(name.endswith("longer_u")))
         rows, query = leaves
@@ -902,22 +913,23 @@ def _fd_case(name, rng):
     if name == "place_rows":
         # the rows alone, through a masked index whose padded positions name
         # a row no real entry takes: that row's gradient must stay zero
-        lead = [(), (3,)][rng.integers(2)]
+        lead = [(1,), (3,)][rng.integers(2)]
         n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        count = n * (lead or (1,))[0]
+        count = n * lead[0]
         rows = t(rng.normal(size=(count + int(rng.integers(1, 3)), d)))
         order = rng.permutation(rows.shape[0])
         mask = rng.random(size=lead + (n,)) < 0.6
         mask[..., 0] = True
         index = np.where(mask, order[:count].reshape(lead + (n,)), order[count])
         u, w = t(rng.normal(size=lead + (d,)), rg=False), t(rng.normal(size=lead + (d,)), rg=False)
-        return lambda: mul_op(pair_attention(rows, index, u, mask)[1], w).sum(), [rows]
+        return lambda: mul_op(pair_attention(rows, index, u, mask, 1)[1], w).sum(), [rows]
     if name in ("pair_attention", "additive_attention"):
         leaves, mask, index = _attention_case(name.split("_")[0], rng)
         if name == "pair_attention":
             rows, query = leaves
             w = t(rng.normal(size=query.shape), rg=False)
-            return lambda: mul_op(pair_attention(rows, index, query, mask)[1], w).sum(), leaves
+            return lambda: mul_op(pair_attention(rows, index, query, mask, 1)[1],
+                                  w).sum(), leaves
         w = t(rng.normal(size=leaves[0].shape[:-1]), rg=False)
         return lambda: mul_op(additive_attention(*leaves, mask), w).sum(), leaves
     raise AssertionError(name)
@@ -955,9 +967,9 @@ def test_forward_chains_stay_finite():
     rng = np.random.default_rng(99)
     for _ in range(50):
         a = t(rng.normal(scale=50.0, size=(4, 5)))
-        b = t(rng.normal(scale=50.0, size=5))
-        _, pooled = pair_attention(a, np.arange(4), b)
-        out = tanh_op(matmul(additive_attention(a, pooled, b), a))
+        b = t(rng.normal(scale=50.0, size=(1, 5)))
+        _, pooled = pair_attention(a, np.arange(4)[None], b, None, 1)
+        out = tanh_op(matmul(additive_attention(a, pooled.row(0), b.row(0)), a))
         assert np.all(np.isfinite(out.data))
         total = out.sum()
         total.backward()
