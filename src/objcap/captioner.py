@@ -328,18 +328,29 @@ def beam_select(logp: np.ndarray, log_prob: np.ndarray, finished: np.ndarray,
     candidate. Token order is the parent's order, then the new word's: no
     entry's tokens are a prefix of another's (each ends in EOS, or all reach
     the cap at once), and a carried entry has no siblings.
+
+    A pool with no finished entry, every step of a search until a word
+    ends one, takes a shorter path to the same result: its candidates are
+    the flat view of the extension scores, with nothing to gather or join.
     """
-    live, done = np.flatnonzero(~finished), np.flatnonzero(finished)
-    scores = log_prob[live, None] + logp[live]
-    every = np.concatenate([log_prob[done], scores.ravel()])
-    kth = max(every.size - beam_width, 0)
-    cut = np.partition(every, kth)[kth]
-    kept = done[log_prob[done] >= cut]
     vocab = logp.shape[1]
-    at, grown = np.divmod(np.flatnonzero(scores >= cut), vocab)
-    parent = np.concatenate([kept, live[at]])
-    word = np.concatenate([np.full(kept.size, -1), grown])
-    cand_lp = np.concatenate([log_prob[kept], scores[at, grown]])
+    if finished.any():
+        live, done = np.flatnonzero(~finished), np.flatnonzero(finished)
+        scores = log_prob[live, None] + logp[live]
+        every = np.concatenate([log_prob[done], scores.ravel()])
+        kth = max(every.size - beam_width, 0)
+        cut = np.partition(every, kth)[kth]
+        kept = done[log_prob[done] >= cut]
+        at, grown = np.divmod(np.flatnonzero(scores >= cut), vocab)
+        parent = np.concatenate([kept, live[at]])
+        word = np.concatenate([np.full(kept.size, -1), grown])
+        cand_lp = np.concatenate([log_prob[kept], scores[at, grown]])
+    else:
+        scores = (logp[:log_prob.size] + log_prob[:, None]).ravel()
+        kth = max(scores.size - beam_width, 0)
+        picked = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+        parent, word = np.divmod(picked, vocab)
+        cand_lp = scores[picked]
     key = rank[parent] * (vocab + 1) + word
     order = np.lexsort((key, -cand_lp))[:beam_width]
     return parent[order], word[order], cand_lp[order], np.argsort(np.argsort(key[order]))
@@ -359,30 +370,39 @@ def beam_search(p: CaptionerParams, ctx: SegmentContext, beam_width: int,
     search makes the same BLAS calls. The pool is kept in arrays, and each
     step records its backpointers, new words and frame attention, from
     which the best entry's tokens and alphas are read back at the end.
+    The search ends when every entry has finished or at the word cap.
     A pool whose scores are not all finite (overflowed activations make
     every log-probability NaN) raises ``ContractError``.
+
+    Nothing here needs a gradient, so ``cli.caption_dataset`` runs the
+    search off the tape (``tensor.no_tape``): no step builds a graph. On
+    the tape it returns the same bits.
     """
     if beam_width < 1:
         raise ContractError("beam width must be at least 1")
     rows = tile_context(ctx, beam_width)
     ring = np.arange(beam_width)
+    slot = np.zeros(beam_width, dtype=np.intp)     # the pool entry each row holds
     state = initial_state(p, (beam_width,))
-    word = np.full(1, BOS_ID)
+    feed = np.full(1, BOS_ID)
     log_prob = np.zeros(1)
     finished = np.zeros(1, dtype=bool)
     rank = np.zeros(1, dtype=np.int64)
     history = []
-    while not finished.all():
-        feed = np.where(finished, PAD_ID, word)
-        step = decode_step(p, rows, feed[ring % feed.size], state)
+    while True:
+        step = decode_step(p, rows, feed[slot], state)
         parent, word, log_prob, rank = beam_select(log_softmax(step.word_logits).data,
                                                    log_prob, finished, rank, beam_width)
         if not (log_prob.size and np.isfinite(log_prob).all()):
             raise ContractError("non-finite word log-probabilities: the features or "
                                 "weights overflow the decoder")
         history.append((parent, word, step.alpha_temp.data))
-        finished = (word < 0) | (word == EOS_ID) | (len(history) >= max_words)
-        source = parent[ring % parent.size]
+        finished = (word < 0) | (word == EOS_ID)
+        if len(history) >= max_words or finished.all():
+            break
+        feed = np.where(finished, PAD_ID, word)
+        slot = ring % parent.size
+        source = parent[slot]
         state = DecoderState(*(Tensor(s.data[source]) for s in (
             step.state.h1, step.state.c1, step.state.h2, step.state.c2)))
     tokens, alphas, k = [], [], 0

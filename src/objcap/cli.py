@@ -28,16 +28,19 @@ from .data import (
 )
 from .metrics import evaluate_captions
 from .model import Model, segment_context
-from .tensor import ContractError, ShapeError, collector_paused
+from .tensor import ContractError, ShapeError, collector_paused, no_tape
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 @collector_paused()
+@no_tape()
 def caption_dataset(model: Model, vocab: Vocabulary, segments, beam_width: int,
                     with_trace: bool = False) -> tuple[dict, dict]:
     """Decode every segment; optionally collect per-word attention traces,
-    taken from the frame attention the beam search recorded. The cyclic
-    garbage collector is paused meanwhile."""
+    taken from the frame attention the beam search recorded. Nothing here
+    backpropagates, so ``segment_context`` and the beam search run off the
+    tape (``no_tape``) and build no graph. The cyclic garbage collector is
+    paused meanwhile."""
     predictions: dict[str, str] = {}
     traces: dict[str, list] = {}
     for seg in segments:

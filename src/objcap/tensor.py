@@ -19,21 +19,24 @@ into one total per batch row.
 
 Tape policy: each forward pass builds a fresh graph, every op recording its
 node through ``_record``, which marks it as requiring a gradient when any
-input does and only then attaches the backward closure. A node keeps only
-the arrays its backward reads, beyond its inputs: an intermediate that is
-cheap to form is formed again in backward by the same numpy operations, so
-no bit moves (``pair_attention``'s gathered rows and ``x = p + u``,
-``additive_attention``'s tanh, ``linear_tanh``'s pre-activation,
-``lstm_cell``'s ``tanh(c)``; ``target_log_probs`` keeps no logits). Nor
-does a backward make a temporary of a large output's full size: a node owns
-its gradient, a C-ordered array no other array views, so ``linear_tanh``
-forms its slope in it a block of rows at a time, and ``target_log_probs``
-turns its kept log-probabilities into the logits' gradient in place.
-``backward()`` runs once per graph root and raises on a second call. It
-frees the graph as it walks it: once a node has passed its gradient on, it
-drops its closure, its gradient and its links to its inputs, so a spent node
-lives only as long as the caller holds it, and the root keeps only its
-value. Leaf gradients persist until ``zero_grad()``.
+input does and only then attaches the backward closure. Under ``no_tape``
+an op records nothing, its output a bare tensor, so work that never
+backpropagates (captioning and validation) builds no graph, with the same
+arithmetic. A node keeps only the arrays its backward reads, beyond its
+inputs: an intermediate that is cheap to form is formed again in backward
+by the same numpy operations, so no bit moves (``pair_attention``'s
+gathered rows and ``x = p + u``, ``additive_attention``'s tanh,
+``linear_tanh``'s pre-activation, ``lstm_cell``'s ``tanh(c)``;
+``target_log_probs`` keeps no logits). Nor does a backward make a temporary
+of a large output's full size: a node owns its gradient, a C-ordered array
+no other array views, so ``linear_tanh`` forms its slope in it a block of
+rows at a time, and ``target_log_probs`` turns its kept log-probabilities
+into the logits' gradient in place. ``backward()`` runs once per graph root
+and raises on a second call. It frees the graph as it walks it: once a node
+has passed its gradient on, it drops its closure, its gradient and its
+links to its inputs, so a spent node lives only as long as the caller holds
+it, and the root keeps only its value. Leaf gradients persist until
+``zero_grad()``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,24 @@ def collector_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+_taping = True     # cleared while a ``no_tape`` block runs
+
+
+@contextmanager
+def no_tape():
+    """Build no graph while the body runs: every op returns a bare tensor
+    (no inputs, no backward closure, ``requires_grad`` False), whatever its
+    inputs require, so ``backward()`` on a result raises ``ContractError``.
+    The caller's mode comes back afterwards, also on an exception and when
+    nested. Also usable as a function decorator."""
+    global _taping
+    was_taping, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = was_taping
 
 
 class ShapeError(ValueError):
@@ -205,7 +226,10 @@ class Tensor:
 
 def _record(data, inputs: tuple, backward) -> Tensor:
     """An op's output node over ``inputs``: it requires a gradient when any
-    input does, and only then carries ``backward``, called with the node."""
+    input does, and only then carries ``backward``, called with the node.
+    Under ``no_tape`` it is a bare tensor."""
+    if not _taping:
+        return Tensor(data)
     out = Tensor(data, _prev=inputs)
     for t in inputs:
         if t.requires_grad:
@@ -451,17 +475,18 @@ def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
 
 def log_softmax(x: Tensor) -> Tensor:
     """Log of softmax over a vector, or over each row along the last axis,
-    computed with the max-shift trick."""
+    computed with the max-shift trick; the shifted copy becomes the
+    result in place."""
     if len(x.shape) < 1:
         raise ShapeError(f"log_softmax needs a vector, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = x.data - x.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
 
     def _backward(out):
         g = out.grad
         x._accumulate(g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
 
-    return _record(shifted - lse, (x,), _backward)
+    return _record(logp, (x,), _backward)
 
 
 def target_log_probs(x: Tensor, w: Tensor, b: Tensor, targets) -> Tensor:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption, read_json
 from .model import Model, ModelConfig, batch_nll, config_from_dict, init_model
-from .tensor import ContractError, Tensor, collector_paused
+from .tensor import ContractError, Tensor, collector_paused, no_tape
 
 CKPT_MAGIC = b"VCKP"
 CKPT_VERSION = 2
@@ -153,6 +153,7 @@ def _fault(items, split: str, what) -> ContractError:
     return ContractError(f"{split} batch of segments {ids}: {what}")
 
 
+@no_tape()
 def _faults_alone(model: Model, item) -> bool:
     try:
         rows, _ = batch_nll(model, [item])
@@ -179,16 +180,18 @@ def _checked_nll(model: Model, items, split: str) -> tuple[Tensor, int]:
     return rows, tokens
 
 
+@no_tape()
 def _mean_loss(model: Model, items, chunk_size: int) -> float:
     """Mean loss per scored position over ``items``, in chunks of
-    ``chunk_size`` as forward-only graphs; a fault names the faulting
-    segments (``_checked_nll``)."""
+    ``chunk_size``, each a forward off the tape (``no_tape``): it builds no
+    graph, and each intermediate is freed once read. A fault names the
+    faulting segments (``_checked_nll``)."""
     total, count = 0.0, 0
     for start in range(0, len(items), chunk_size):
         rows, tokens = _checked_nll(model, items[start:start + chunk_size], "validation")
         total += float(np.sum(rows.data))
         count += tokens
-        del rows    # a graph never backpropagated: free it before the next chunk builds one
+        del rows    # nothing of a chunk outlives it
     return total / count
 
 

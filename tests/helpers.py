@@ -9,9 +9,11 @@ too small for the difference quotient to resolve.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
+from objcap import tensor
 from objcap.data import MAX_CAPTION_WORDS
 
 FD_STEP = 1e-6
@@ -154,6 +156,46 @@ def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
         pool = candidates[:beam_width]
     tokens, log_prob, _, _, alphas = pool[0]
     return tokens, log_prob, alphas
+
+
+def beam_select_general(logp, log_prob, finished, rank, beam_width: int):
+    """``captioner.beam_select``'s path for a pool with finished entries,
+    run on any pool: the reference its shorter path for a pool without
+    them is held to, bit for bit."""
+    live, done = np.flatnonzero(~finished), np.flatnonzero(finished)
+    scores = log_prob[live, None] + logp[live]
+    every = np.concatenate([log_prob[done], scores.ravel()])
+    kth = max(every.size - beam_width, 0)
+    cut = np.partition(every, kth)[kth]
+    kept = done[log_prob[done] >= cut]
+    vocab = logp.shape[1]
+    at, grown = np.divmod(np.flatnonzero(scores >= cut), vocab)
+    parent = np.concatenate([kept, live[at]])
+    word = np.concatenate([np.full(kept.size, -1), grown])
+    cand_lp = np.concatenate([log_prob[kept], scores[at, grown]])
+    key = rank[parent] * (vocab + 1) + word
+    order = np.lexsort((key, -cand_lp))[:beam_width]
+    return parent[order], word[order], cand_lp[order], np.argsort(np.argsort(key[order]))
+
+
+@contextmanager
+def nodes_recorded():
+    """Count the tape nodes (op outputs linked to their inputs) that ops
+    record while the body runs, by wrapping ``tensor._record``, through
+    which every op records its output. Yields a one-entry list that holds
+    the count."""
+    record, count = tensor._record, [0]
+
+    def counting(data, inputs, backward):
+        out = record(data, inputs, backward)
+        count[0] += bool(out._prev)
+        return out
+
+    tensor._record = counting
+    try:
+        yield count
+    finally:
+        tensor._record = record
 
 
 def t_times_reference(a, b):

@@ -26,6 +26,7 @@ from objcap.tensor import ContractError, Tensor, log_softmax
 from helpers import (
     FD_TOL,
     beam_search_by_hypothesis,
+    beam_select_general,
     decode_greedy,
     max_fd_error,
     scalar_lstm_step,
@@ -410,6 +411,36 @@ class TestBeamSearch:
             assert got == expected, f"case {case}"
             order = sorted(range(len(got)), key=lambda k: got[k][1])
             assert np.array_equal(new_rank, np.argsort(order)), f"case {case}"
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    def test_select_without_finished_entries_equals_the_general_path(self, width):
+        """Pools as a search grows them from BOS over random word
+        log-probabilities: every step, either path of ``beam_select`` gives
+        the general path's four arrays bit for bit. Every second case draws
+        integer log-probabilities, so ties at the cut are common; early
+        pools are smaller than the width, and EOS finishes entries that
+        later steps carry over."""
+        rng = np.random.default_rng(33 + width)
+        steps = {False: 0, True: 0}     # by whether the pool held a finished entry
+        for case in range(60):
+            vocab = int(rng.integers(3, 12))
+            log_prob, finished = np.zeros(1), np.zeros(1, dtype=bool)
+            rank = np.zeros(1, dtype=np.int64)
+            for _ in range(8):
+                if case % 2:
+                    logp = rng.integers(-3, 1, size=(width, vocab)).astype(float)
+                else:
+                    logp = np.log(rng.dirichlet(np.ones(vocab), size=width))
+                got = beam_select(logp, log_prob, finished, rank, width)
+                want = beam_select_general(logp, log_prob, finished, rank, width)
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"case {case}"
+                steps[bool(finished.any())] += 1
+                _, word, log_prob, rank = got
+                finished = (word < 0) | (word == EOS_ID)
+                if finished.all():
+                    break
+        assert steps[False] and (steps[True] or width == 1)    # one entry: EOS ends the search
 
     def test_hypothesis_invariants(self):
         m = tiny_model(20)

@@ -20,9 +20,12 @@ from objcap.captioner import (
     initial_state,
     tile_context,
 )
-from objcap.data import SegmentFeatures
+from objcap.cli import caption_dataset
+from objcap.data import RESERVED_WORDS, SegmentFeatures, Vocabulary
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 from objcap.tensor import collector_paused, log_softmax
+
+from helpers import nodes_recorded
 
 INTERACTION_MAX = 152
 TEACHER_FORCED_MAX = 248
@@ -30,6 +33,7 @@ DECODE_STEP_MAX = 12
 BEAM_STEP_MAX = 13
 SEGMENT_MAX = 404
 BATCH_MAX = 404
+CAPTION_CALL_MAX = 0    # captioning runs off the tape
 # MiB that test_batch_graph_memory's batch of 32 holds once its forward is
 # built, and at most while its backward runs: 15.02 and 15.68 measured
 # (numpy 2.4.6), plus a 3% margin
@@ -166,3 +170,23 @@ def test_beam_step_node_count_does_not_depend_on_width(report):
                                        state.h1, state.c1, state.h2, state.c2]),
                              BEAM_STEP_MAX))
     assert counts[0] == counts[1] <= BEAM_STEP_MAX
+
+
+def test_caption_call_builds_no_node(report):
+    """One ``cli.caption_dataset`` call at the paper's shapes (beam 5, 30
+    words) records no node: the segment context and the beam search run
+    off the tape. The same segment's taped context builds the interaction
+    and more, so the count would see a graph."""
+    rng = np.random.default_rng(3)
+    m = init_model(ModelConfig(vocab_size=1000), seed=0)
+    vocab = Vocabulary.from_list(RESERVED_WORDS + [f"w{i:04d}" for i in range(996)])
+    seg = SegmentFeatures(segment_id="s0", image_feats=rng.normal(size=(30, 32)),
+                          object_feats=[rng.normal(size=(15, 32)) for _ in range(30)],
+                          captions=["unused"])
+    with nodes_recorded() as taped:
+        segment_context(m, seg.image_feats, seg.object_feats)
+    assert taped[0] > INTERACTION_MAX
+    with nodes_recorded() as nodes:
+        predictions, _ = caption_dataset(m, vocab, [seg], 5, with_trace=True)
+    assert list(predictions) == ["s0"]
+    assert report("TAPE", "caption call", nodes[0], CAPTION_CALL_MAX) <= CAPTION_CALL_MAX

@@ -19,6 +19,7 @@ from objcap.tensor import (
     lstm_cell,
     masked_softmax,
     matmul,
+    no_tape,
     pair_attention,
     span_sums,
     stack_rows,
@@ -37,6 +38,7 @@ from helpers import (
     matmul_reference,
     max_fd_error,
     mul_op,
+    nodes_recorded,
     pair_attention_chain,
     pair_attention_placed,
     place_rows_reference,
@@ -558,6 +560,57 @@ def test_output_requires_grad_exactly_when_an_input_does(op):
         assert out.requires_grad and out._backward is not None
         (out if out.shape == () else out.sum()).backward()
         assert [x.grad is not None for x in inputs] == [j == i for j in range(len(inputs))]
+
+
+@pytest.mark.parametrize("op", sorted(RULE_CASES))
+def test_no_tape_records_no_node_and_keeps_the_value(op):
+    """Under ``no_tape`` an op whose inputs all require a gradient records
+    no node, its own or an inner one (``lstm_cell``'s ``h`` and ``c``): the
+    output has no inputs, no closure and no gradient to ask for, and its
+    bits are the taped output's. ``backward()`` on it raises."""
+    shapes, call = RULE_CASES[op]
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    taped = call(*[t(a) for a in arrays])
+    with no_tape(), nodes_recorded() as nodes:
+        out = call(*[t(a) for a in arrays])
+    assert nodes == [0]
+    assert out._prev == () and out._backward is None and not out.requires_grad
+    assert out.data.tobytes() == taped.data.tobytes()
+    with pytest.raises(ContractError, match="detached from the tape"):
+        (out if out.shape == () else out.sum()).backward()
+
+
+def test_no_tape_gives_back_the_callers_mode():
+    """After a nested block, after an exception and after a decorated call,
+    taping is back as it was."""
+    x = t([1.0, -2.0])
+
+    def taping():
+        return (x * 2.0).requires_grad
+
+    @no_tape()
+    def failing():
+        assert not taping()
+        raise RuntimeError("inside")
+
+    with no_tape():
+        with no_tape():
+            assert not taping()
+        assert not taping()     # the inner block puts back the outer one's mode
+    assert taping()
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_tape():
+            raise RuntimeError("inside")
+    assert taping()
+    with pytest.raises(RuntimeError, match="inside"):
+        failing()
+    assert taping()
+    with no_tape():
+        with pytest.raises(RuntimeError, match="inside"):
+            failing()
+        assert not taping()
+    assert taping()
 
 
 def _signed_zeros(rng, shape, share=0.2):
