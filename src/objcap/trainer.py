@@ -191,7 +191,7 @@ def _mean_loss(model: Model, items, chunk_size: int) -> float:
         rows, tokens = _checked_nll(model, items[start:start + chunk_size], "validation")
         total += float(np.sum(rows.data))
         count += tokens
-        del rows    # nothing of a chunk outlives it
+        del rows    # gone before the next chunk's forward, not once it returns
     return total / count
 
 
