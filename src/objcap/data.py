@@ -20,6 +20,7 @@ Loading validates every invariant (frame cap 30, object cap 15, caption cap
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,18 +114,25 @@ def save_segment(path: str | Path, seg: SegmentFeatures) -> None:
 
 
 class Reader:
-    """Cursor over a little-endian binary file. Running past the end raises
+    """Cursor over a little-endian binary file open for reading. Each read
+    takes only the bytes it returns; running past the end raises
     ``error(message, offset)``, so every format error names its byte."""
 
-    def __init__(self, raw: bytes, error=SegmentFormatError):
-        self.raw = raw
+    def __init__(self, file, error=SegmentFormatError):
+        self.file = file
+        self.size = os.fstat(file.fileno()).st_size
         self.off = 0
         self.error = error
 
-    def pull(self, n: int) -> bytes:
-        if self.off + n > len(self.raw):
+    def _claim(self, n: int) -> None:
+        if self.off + n > self.size:
             raise self.error(f"truncated: wanted {n} more bytes", self.off)
-        out = self.raw[self.off:self.off + n]
+
+    def pull(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.file.read(n)
+        if len(out) != n:   # the file shrank since it was opened
+            raise self.error(f"truncated: wanted {n} more bytes", self.off)
         self.off += n
         return out
 
@@ -139,31 +147,39 @@ class Reader:
             raise self.error("invalid UTF-8", self.off - len(raw) + exc.start) from None
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.pull(count * 8), dtype="<f8").astype(np.float64)
+        """A fresh float64 array of the next ``count`` values, allocated only
+        once the file is known to hold them."""
+        self._claim(count * 8)
+        out = np.empty(count, dtype="<f8")
+        if self.file.readinto(out) != count * 8:
+            raise self.error(f"truncated: wanted {count * 8} more bytes", self.off)
+        self.off += count * 8
+        return out.astype(np.float64, copy=False)
 
     def end(self) -> None:
-        if self.off != len(self.raw):
-            raise self.error(f"{len(self.raw) - self.off} trailing bytes", self.off)
+        if self.off != self.size:
+            raise self.error(f"{self.size - self.off} trailing bytes", self.off)
 
 
 def load_segment(path: str | Path) -> SegmentFeatures:
     """Parse and validate one segment file; parse failures report the byte
     offset, invariant violations name the offending field."""
-    r = Reader(Path(path).read_bytes())
-    if r.pull(4) != MAGIC:
-        raise SegmentFormatError("bad magic", 0)
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise SegmentFormatError(f"unsupported version {version}", 4)
-    sid = r.text()
-    t, d_img, d_obj = r.u32(), r.u32(), r.u32()
-    if t < 1 or t > 10**6:
-        raise SegmentFormatError(f"implausible frame count {t}", r.off - 12)
-    counts = [r.u32() for _ in range(t)]
-    image = r.floats(t * d_img).reshape(t, d_img)
-    objects = [r.floats(n * d_obj).reshape(n, d_obj) for n in counts]
-    captions = [r.text() for _ in range(r.u32())]
-    r.end()
+    with open(path, "rb") as f:
+        r = Reader(f)
+        if r.pull(4) != MAGIC:
+            raise SegmentFormatError("bad magic", 0)
+        version = r.u32()
+        if version != FORMAT_VERSION:
+            raise SegmentFormatError(f"unsupported version {version}", 4)
+        sid = r.text()
+        t, d_img, d_obj = r.u32(), r.u32(), r.u32()
+        if t < 1 or t > 10**6:
+            raise SegmentFormatError(f"implausible frame count {t}", r.off - 12)
+        counts = [r.u32() for _ in range(t)]
+        image = r.floats(t * d_img).reshape(t, d_img)
+        objects = [r.floats(n * d_obj).reshape(n, d_obj) for n in counts]
+        captions = [r.text() for _ in range(r.u32())]
+        r.end()
     return SegmentFeatures(segment_id=sid, image_feats=image,
                            object_feats=objects, captions=captions).validate()
 
@@ -328,8 +344,11 @@ def load_manifest(manifest_path: str | Path) -> Dataset:
         split = manifest.get(key)
         if not isinstance(split, list) or not all(isinstance(p, str) for p in split):
             raise ValidationError("manifest", f"{key!r} split must be a list of file names")
-    return Dataset(train=[load_segment(root / p) for p in manifest["train"]],
-                   val=[load_segment(root / p) for p in manifest["val"]])
+    # a file listed twice, in one split or both, is loaded once and shared
+    segments = {p: load_segment(root / p)
+                for p in dict.fromkeys(manifest["train"] + manifest["val"])}
+    return Dataset(train=[segments[p] for p in manifest["train"]],
+                   val=[segments[p] for p in manifest["val"]])
 
 
 def read_json(path: str | Path, text: str | None = None):

@@ -15,10 +15,18 @@ Checkpoint layout (integers little-endian u32 unless noted):
 
 Entry names are "param/", "adam_m/" and "adam_v/" plus the model's parameter
 name, its attribute path (``interaction.proj.w``, ``captioner.out_w``);
-those names are the keys of one dict, so no two entries share a name, and
-reloading reproduces forward outputs bitwise. Version 1 named the K
-interaction groups' weights one group at a time; its files are rejected and
-must be retrained. A JSON sidecar (path + ".json") echoes the config block.
+the parameter names are the keys of one dict, so no two entries share a
+name, and reloading reproduces forward outputs bitwise. Version 1 named the
+K interaction groups' weights one group at a time; its files are rejected
+and must be retrained. A JSON sidecar (path + ".json") echoes the config
+block.
+
+Entries are written and read one at a time, in name order. A save writes
+each straight from the model's or the ADAM state's array, and adds beyond
+them only the zeros of one ADAM moment not yet made. A load reads the
+header, builds the model its config names with ``init_model``, then reads
+each entry into a fresh array that is copied into its parameter or kept as
+its ADAM moment; beyond what it returns it holds one entry at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Reader, Vocabulary, build_vocab, encode_caption, read_json
+from .data import Dataset, Reader, ValidationError, Vocabulary, build_vocab, encode_caption, read_json
 from .model import Model, ModelConfig, batch_nll, config_from_dict, init_model
 from .tensor import ContractError, Tensor, collector_paused, no_tape
 
@@ -286,28 +294,28 @@ def train(cfg: TrainConfig, dataset: Dataset,
 
 def save_checkpoint(path: str | Path, model: Model, vocab: Vocabulary,
                     adam: AdamState, train_cfg: TrainConfig) -> None:
-    entries: list[tuple[str, np.ndarray]] = []
-    for name, p in model.named_parameters().items():
-        entries.append((f"param/{name}", p.data))
-        entries.append((f"adam_m/{name}", adam.m.get(name, np.zeros_like(p.data))))
-        entries.append((f"adam_v/{name}", adam.v.get(name, np.zeros_like(p.data))))
-    entries.sort(key=lambda e: e[0])
-
+    """Write the header, then one entry at a time in name order, straight
+    from the model's and ``adam``'s arrays; a moment ADAM has not made yet
+    is written as zeros, made for its entry alone."""
+    params = model.named_parameters()
+    sources = {"param": {name: p.data for name, p in params.items()},
+               "adam_m": adam.m, "adam_v": adam.v}
+    entries = sorted(f"{kind}/{name}" for kind in sources for name in params)
     config = {"model": model.config.to_dict(), "train": train_cfg.to_dict(),
               "vocab": vocab.to_list(), "format_version": CKPT_VERSION}
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
-              struct.pack("<Q", adam.step),
-              struct.pack("<I", len(blob)), blob,
-              struct.pack("<I", len(entries))]
-    for name, arr in entries:
-        raw = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC + struct.pack("<IQI", CKPT_VERSION, adam.step, len(blob)) + blob
+                + struct.pack("<I", len(entries)))
+        for entry in entries:
+            kind, _, name = entry.partition("/")
+            arr = sources[kind].get(name)
+            if arr is None:
+                arr = np.zeros_like(params[name].data)
+            raw = entry.encode("utf-8")
+            f.write(struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim,
+                                *arr.shape))
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
     Path(str(path) + ".json").write_text(json.dumps(config, sort_keys=True, indent=1) + "\n")
 
 
@@ -319,51 +327,69 @@ class Checkpoint:
     train_config: TrainConfig
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    r = Reader(Path(path).read_bytes(),
-               error=lambda msg, off: ContractError(f"checkpoint {msg} (at byte {off})"))
-    if r.pull(4) != CKPT_MAGIC:
-        raise r.error("has bad magic", 0)
-    version = r.u32()
-    if version != CKPT_VERSION:
-        raise r.error(f"version {version} is unsupported", 4)
-    step = struct.unpack("<Q", r.pull(8))[0]
-    blob_at = r.off
-    blob = read_json(path, r.text())
-    if not isinstance(blob, dict) or not {"vocab", "model", "train"} <= blob.keys():
-        raise r.error("config must be a JSON object with 'vocab', 'model' and 'train'",
-                      blob_at)
-    table: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.text()
-        ndim = r.u32()
-        if ndim > 2:   # every parameter is a vector or a matrix
-            raise r.error(f"tensor {name} has rank {ndim}", r.off - 4)
-        shape = tuple(r.u32() for _ in range(ndim))
-        start = r.off
-        table[name] = r.floats(math.prod(shape)).reshape(shape)
-        if not np.all(np.isfinite(table[name])):
-            raise r.error(f"tensor {name} has non-finite values", start)
-    r.end()
-
+def _checkpoint_model(blob: dict) -> tuple[Model, Vocabulary]:
     vocab = Vocabulary.from_list(blob["vocab"])
     model = init_model(ModelConfig.from_dict(blob["model"]), seed=0)
     if vocab.size != model.config.vocab_size:
         raise ContractError(f"checkpoint vocabulary has {vocab.size} words, its model "
                             f"config 'vocab_size' {model.config.vocab_size}")
-    adam = AdamState(step=step)
-    params = model.named_parameters()
+    return model, vocab
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read the header, build the model its config names, then read one
+    entry at a time into the model's parameters and a fresh ``AdamState``.
+    A fault in the config or in the entry table is raised only once the
+    whole file has parsed, so a parse fault anywhere reports first."""
+    with open(path, "rb") as f:
+        r = Reader(f, error=lambda msg, off: ContractError(f"checkpoint {msg} (at byte {off})"))
+        if r.pull(4) != CKPT_MAGIC:
+            raise r.error("has bad magic", 0)
+        version = r.u32()
+        if version != CKPT_VERSION:
+            raise r.error(f"version {version} is unsupported", 4)
+        step = struct.unpack("<Q", r.pull(8))[0]
+        blob_at = r.off
+        blob = read_json(path, r.text())
+        if not isinstance(blob, dict) or not {"vocab", "model", "train"} <= blob.keys():
+            raise r.error("config must be a JSON object with 'vocab', 'model' and 'train'",
+                          blob_at)
+        try:
+            model, vocab = _checkpoint_model(blob)
+            params, fault = model.named_parameters(), None
+        except (ValidationError, ContractError) as exc:     # raised once the entries parse
+            params, fault = {}, exc
+        adam = AdamState(step=step)
+        moments = {"adam_m": adam.m, "adam_v": adam.v}
+        shapes: dict[str, tuple[int, ...]] = {}     # each name's last shape read
+        for _ in range(r.u32()):
+            name = r.text()
+            ndim = r.u32()
+            if ndim > 2:   # every parameter is a vector or a matrix
+                raise r.error(f"tensor {name} has rank {ndim}", r.off - 4)
+            shape = tuple(r.u32() for _ in range(ndim))
+            start = r.off
+            arr = r.floats(math.prod(shape)).reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise r.error(f"tensor {name} has non-finite values", start)
+            shapes[name] = shape
+            kind, _, key = name.partition("/")
+            if key not in params or params[key].data.shape != shape:
+                continue
+            if kind == "param":
+                params[key].data[:] = arr
+            elif kind in moments:
+                moments[kind][key] = arr
+        r.end()
+    if fault is not None:
+        raise fault
     expected = {f"{kind}/{name}" for name in params for kind in ("param", "adam_m", "adam_v")}
-    if expected != set(table):
+    if expected != set(shapes):
         raise ContractError("checkpoint tensor table does not match the model layout")
-    for entry, arr in table.items():
-        shape = params[entry.partition("/")[2]].data.shape
-        if arr.shape != shape:
-            raise ContractError(f"checkpoint tensor {entry} has shape {arr.shape}, "
-                                f"expected {shape}")
-    for name, p in params.items():
-        p.data[:] = table[f"param/{name}"]
-        adam.m[name] = table[f"adam_m/{name}"]
-        adam.v[name] = table[f"adam_v/{name}"]
+    for entry, shape in shapes.items():
+        want = params[entry.partition("/")[2]].data.shape
+        if shape != want:
+            raise ContractError(f"checkpoint tensor {entry} has shape {shape}, "
+                                f"expected {want}")
     return Checkpoint(model=model, vocab=vocab, adam=adam,
                       train_config=TrainConfig.from_dict(blob["train"]))

@@ -188,6 +188,25 @@ class TestCaptionCommand:
         assert code == 0
         assert sorted(json.loads(pred.read_text())) == [f"seg_{i:04d}" for i in range(4)]
 
+    def test_split_all_bytes_do_not_depend_on_shared_segments(self, tmp_path, corpus):
+        """The synth default lists each file in both splits, so the two
+        splits share its loaded segment; a manifest whose val split names
+        copies of the files, loaded apart, captions to the same bytes."""
+        out = run_train(tmp_path, corpus)
+        names = json.loads((corpus / "manifest.json").read_text())["val"]
+        for name in names:
+            (corpus / f"copy_{name}").write_bytes((corpus / name).read_bytes())
+        (corpus / "apart.json").write_text(json.dumps(
+            {"train": names, "val": [f"copy_{name}" for name in names]}))
+        written = []
+        for manifest in ("manifest.json", "apart.json"):
+            pred = tmp_path / f"{manifest}.pred"
+            assert main(["caption", "--ckpt", str(out / "model.ckpt"), "--data",
+                         str(corpus / manifest), "--split", "all", "--beam", "3",
+                         "--out", str(pred), "--trace", str(pred) + ".trace"]) == 0
+            written.append((pred.read_bytes(), (tmp_path / f"{pred.name}.trace").read_bytes()))
+        assert written[0] == written[1]
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, corpus, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNK")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from objcap import data
 from objcap.data import (
     BOS_ID,
     EOS_ID,
@@ -191,6 +192,26 @@ class TestSynthDataset:
             original = (tmp_path / name).read_bytes()
             save_segment(tmp_path / "copy.seg", seg)
             assert (tmp_path / "copy.seg").read_bytes() == original
+
+    def test_file_in_both_splits_is_loaded_once(self, tmp_path, monkeypatch):
+        """At val_fraction 0 the manifest lists every file in both splits;
+        each is loaded once, and the two splits share its segment."""
+        spec = SynthSpec(segments=3, max_frames=2, max_objects=2, feature_dim=4,
+                         vocab_words=4)
+        manifest = synth_dataset(2, spec, tmp_path)
+        loads = []
+        monkeypatch.setattr(data, "load_segment",
+                            lambda path: loads.append(path.name) or load_segment(path))
+        ds = load_manifest(manifest)
+        assert loads == ["seg_0000.seg", "seg_0001.seg", "seg_0002.seg"]
+        assert len(ds.val) == 3 and all(v is t for v, t in zip(ds.val, ds.train))
+
+    def test_file_listed_twice_in_a_split_is_shared(self, tmp_path):
+        save_segment(tmp_path / "a.seg", minimal_segment())
+        (tmp_path / "manifest.json").write_text(
+            '{"train": ["a.seg", "a.seg"], "val": ["a.seg"]}')
+        ds = load_manifest(tmp_path / "manifest.json")
+        assert ds.train[0] is ds.train[1] is ds.val[0]
 
     def test_val_fraction_splits(self, tmp_path):
         spec = SynthSpec(segments=5, val_fraction=0.4, feature_dim=4,

@@ -5,7 +5,8 @@ Each count is printed as a ``TAPE <name>: <count> (bound <max>)`` line.
 
 The bytes one batch graph of 32 holds, traced by ``tracemalloc``, depend on
 numpy's allocations as well, so their bounds carry a stated margin; each is
-printed as a ``MEMORY <name>: <MiB> MiB (bound <max> MiB)`` line."""
+printed as a ``MEMORY <name>: <MiB> MiB (bound <max> MiB)`` line. So are the
+traced bytes of a V=1000 checkpoint's save and load."""
 
 import tracemalloc
 
@@ -24,6 +25,7 @@ from objcap.cli import caption_dataset
 from objcap.data import RESERVED_WORDS, SegmentFeatures, Vocabulary
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 from objcap.tensor import collector_paused, log_softmax
+from objcap.trainer import AdamState, TrainConfig, adam_step, load_checkpoint, save_checkpoint
 
 from helpers import nodes_recorded
 
@@ -39,6 +41,15 @@ CAPTION_CALL_MAX = 0    # captioning runs off the tape
 # (numpy 2.4.6), plus a 3% margin
 GRAPH_HELD_MAX_MIB = 15.5
 GRAPH_PEAK_MAX_MIB = 16.2
+# MiB that test_checkpoint_memory's load holds once it returns: 2.46
+# measured (numpy 2.4.6), plus a 3% margin. The peaks are bounded by the
+# model's own sizes: save writes each entry from the array it is, and
+# makes at most an absent ADAM moment's zeros, so its peak stays under two
+# of the largest entries; load reads one entry at a time on top of what it
+# holds and init_model's draw, so its peak stays under what it holds plus
+# one model's parameters. Measured: save 0.28 (no ADAM state) and 0.11 MiB,
+# load 2.76 MiB.
+CHECKPOINT_HELD_MAX_MIB = 2.53
 
 
 def op_nodes(roots, stop=()) -> int:
@@ -151,6 +162,44 @@ def test_batch_graph_memory(report):
                               ("backward peak", peak, GRAPH_PEAK_MAX_MIB)]:
         assert report("MEMORY", f"batch of 32 {name}", round(size / 2 ** 20, 2), bound,
                       " MiB") <= bound
+
+
+def traced_mib(fn) -> tuple[object, float, float]:
+    """``fn()``, and the MiB it left allocated and its peak, by
+    ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return out, held / 2 ** 20, peak / 2 ** 20
+
+
+def test_checkpoint_memory(report, tmp_path):
+    """The traced peak of saving a V=1000 checkpoint, without ADAM state
+    and with it, and of loading it back, with what the loaded checkpoint
+    holds: entries are written and read one at a time."""
+    vocab = Vocabulary.from_list(RESERVED_WORDS + [f"w{i:04d}" for i in range(996)])
+    m = init_model(ModelConfig(vocab_size=1000), seed=0)
+    params = m.named_parameters()
+    entry_mib = max(p.data.nbytes for p in params.values()) / 2 ** 20
+    param_mib = sum(p.data.nbytes for p in params.values()) / 2 ** 20
+    adam, cfg = AdamState(), TrainConfig()
+    _, _, bare = traced_mib(lambda: save_checkpoint(tmp_path / "bare.ckpt", m, vocab, adam, cfg))
+    rng = np.random.default_rng(4)
+    adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, adam, 1e-3)
+    path = tmp_path / "stepped.ckpt"
+    _, _, stepped = traced_mib(lambda: save_checkpoint(path, m, vocab, adam, cfg))
+    ck, held, peak = traced_mib(lambda: load_checkpoint(path))
+    assert ck.adam.step == 1
+    save_bound = round(2 * entry_mib, 2)
+    for name, size, bound in [("checkpoint save peak, no ADAM state", bare, save_bound),
+                              ("checkpoint save peak, ADAM state", stepped, save_bound),
+                              ("checkpoint load holds", held, CHECKPOINT_HELD_MAX_MIB),
+                              ("checkpoint load peak", peak, round(held + param_mib, 2))]:
+        assert report("MEMORY", name, round(size, 2), bound, " MiB") <= bound
 
 
 def test_beam_step_node_count_does_not_depend_on_width(report):

@@ -1,4 +1,5 @@
-"""Resident-memory high-water of one paper-shape training step at batch 32.
+"""Resident-memory high-water of one paper-shape training step at batch 32,
+and of a checkpoint round trip of the stepped model.
 
 Builds the benchmark's seed-1 ``train_paper_b32`` corpus, takes the batch of
 32 that ``trainer.train`` steps first, and runs its forward
@@ -8,6 +9,13 @@ after the backward, and then every backward node that raised it, by the op
 that recorded the node, with the high-water after it. ``tracemalloc`` sees
 only what numpy allocates, not how the heap grows; this reads what the
 benchmark's ``peak_rss_mb`` reads.
+
+It then takes one ADAM step and hands the model, its vocabulary and its
+ADAM state to a second process, and prints that process's ``ru_maxrss``
+before a ``trainer.save_checkpoint``, after it and after the
+``trainer.load_checkpoint`` of the file written. Linux carries the
+high-water across fork and exec, so that process is started before this
+one imports numpy, and waits for the state on its stdin.
 
 Usage: python3 tools/step_rss.py [--root TREE]
 
@@ -27,7 +35,25 @@ from pathlib import Path
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"   # before numpy loads
 
+import pickle  # noqa: E402
 import resource  # noqa: E402
+import subprocess  # noqa: E402
+
+# the second process: argv is the src/ to import and the checkpoint path
+# to write; stdin brings the pickled (model, vocabulary, ADAM state)
+ROUND_TRIP = """
+import pickle, resource, sys
+sys.path.insert(0, sys.argv[1])
+from objcap import trainer
+def rss(when):
+    print(f"  {when}: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+mdl, vocab, adam = pickle.load(sys.stdin.buffer)
+rss("before save_checkpoint")
+trainer.save_checkpoint(sys.argv[2], mdl, vocab, adam, trainer.TrainConfig())
+rss("after save_checkpoint")
+trainer.load_checkpoint(sys.argv[2])
+rss("after load_checkpoint")
+"""
 
 
 def max_rss_mb() -> float:
@@ -70,10 +96,21 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     args = ap.parse_args(argv)
     root = args.root.resolve()
+    with tempfile.TemporaryDirectory() as tmp, subprocess.Popen(
+            [sys.executable, "-c", ROUND_TRIP, str(root / "src"), str(Path(tmp) / "model.ckpt")],
+            stdin=subprocess.PIPE) as round_trip:
+        state = step(root)
+        round_trip.communicate(pickle.dumps(state))
+    return round_trip.returncode
+
+
+def step(root: Path) -> tuple:
+    """Print the high-water of the first batch's forward and backward, take
+    one ADAM step and return (model, vocabulary, ADAM state)."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import numpy as np
-    from objcap import data, model
+    from objcap import data, model, trainer
     from objcap.tensor import collector_paused
     from workloads import SIZES, paper_corpus
 
@@ -101,7 +138,15 @@ def main(argv=None) -> int:
     print(f"RSS after backward: {max_rss_mb():.1f} MB")
     for op, mb in raised:
         print(f"  raised by {op}: {mb:.1f} MB")
-    return 0
+
+    params = mdl.named_parameters()
+    adam = trainer.adam_step(params, {n: p.grad for n, p in params.items()},
+                             trainer.AdamState(), lr=1e-3)
+    for p in params.values():
+        p.zero_grad()
+    print(f"RSS of a checkpoint round trip of the stepped model, V={vocab.size}, "
+          f"in a second process:", flush=True)
+    return mdl, vocab, adam
 
 
 if __name__ == "__main__":
