@@ -87,6 +87,8 @@ class SegmentFeatures:
 
 
 def save_segment(path: str | Path, seg: SegmentFeatures) -> None:
+    """Write ``seg`` one array at a time into the open file, straight from
+    its arrays; every check runs before the file opens."""
     seg.validate()
     t, d_img = seg.image_feats.shape
     # the width of the first frame with objects; an empty frame may be (0, 0)
@@ -95,22 +97,17 @@ def save_segment(path: str | Path, seg: SegmentFeatures) -> None:
     for objs in seg.object_feats:
         if objs.shape[0] and objs.shape[1] != d_obj:
             raise ValidationError("object_feats", "inconsistent object feature width")
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     sid = seg.segment_id.encode("utf-8")
-    chunks.append(struct.pack("<I", len(sid)))
-    chunks.append(sid)
-    chunks.append(struct.pack("<III", t, d_img, d_obj))
-    for objs in seg.object_feats:
-        chunks.append(struct.pack("<I", objs.shape[0]))
-    chunks.append(np.ascontiguousarray(seg.image_feats, dtype="<f8").tobytes())
-    for objs in seg.object_feats:
-        chunks.append(np.ascontiguousarray(objs, dtype="<f8").tobytes())
-    chunks.append(struct.pack("<I", len(seg.captions)))
-    for cap in seg.captions:
-        raw = cap.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-    Path(path).write_bytes(b"".join(chunks))
+    counts = [objs.shape[0] for objs in seg.object_feats]
+    captions = [cap.encode("utf-8") for cap in seg.captions]
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack(f"<II{len(sid)}sIII{t}I", FORMAT_VERSION, len(sid), sid,
+                                    t, d_img, d_obj, *counts))
+        for arr in (seg.image_feats, *seg.object_feats):
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
+        f.write(struct.pack("<I", len(captions)))
+        for raw in captions:
+            f.write(struct.pack(f"<I{len(raw)}s", len(raw), raw))
 
 
 class Reader:

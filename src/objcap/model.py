@@ -108,9 +108,21 @@ class Model:
         return named_tensors(self)
 
 
-def init_model(config: ModelConfig, seed: int) -> Model:
+class _NoDraw:
+    """Stands in for the generator where every value will be overwritten:
+    each draw is zeros of its shape, and no generator is made."""
+
+    @staticmethod
+    def uniform(low, high, size) -> np.ndarray:
+        return np.zeros(size)
+
+
+def init_model(config: ModelConfig, seed: int | None) -> Model:
+    """The model ``config`` names, drawn from ``seed``; with ``seed=None``
+    nothing is drawn and every weight is zeros (biases as initialized), for
+    a caller that overwrites them all (``trainer.load_checkpoint``)."""
     config.validate()
-    rng = np.random.default_rng(seed)
+    rng = _NoDraw() if seed is None else np.random.default_rng(seed)
     interaction = init_interaction(rng, config)
     captioner = init_captioner(rng, config)
     return Model(config=config, interaction=interaction, captioner=captioner)

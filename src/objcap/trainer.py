@@ -1,5 +1,6 @@
 """Training loop: ADAM with bias correction, plateau learning-rate drops,
-deterministic batching, and a versioned binary checkpoint.
+deterministic batching in fixed micro-batches (run in forked workers where
+a second CPU is usable), and a versioned binary checkpoint.
 
 Checkpoint layout (integers little-endian u32 unless noted):
 
@@ -24,16 +25,20 @@ block.
 Entries are written and read one at a time, in name order. A save writes
 each straight from the model's or the ADAM state's array, and adds beyond
 them only the zeros of one ADAM moment not yet made. A load reads the
-header, builds the model its config names with ``init_model``, then reads
-each entry into a fresh array that is copied into its parameter or kept as
-its ADAM moment; beyond what it returns it holds one entry at a time.
+header, builds the model its config names with ``init_model`` drawing
+nothing (``seed=None``), then reads each entry into a fresh array that is
+copied into its parameter or kept as its ADAM moment; beyond what it
+returns it holds one entry at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -203,14 +208,180 @@ def _mean_loss(model: Model, items, chunk_size: int) -> float:
     return total / count
 
 
+# Every training batch above this many items runs as consecutive
+# micro-batches of it (the last may be shorter), so the cut, and with it
+# every bit, does not depend on how many processes run them; like
+# VALIDATION_CHUNK it is not in the checkpoint.
+MICRO_BATCH = 16
+
+
+def _worker_count(micro_batches: int) -> int:
+    """Processes to fork beside ``train`` for batches of ``micro_batches``:
+    one per micro-batch past the first, up to the usable CPUs less one.
+    None where ``os.sched_getaffinity`` is missing: it is Linux's, where a
+    fork after numpy has loaded its BLAS is safe. It changes the speed
+    only, never a bit."""
+    if micro_batches < 2 or not hasattr(os, "sched_getaffinity"):
+        return 0
+    return min(micro_batches - 1, len(os.sched_getaffinity(0)) - 1)
+
+
+def _micro_grads(model: Model, params: dict[str, Tensor], items,
+                 tokens: int) -> tuple[float, dict[str, np.ndarray]]:
+    """Forward and backward of one micro-batch, its loss scaled by
+    1/``tokens`` (the whole batch's), in a fresh accumulation: returns its
+    loss sum and the gradients, taken off the parameters. A fault names
+    ``items`` (``_checked_nll``; past the loss, all of them)."""
+    rows, _ = _checked_nll(model, items, "training")
+    try:
+        loss_sum = rows.sum()
+        (loss_sum * (1.0 / tokens)).backward()
+    except FloatingPointError as exc:
+        raise _fault(items, "training", exc) from None
+    grads = {}
+    for name, p in params.items():
+        grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
+        p.zero_grad()
+    return loss_sum.item(), grads
+
+
+def _flat_views(buffer, params: dict[str, Tensor], block: int = 0) -> dict[str, np.ndarray]:
+    """Arrays of ``params``' shapes laid one after another, in sorted-name
+    order, as float64 in block ``block`` of ``buffer`` (a block holds one
+    array of each)."""
+    flat, views = np.frombuffer(buffer, dtype=np.float64), {}
+    offset = block * sum(p.data.size for p in params.values())
+    for name in sorted(params):
+        shape = params[name].data.shape
+        views[name] = flat[offset:offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    return views
+
+
+# in a worker process: (model, its parameters, the items, the shared mapping)
+_served = None
+
+
+def _serve(model: Model, items, mapping: mmap.mmap) -> None:
+    """A worker's start: its parameters become the views of block 0."""
+    global _served
+    params = model.named_parameters()
+    for name, view in _flat_views(mapping, params).items():
+        params[name].data = view
+    _served = model, params, items, mapping
+
+
+def _serve_micro_batch(m: int, chunk: list[int], tokens: int) -> float:
+    """Run micro-batch ``m`` (``chunk`` indexes the items) in a worker: its
+    gradient goes to block ``m`` of the mapping, its loss sum is returned."""
+    model, params, items, mapping = _served
+    loss_sum, grads = _micro_grads(model, params, [items[i] for i in chunk], tokens)
+    for name, view in _flat_views(mapping, params, m).items():
+        view[...] = grads[name]
+    return loss_sum
+
+
+class _Workers:
+    """A pool of processes forked by ``train`` that run micro-batches beside
+    it; ``close`` (or leaving the ``with``) reaps them.
+
+    With P processes, this one counted, micro-batch m of a batch runs here
+    when m % P is 0 and in the pool otherwise. The workers compute on the
+    parameters in block 0 of one anonymous shared mapping, which ``submit``
+    writes from the caller's own arrays before each batch, so no array the
+    caller holds is backed by it; micro-batch m's gradient comes back in
+    block m, its loss sum or its fault through its future.
+    """
+
+    def __init__(self, count: int, model: Model, items, micro_batches: int):
+        # imported here, off the import of this module that every command pays
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        self._processes = count + 1
+        self._params = model.named_parameters()
+        size = sum(p.data.size for p in self._params.values())
+        self._mapping = mmap.mmap(-1, 8 * size * micro_batches)
+        self._pool = ProcessPoolExecutor(count, get_context("fork"), initializer=_serve,
+                                         initargs=(model, items, self._mapping))
+
+    def submit(self, params: dict[str, Tensor], chunks: list[list[int]], tokens: int) -> dict:
+        """Write the parameters into the mapping and send the pool its
+        micro-batches of the batch; returns their futures, as {m: future}."""
+        for name, view in _flat_views(self._mapping, self._params).items():
+            view[...] = params[name].data
+        return {m: self._pool.submit(_serve_micro_batch, m, chunks[m], tokens)
+                for m in range(len(chunks)) if m % self._processes}
+
+    def gradient(self, m: int) -> dict[str, np.ndarray]:
+        """Views of micro-batch ``m``'s gradient, once its future is done."""
+        return _flat_views(self._mapping, self._params, m)
+
+    def close(self) -> None:
+        """Wait for the pool's work, reap the workers, let go of the mapping."""
+        self._pool.shutdown(cancel_futures=True)
+        with suppress(BufferError):     # a view an exception's frames hold: freed with it
+            self._mapping.close()
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *_) -> None:
+        self.close()
+
+
+def _batch_grads(model: Model, params: dict[str, Tensor], items, batch: list[int],
+                 tokens: int, workers: _Workers | None) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss sum and gradient of the batch of ``items`` that ``batch``
+    indexes: those of its micro-batches of ``MICRO_BATCH``, each scaled by
+    1/``tokens`` (the batch's scored tokens) and summed in micro-batch
+    order. Micro-batch m runs here or in ``workers`` (``_Workers``). A
+    fault raised is the first micro-batch's."""
+    chunks = [batch[k:k + MICRO_BATCH] for k in range(0, len(batch), MICRO_BATCH)]
+    pending = {} if workers is None or len(chunks) < 2 else workers.submit(params, chunks, tokens)
+    results, faults, losses = {}, {}, {}
+    for m in range(len(chunks)):
+        if m in pending:
+            continue
+        try:
+            results[m] = _micro_grads(model, params, [items[i] for i in chunks[m]], tokens)
+        except Exception as exc:    # raised below, unless an earlier micro-batch faulted
+            faults[m] = exc
+            break
+    for m, future in pending.items():
+        try:
+            losses[m] = future.result()
+        except Exception as exc:
+            faults[m] = exc
+    if faults:
+        raise faults[min(faults)]
+    for m, loss in losses.items():  # viewed only now: no view of the mapping outlives a fault
+        results[m] = loss, workers.gradient(m)
+    loss_sum, grads = results.pop(0)
+    for m in range(1, len(chunks)):
+        loss, more = results.pop(m)
+        loss_sum += loss
+        for name, g in grads.items():
+            g += more[name]
+    return loss_sum, grads
+
+
 @collector_paused()
 def train(cfg: TrainConfig, dataset: Dataset,
           model_overrides: dict | None = None) -> TrainResult:
     """Teacher-forced training over the manifest's train split.
 
     The vocabulary comes from the training captions, feature widths from the
-    data itself. Each batch runs as one padded graph (``model.batch_nll``),
-    and validation as chunks of ``VALIDATION_CHUNK`` segments. Identical
+    data itself. A batch of up to ``MICRO_BATCH`` items runs as one padded
+    graph (``model.batch_nll``); a larger one as consecutive micro-batches
+    of ``MICRO_BATCH``, each a graph of its own, its loss scaled by 1/(the
+    batch's scored tokens), their gradients summed in micro-batch order
+    before clipping and ADAM (``_batch_grads``). On Linux, where a second
+    CPU is usable, micro-batches past the first also run in a pool of
+    worker processes forked once the model is built (``_Workers``, one per
+    micro-batch past the first, up to the usable CPUs less one) and reaped
+    before this returns or raises; the bits are those of one process.
+    Validation runs as chunks of ``VALIDATION_CHUNK`` segments. Identical
     (config, dataset) pairs produce byte-identical checkpoints: shuffling,
     initialization and accumulation order all flow from the seed. The cyclic
     garbage collector is paused meanwhile.
@@ -244,47 +415,45 @@ def train(cfg: TrainConfig, dataset: Dataset,
     stale_epochs = 0
     log: list[dict] = []
 
-    for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(len(train_items))
-        epoch_total, epoch_count = 0.0, 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
-            rows, tokens = _checked_nll(model, batch, "training")
-            try:    # a fault past the loss, in backward or ADAM, names the batch
-                loss_sum = rows.sum()
-                batch_loss = loss_sum * (1.0 / tokens)
-                batch_loss.backward()
-                epoch_total += loss_sum.item()
+    micro_batches = -(-min(cfg.batch_size, len(train_items)) // MICRO_BATCH)
+    count = _worker_count(micro_batches) if cfg.max_epochs else 0
+    with _Workers(count, model, train_items, micro_batches) if count else nullcontext() as workers:
+        for epoch in range(cfg.max_epochs):
+            order = shuffle_rng.permutation(len(train_items)).tolist()
+            epoch_total, epoch_count = 0.0, 0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                # the batch's scored positions, counted before any forward
+                tokens = sum(len(train_items[i][1]) - 1 for i in batch)
+                loss_sum, grads = _batch_grads(model, params, train_items, batch, tokens, workers)
+                epoch_total += loss_sum
                 epoch_count += tokens
-                grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
-                         for name, p in params.items()}
-                if cfg.grad_clip is not None:
-                    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                    if norm > cfg.grad_clip:
-                        scale = cfg.grad_clip / norm
-                        grads = {n: g * scale for n, g in grads.items()}
-                adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
-                for p in params.values():   # no gradient outlives its step
-                    p.zero_grad()
-                del grads
-            except FloatingPointError as exc:
-                raise _fault(batch, "training", exc) from None
+                try:    # a fault past the gradients, in clipping or ADAM, names the batch
+                    if cfg.grad_clip is not None:
+                        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                        if norm > cfg.grad_clip:
+                            scale = cfg.grad_clip / norm
+                            grads = {n: g * scale for n, g in grads.items()}
+                    adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
+                    del grads   # no gradient outlives its step
+                except FloatingPointError as exc:
+                    raise _fault([train_items[i] for i in batch], "training", exc) from None
 
-        train_loss = epoch_total / epoch_count
-        val_loss = _mean_loss(model, val_items, VALIDATION_CHUNK)
-        log.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
-                    "val_loss": val_loss})
+            train_loss = epoch_total / epoch_count
+            val_loss = _mean_loss(model, val_items, VALIDATION_CHUNK)
+            log.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
+                        "val_loss": val_loss})
 
-        if best_val - val_loss > cfg.min_improvement:
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= cfg.plateau_patience:
-                lr *= cfg.plateau_factor
+            if best_val - val_loss > cfg.min_improvement:
                 stale_epochs = 0
-        best_val = min(best_val, val_loss)
-        if cfg.stop_train_loss is not None and train_loss < cfg.stop_train_loss:
-            break
+            else:
+                stale_epochs += 1
+                if stale_epochs >= cfg.plateau_patience:
+                    lr *= cfg.plateau_factor
+                    stale_epochs = 0
+            best_val = min(best_val, val_loss)
+            if cfg.stop_train_loss is not None and train_loss < cfg.stop_train_loss:
+                break
 
     return TrainResult(model=model, vocab=vocab, adam=adam, log=log)
 
@@ -329,7 +498,7 @@ class Checkpoint:
 
 def _checkpoint_model(blob: dict) -> tuple[Model, Vocabulary]:
     vocab = Vocabulary.from_list(blob["vocab"])
-    model = init_model(ModelConfig.from_dict(blob["model"]), seed=0)
+    model = init_model(ModelConfig.from_dict(blob["model"]), seed=None)
     if vocab.size != model.config.vocab_size:
         raise ContractError(f"checkpoint vocabulary has {vocab.size} words, its model "
                             f"config 'vocab_size' {model.config.vocab_size}")

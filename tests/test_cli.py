@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -18,8 +19,8 @@ TRAIN_CONFIG = {
 }
 
 
-def synth_args(out, seed=3):
-    return ["synth", "--seed", str(seed), "--segments", "4", "--frames", "3",
+def synth_args(out, seed=3, segments=4):
+    return ["synth", "--seed", str(seed), "--segments", str(segments), "--frames", "3",
             "--objects", "3", "--dim", "6", "--vocab", "4", "--out", str(out)]
 
 
@@ -274,6 +275,22 @@ class TestMalformedInputs:
         assert_exit_2(train_args(tmp_path, corpus) + ["--config", str(cfg)], capsys,
                       f"{split} batch of segments {batch}: overflow encountered in")
         assert not (tmp_path / "o").exists()
+
+    def test_overflow_in_a_workers_micro_batch_exit_2(self, tmp_path, capsys, monkeypatch):
+        """At batch 32 a segment in the second micro-batch, which a forked
+        worker runs, is named alone, and no worker is left."""
+        corpus = tmp_path / "data"
+        assert main(synth_args(corpus, segments=40)) == 0
+        bad = f"seg_{np.random.default_rng(2).permutation(40)[20]:04d}"   # train seed 1
+        overflow_segment(corpus / f"{bad}.seg")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "train": {"max_epochs": 1, "batch_size": 32,
+                                                             "seed": 1}}))
+        monkeypatch.setattr("objcap.trainer._worker_count", lambda micro: 1)
+        assert_exit_2(train_args(tmp_path, corpus) + ["--config", str(cfg)], capsys,
+                      f"training batch of segments {bad}: overflow encountered in")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("which, command", [("image", "train"), ("objects", "train"),
                                                 ("image", "caption")],

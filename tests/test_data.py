@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,25 @@ class TestSegmentIO:
         assert loaded.object_feats[0].shape == (0, 3)
         save_segment(p, loaded)
         assert p.read_bytes() == first
+
+    def test_save_at_paper_width_traces_under_1_mib(self, tmp_path):
+        """A save writes one array at a time from the segment's arrays: at
+        T=30, N=15, D=2048 (a 7.5 MiB payload) it traces under 1 MiB, and
+        the file reloads bitwise."""
+        rng = np.random.default_rng(5)
+        seg = SegmentFeatures("wide", rng.normal(size=(30, 2048)),
+                              [rng.normal(size=(15, 2048)) for _ in range(30)], ["a wide one"])
+        save_segment(tmp_path / "warm.seg", minimal_segment())     # lazy imports, untraced
+        tracemalloc.start()
+        try:
+            save_segment(tmp_path / "wide.seg", seg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        loaded = load_segment(tmp_path / "wide.seg")
+        assert np.array_equal(loaded.image_feats, seg.image_feats)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.object_feats, seg.object_feats))
 
     def test_empty_first_frame_takes_width_from_a_later_frame(self, tmp_path):
         """An empty frame may be (0, 0); the width comes from the first frame

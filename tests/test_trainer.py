@@ -1,4 +1,8 @@
+import atexit
 import gc
+import json
+import os
+import sys
 import tracemalloc
 import weakref
 
@@ -313,6 +317,200 @@ class TestValidation:
             train(TrainConfig(max_epochs=1, batch_size=1, seed=5), ds, SMALL_MODEL)
 
 
+def forced_workers(monkeypatch, count):
+    """Make ``train`` fork ``count`` workers (fewer when a batch has fewer
+    micro-batches past the first) whatever the CPUs; returns the list of
+    the pids it forks."""
+    forks, real_fork = [], os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(trainer, "_worker_count", lambda micro: min(count, micro - 1))
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def shared_mappings() -> list[str]:
+    """This process's shared writable mappings (an anonymous one reads as
+    /dev/zero)."""
+    with open("/proc/self/maps") as f:
+        return [line for line in f if line.split()[1] == "rw-s"]
+
+
+def assert_released(mappings_before):
+    """No child of this process is left, nor a shared mapping it did not
+    hold before."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if sys.platform == "linux":
+        assert shared_mappings() == mappings_before
+
+
+def first_order(cfg, items):
+    return np.random.default_rng(cfg.seed + 1).permutation(items)
+
+
+class TestMicroBatches:
+    @pytest.mark.parametrize("batch_size, workers", [(32, 1), (20, 1), (48, 1), (48, 2),
+                                                     (64, 3)])
+    def test_bits_do_not_depend_on_the_process_count(self, tmp_path, monkeypatch, batch_size,
+                                                     workers):
+        """Checkpoint bytes and loss log are those of one process: at 32 and
+        20 (16 + 4) with one worker, at 48 (three micro-batches) in two and
+        three processes, and at 64 in four, more than this host may have
+        CPUs. Every worker is reaped, no mapping is left, and the returned
+        parameters own their arrays."""
+        ds = ragged_dataset(70, 4)
+        cfg = TrainConfig(max_epochs=2, batch_size=batch_size, seed=7)
+        mappings = shared_mappings() if sys.platform == "linux" else None
+        forks = forced_workers(monkeypatch, workers)
+        res = train(cfg, ds, SMALL_MODEL)
+        assert len(forks) == workers
+        assert_released(mappings)
+        assert all(p.data.base is None for p in res.model.named_parameters().values())
+        monkeypatch.setattr(trainer, "_worker_count", lambda micro: 0)
+        alone = train(cfg, ds, SMALL_MODEL)
+        assert len(forks) == workers
+        for run, name in ((res, "workers"), (alone, "alone")):
+            save_checkpoint(tmp_path / name, run.model, run.vocab, run.adam, cfg)
+        assert (tmp_path / "workers").read_bytes() == (tmp_path / "alone").read_bytes()
+        assert json.dumps(res.log) == json.dumps(alone.log)
+
+    def test_batch_runs_as_micro_batches_of_16(self, monkeypatch):
+        """A batch of 48 over 70 items runs as graphs of 16, 16, 16, then
+        16 and 6. The first step's gradient is, bit for bit, the sum in
+        micro-batch order of the three graphs' gradients, each loss scaled
+        by 1/(the batch's scored tokens), and it equals the one graph's of
+        the whole batch to 1e-12 of the largest entry."""
+        ds = ragged_dataset(70, 4)
+        cfg = TrainConfig(max_epochs=1, batch_size=48, seed=7)
+        monkeypatch.setattr(trainer, "_worker_count", lambda micro: 0)
+        sizes, stepped = [], []
+
+        def recording_batch_nll(model, items):
+            if items[0][0] in ds.train:
+                sizes.append(len(items))
+            return batch_nll(model, items)
+
+        def recording_adam_step(params, grads, *args):
+            stepped.append({n: g.copy() for n, g in grads.items()})
+            return adam_step(params, grads, *args)
+
+        monkeypatch.setattr(trainer, "batch_nll", recording_batch_nll)
+        monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+        res = train(cfg, ds, SMALL_MODEL)
+        assert sizes == [16, 16, 16, 16, 6]
+        monkeypatch.undo()
+        model = init_model(res.model.config, seed=cfg.seed)
+        params = model.named_parameters()
+        items = trainer._dataset_items(ds.train, res.vocab)
+        batch = [items[i] for i in first_order(cfg, len(items))[:48]]
+        tokens = sum(len(ids) - 1 for _, ids in batch)
+        summed = {}
+        for start in (0, 16, 32):
+            rows, _ = batch_nll(model, batch[start:start + 16])
+            (rows.sum() * (1.0 / tokens)).backward()
+            for name, p in params.items():
+                summed[name] = p.grad if start == 0 else summed[name] + p.grad
+                p.zero_grad()
+        rows, _ = batch_nll(model, batch)
+        (rows.sum() * (1.0 / tokens)).backward()
+        for name, p in params.items():
+            assert np.array_equal(stepped[0][name], summed[name]), name
+            scale = np.max(np.abs(p.grad))
+            assert np.max(np.abs(stepped[0][name] - p.grad)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_batches_of_16_or_fewer_never_fork(self, monkeypatch, batch_size):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        train(TrainConfig(max_epochs=1, batch_size=batch_size, seed=7), ragged_dataset(40, 2),
+              SMALL_MODEL)
+
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        """One worker per micro-batch past the first, up to the usable CPUs
+        less one; none off Linux (no ``os.sched_getaffinity``)."""
+        for cpus, micro_batches, count in ((2, 2, 1), (2, 3, 1), (8, 3, 2), (8, 1, 0),
+                                           (1, 4, 0)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert trainer._worker_count(micro_batches) == count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert trainer._worker_count(3) == 0
+
+    @pytest.mark.parametrize("micro_batch", [0, 1], ids=["parent", "worker"])
+    @pytest.mark.parametrize("mode", ["ignore", "raise"])
+    def test_fault_names_only_its_segment(self, monkeypatch, micro_batch, mode):
+        """An overflowing segment in the parent's micro-batch or the
+        worker's is named alone, as one process names it: its row is the
+        non-finite one when numpy ignores the fault, and it faults alone
+        when numpy raises. No worker or mapping outlives the fault."""
+        ds = ragged_dataset(40, 2)
+        cfg = TrainConfig(max_epochs=1, batch_size=32, seed=7)
+        bad = ds.train[first_order(cfg, len(ds.train))[16 * micro_batch + 3]]
+        bad.image_feats[0, 0] = 8.5e158
+        mappings = shared_mappings() if sys.platform == "linux" else None
+        messages = []
+        for workers in (1, 0):
+            forks = forced_workers(monkeypatch, workers)
+            with np.errstate(all=mode), pytest.raises(ContractError) as info:
+                train(cfg, ds, SMALL_MODEL)
+            assert len(forks) == workers
+            assert_released(mappings)
+            messages.append(str(info.value))
+        what = "non-finite loss" if mode == "ignore" else "overflow encountered in"
+        assert messages[0].startswith(f"training batch of segments {bad.segment_id}: {what}")
+        assert messages[0] == messages[1]
+
+    def test_earliest_faulting_micro_batch_reports(self, monkeypatch):
+        """With faults in micro-batches 1 (a worker's) and 2 (the parent's),
+        micro-batch 1's is raised, as one process raises it."""
+        ds = ragged_dataset(50, 2)
+        cfg = TrainConfig(max_epochs=1, batch_size=48, seed=7)
+        order = first_order(cfg, len(ds.train))
+        for k in (20, 40):
+            ds.train[order[k]].image_feats[0, 0] = 8.5e158
+        forced_workers(monkeypatch, 1)
+        with np.errstate(all="ignore"), pytest.raises(ContractError) as info:
+            train(cfg, ds, SMALL_MODEL)
+        assert str(info.value) == (f"training batch of segments {ds.train[order[20]].segment_id}"
+                                   f": non-finite loss")
+
+    def test_worker_leaves_only_through_os_exit(self, tmp_path, monkeypatch):
+        """A worker runs none of the caller's exit work: no ``atexit``
+        handler, and no flush of a buffer the caller has not flushed."""
+        exits, parent, real_exit = tmp_path / "exits", os.getpid(), os._exit
+
+        def recording_exit(status):
+            with open(exits, "a") as f:
+                f.write(f"_exit {status}\n")
+            real_exit(status)
+
+        def at_exit():
+            if os.getpid() != parent:
+                with open(exits, "a") as f:
+                    f.write("atexit\n")
+
+        forced_workers(monkeypatch, 2)
+        monkeypatch.setattr(os, "_exit", recording_exit)
+        atexit.register(at_exit)
+        try:
+            with open(tmp_path / "out", "w") as out:
+                out.write("written once")   # still buffered when the workers fork
+                train(TrainConfig(max_epochs=2, batch_size=48, seed=7), ragged_dataset(50, 2),
+                      SMALL_MODEL)
+        finally:
+            atexit.unregister(at_exit)
+        assert exits.read_text() == "_exit 0\n_exit 0\n"
+        assert (tmp_path / "out").read_text() == "written once"
+
+
 class TestCollectorPause:
     def test_train_and_caption_leave_no_cycles(self, tmp_path):
         ds = small_dataset(tmp_path)
@@ -441,6 +639,23 @@ class TestCheckpoint:
         assert loaded.adam.step == res.adam.step
         for name, arr in res.adam.m.items():
             assert np.array_equal(arr, loaded.adam.m[name])
+
+    def test_load_draws_no_random_number(self, tmp_path, monkeypatch):
+        """The loaded model is built from its shapes, with no generator made,
+        and holds the saved bits."""
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=1, batch_size=2, seed=4)
+        res = train(cfg, ds, SMALL_MODEL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, res.model, res.vocab, res.adam, cfg)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = load_checkpoint(path)
+        for name, p in res.model.named_parameters().items():
+            assert np.array_equal(p.data, loaded.model.named_parameters()[name].data)
 
     def test_save_is_deterministic(self, tmp_path):
         ds = small_dataset(tmp_path)

@@ -10,12 +10,18 @@ that recorded the node, with the high-water after it. ``tracemalloc`` sees
 only what numpy allocates, not how the heap grows; this reads what the
 benchmark's ``peak_rss_mb`` reads.
 
-It then takes one ADAM step and hands the model, its vocabulary and its
-ADAM state to a second process, and prints that process's ``ru_maxrss``
+It then runs one ``trainer.train`` call at batch 32 over the same corpus
+(one epoch, the benchmark's operation) in a second process, and prints that
+process's high-water before and after the call (``RUSAGE_SELF``), its
+reaped children's (``RUSAGE_CHILDREN``: the worker processes ``train``
+forks, if any) and each side's CPU seconds.
+
+Last it takes one ADAM step and hands the model, its vocabulary and its
+ADAM state to a third process, and prints that process's ``ru_maxrss``
 before a ``trainer.save_checkpoint``, after it and after the
 ``trainer.load_checkpoint`` of the file written. Linux carries the
-high-water across fork and exec, so that process is started before this
-one imports numpy, and waits for the state on its stdin.
+high-water across fork and exec, so both processes are started before this
+one imports numpy, and wait for their input on stdin.
 
 Usage: python3 tools/step_rss.py [--root TREE]
 
@@ -53,6 +59,29 @@ trainer.save_checkpoint(sys.argv[2], mdl, vocab, adam, trainer.TrainConfig())
 rss("after save_checkpoint")
 trainer.load_checkpoint(sys.argv[2])
 rss("after load_checkpoint")
+"""
+
+
+# the train process: argv is the src/ to import; stdin brings the manifest
+# path and the seed
+TRAIN = """
+import resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from objcap import data, trainer
+manifest, seed = sys.stdin.read().split()
+dataset = data.load_manifest(manifest)
+def usage(who):
+    r = resource.getrusage(who)
+    return r.ru_maxrss / 1024, r.ru_utime + r.ru_stime
+rss, cpu = usage(resource.RUSAGE_SELF)
+start = time.perf_counter()
+trainer.train(trainer.TrainConfig(batch_size=32, max_epochs=1, seed=int(seed)), dataset)
+wall = time.perf_counter() - start
+after, after_cpu = usage(resource.RUSAGE_SELF)
+workers, workers_cpu = usage(resource.RUSAGE_CHILDREN)
+print(f"  train process: RSS {rss:.1f} MB before, {after:.1f} MB after, "
+      f"{after_cpu - cpu:.3f} CPU s in {wall:.3f} s wall")
+print(f"  its reaped workers: RSS high-water {workers:.1f} MB, {workers_cpu:.3f} CPU s")
 """
 
 
@@ -97,16 +126,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = args.root.resolve()
     with tempfile.TemporaryDirectory() as tmp, subprocess.Popen(
+            [sys.executable, "-c", TRAIN, str(root / "src")], stdin=subprocess.PIPE,
+            text=True) as train, subprocess.Popen(
             [sys.executable, "-c", ROUND_TRIP, str(root / "src"), str(Path(tmp) / "model.ckpt")],
             stdin=subprocess.PIPE) as round_trip:
-        state = step(root)
+        manifest, seed, state = step(root, Path(tmp))
+        print("RSS of one trainer.train call at batch 32, one epoch, in a second process:",
+              flush=True)
+        train.communicate(f"{manifest} {seed}")
+        print(f"RSS of a checkpoint round trip of the stepped model, V={state[1].size}, "
+              f"in a third process:", flush=True)
         round_trip.communicate(pickle.dumps(state))
-    return round_trip.returncode
+    return train.returncode or round_trip.returncode
 
 
-def step(root: Path) -> tuple:
-    """Print the high-water of the first batch's forward and backward, take
-    one ADAM step and return (model, vocabulary, ADAM state)."""
+def step(root: Path, tmp: Path) -> tuple:
+    """Write the corpus under ``tmp``, print the high-water of the first
+    batch's forward and backward, take one ADAM step and return the
+    manifest path, the seed and (model, vocabulary, ADAM state)."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import numpy as np
@@ -115,11 +152,9 @@ def step(root: Path) -> tuple:
     from workloads import SIZES, paper_corpus
 
     seed, sizes = 1, SIZES["full"]["train_paper_b32"]
-    with tempfile.TemporaryDirectory() as tmp:
-        manifest = paper_corpus(seed, Path(tmp), sizes["train_segments"],
-                                sizes["val_segments"], sizes["vocab_words"],
-                                cover_train_vocab=True)
-        dataset = data.load_manifest(manifest)
+    manifest = paper_corpus(seed, tmp / "corpus", sizes["train_segments"],
+                            sizes["val_segments"], sizes["vocab_words"], cover_train_vocab=True)
+    dataset = data.load_manifest(manifest)
     vocab = data.build_vocab([c for seg in dataset.train for c in seg.captions])
     mdl = model.init_model(model.ModelConfig(vocab_size=vocab.size), seed=seed)
     items = [(seg, data.encode_caption(vocab, cap))
@@ -144,9 +179,7 @@ def step(root: Path) -> tuple:
                              trainer.AdamState(), lr=1e-3)
     for p in params.values():
         p.zero_grad()
-    print(f"RSS of a checkpoint round trip of the stepped model, V={vocab.size}, "
-          f"in a second process:", flush=True)
-    return mdl, vocab, adam
+    return manifest, seed, (mdl, vocab, adam)
 
 
 if __name__ == "__main__":
