@@ -93,3 +93,37 @@ def test_tape_node_counts_agree_with_the_tape_bounds_test():
     tape = paper_segment_counts()
     assert counts["interaction.tape_nodes_per_forward"] == tape["interaction"]
     assert counts["tensor.tape_nodes_per_segment"] == tape["segment"]
+
+
+@pytest.mark.parametrize("eos_nudge, cap", [(-50.0, 7), (0.02, 6), (0.05, 6), (0.0, 30)],
+                         ids=["never-finishes", "carries-finished", "ends-early", "paper-cap"])
+def test_traced_beam_search_runs_one_decode_step_per_beam_step(eos_nudge, cap, monkeypatch):
+    """``captioner.decode_step_ms``, ``decode_steps_per_segment`` and
+    ``beam_kept_ratio`` read the ``decode_step`` spans under
+    ``beam_search``; a search that stepped its decoder any other way would
+    read 0 there. Each ``beam_select`` call ends one beam step."""
+    from objcap import captioner
+
+    steps = []
+    select = captioner.beam_select
+
+    def counted(*args):
+        steps.append(1)
+        return select(*args)
+
+    monkeypatch.setattr(captioner, "beam_select", counted)
+    m = model.init_model(model.ModelConfig(vocab_size=1000), seed=5)
+    m.captioner.out_b.data[captioner.EOS_ID] += eos_nudge
+    rng = np.random.default_rng(5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for _ in range(3):
+            ctx, _ = model.segment_context(m, rng.normal(size=(4, 32)),
+                                           [rng.normal(size=(3, 32)) for _ in range(4)])
+            captioner.beam_search(m.captioner, ctx, 5, max_words=cap)
+    finally:
+        tracer.uninstall()
+    in_beam = tracing.span_stats(tracer.spans)["captioner.decode_step@beam"]
+    assert in_beam["calls"] == len(steps) > 0
+    assert in_beam["incl_s"] > 0

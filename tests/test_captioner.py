@@ -375,6 +375,31 @@ class TestBeamSearch:
             for a, b in zip(hyp.alphas, alphas):
                 assert np.max(np.abs(a - b)) <= 1e-12, where
 
+    @pytest.mark.parametrize("mode", [dict(use_image=True, use_objects=False),
+                                      dict(use_image=False, use_objects=True),
+                                      dict(), dict(use_coattention=False)],
+                             ids=["image-only", "objects-only", "full", "no-coattention"])
+    def test_matches_per_hypothesis_oracle_at_paper_width(self, mode):
+        # widths 32 and V=1000, beam 5, cap 6: the search projects to the
+        # vocabulary from its own copy of the output weights, the oracle
+        # through ``linear``. EOS's output bias is raised a little in every
+        # second model: of those searches some end at once, some carry a
+        # finished entry to the cap and some never finish one
+        rng = np.random.default_rng(33)
+        for seed in range(4):
+            m = init_model(ModelConfig(vocab_size=1000, **mode), seed=seed)
+            if seed % 2:
+                m.captioner.out_b.data[EOS_ID] += 0.02
+            image = rng.normal(size=(5, 32))
+            ctx, _ = segment_context(m, image, [rng.normal(size=(3, 32)) for _ in range(5)])
+            hyp = beam_search(m.captioner, ctx, beam_width=5, max_words=6)
+            tokens, log_prob, alphas = beam_search_by_hypothesis(m.captioner, ctx, 5, 6)
+            assert hyp.tokens == tokens, f"seed {seed}"
+            assert abs(hyp.log_prob - log_prob) <= 1e-12, f"seed {seed}"
+            assert len(hyp.alphas) == len(alphas), f"seed {seed}"
+            for a, b in zip(hyp.alphas, alphas):
+                assert np.max(np.abs(a - b)) <= 1e-12, f"seed {seed}"
+
     def test_select_matches_sorting_every_candidate(self):
         # pools shaped as beam search makes them (live entries: EOS-free
         # tokens of one length; finished ones no longer, ending in EOS),
