@@ -24,13 +24,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import BOS_ID, EOS_ID, MAX_CAPTION_WORDS, PAD_ID
-from .layers import LstmParams, MlpParams, glorot_uniform, init_lstm, init_mlp, lstm_step, mlp_forward
+from .layers import LstmParams, MlpParams, glorot_uniform, init_lstm, init_mlp, mlp_forward
 from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
-    additive_attention,
-    concat,
     linear,
     log_softmax,
     matmul,
@@ -38,6 +36,7 @@ from .tensor import (
     stack_rows,
     take_column,
     target_log_probs,
+    word_step,
 )
 
 if TYPE_CHECKING:
@@ -202,35 +201,31 @@ def initial_state(p: CaptionerParams, batch: tuple[int, ...] = ()) -> DecoderSta
 def advance(p: CaptionerParams, ctx: SegmentContext, embedding: Tensor,
             state: DecoderState) -> tuple[DecoderState, Tensor]:
     """Advance both LSTMs one word, given the previous word's embedding (one
-    row per batch row). Returns the new state and the frame distribution.
+    row per batch row), as one op, ``tensor.word_step``: teacher forcing
+    runs it on the tape, where it records four nodes (h1, c1, h2 and c2),
+    and beam search off it. Returns the new state and the frame
+    distribution, a bare tensor off the tape.
 
     The frame distribution is computed once and reused for every aggregation
     in the step, so image evidence and interaction states are weighted by the
     same attention. Padded frames get exactly zero attention.
     """
-    x1 = concat([state.h2, ctx.pooled, embedding])
-    h1, c1 = lstm_step(p.attn_lstm, x1, state.h1, state.c1)
-
-    alpha = additive_attention(ctx.keys, linear(h1, p.temporal_w_h), p.temporal_w_a,
-                               ctx.frame_mask)
-
-    parts = [h1]
-    if p.use_image:
-        parts.append(matmul(alpha, ctx.frames))
-    if p.use_objects:
-        if p.use_coattention:
-            parts.append(matmul(alpha, ctx.states))
-        else:
-            parts.append(frame_mean(ctx.states, ctx.frame_mask))
-    h2, c2 = lstm_step(p.lang_lstm, concat(parts), state.h2, state.c2)
-    return DecoderState(h1=h1, c1=c1, h2=h2, c2=c2), alpha
+    alpha, h1, c1, h2, c2 = word_step(
+        (p.attn_lstm.wx, p.attn_lstm.wh, p.attn_lstm.b),
+        (p.lang_lstm.wx, p.lang_lstm.wh, p.lang_lstm.b), p.temporal_w_h, p.temporal_w_a,
+        embedding, ctx.pooled, ctx.keys, ctx.frames if p.use_image else None,
+        ctx.states if p.use_objects else None, (state.h1, state.c1, state.h2, state.c2),
+        ctx.frame_mask, p.use_coattention)
+    return DecoderState(h1=h1, c1=c1, h2=h2, c2=c2), Tensor(alpha)
 
 
 def decode_step(p: CaptionerParams, ctx: SegmentContext, words: int | np.ndarray,
                 state: DecoderState, out_wt: np.ndarray | None = None) -> DecodeStep:
     """Advance both LSTMs one word (see ``advance``) and score the
     vocabulary. ``words`` is the previous word id, or one id per row for a
-    batch of hypotheses whose ``ctx`` is tiled to as many rows.
+    batch of hypotheses whose ``ctx`` is tiled to as many rows. On the
+    tape a step records 6 nodes: the embedding column, the word step's
+    four and the logits.
 
     The logits are ``linear(h2, out_w, out_b)``, unless ``out_wt`` is given:
     a C-contiguous ``lang_hidden x V`` copy of ``out_w.T``, which only

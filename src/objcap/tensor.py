@@ -10,8 +10,8 @@ and a graph is freed as soon as its last reference goes.
 Batch axis: the ops that take vectors also take a batch of them, one per
 row of a matrix, and the ops that take matrices also take a batch of them
 along a leading axis, which a segment alone runs without; ``pair_attention``
-takes only a batch. It and ``additive_attention`` take a mask for padded
-entries. Two ops let a batch skip rows that need no work:
+takes only a batch. It and ``word_step``, the decoder's whole word step, take
+a mask for padded entries. Two ops let a batch skip rows that need no work:
 ``lstm_cell`` steps only the first rows of its state and carries the rest,
 and ``pair_attention`` reads only the first rows of its bias. ``stack_rows``
 can keep only chosen rows, and ``span_sums`` sums a vector's entries back
@@ -25,7 +25,7 @@ backpropagates (captioning and validation) builds no graph, with the same
 arithmetic. A node keeps only the arrays its backward reads, beyond its
 inputs: an intermediate that is cheap to form is formed again in backward
 by the same numpy operations, so no bit moves (``pair_attention``'s
-gathered rows and ``x = p + u``, ``additive_attention``'s tanh,
+gathered rows and ``x = p + u``, ``word_step``'s attention tanh,
 ``linear_tanh``'s pre-activation, ``lstm_cell``'s ``tanh(c)``;
 ``target_log_probs`` keeps no logits). Nor does a backward make a temporary
 of a large output's full size: a node owns its gradient, a C-ordered array
@@ -436,43 +436,6 @@ def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray 
     return alpha, _record(pooled, (rows, u), _backward)
 
 
-def additive_attention(keys: Tensor, query: Tensor, w_a: Tensor,
-                       mask: np.ndarray | None = None) -> Tensor:
-    """``softmax(tanh(keys + query) @ w_a)`` as one node: a distribution
-    over the T rows of ``keys`` (T x A, or B x T x A with one query row per
-    batch row), scored against ``query`` (A, or B x A) through ``w_a`` (A).
-
-    Where ``mask`` (T, or B x T) is False the weight is exactly 0.0 and
-    passes no gradient. The forward repeats the op-by-op chain's numpy
-    operations in its order, so the result is the same bit for bit. The
-    node keeps only ``alpha``; its backward forms the tanh again.
-    """
-    k_shape = keys.shape
-    if (len(k_shape) not in (2, 3) or query.shape != k_shape[:-2] + k_shape[-1:]
-            or w_a.shape != k_shape[-1:]):
-        raise ShapeError(f"additive_attention shape mismatch: keys {k_shape}, "
-                         f"query {query.shape}, w_a {w_a.shape}")
-
-    def hidden():
-        return np.tanh(keys.data + query.data[..., None, :])
-
-    alpha = masked_softmax(hidden() @ w_a.data, mask)
-
-    def _backward(out):
-        hid = hidden()
-        g = out.grad
-        g_scores = alpha * (g - (g * alpha).sum(axis=-1, keepdims=True))
-        g_z = (1.0 - hid * hid) * (g_scores[..., None] * w_a.data)
-        if keys.requires_grad:
-            keys._accumulate(g_z)
-        if query.requires_grad:
-            query._accumulate(g_z.sum(axis=-2))
-        if w_a.requires_grad:
-            w_a._accumulate(g_scores.reshape(-1) @ hid.reshape(-1, k_shape[-1]))
-
-    return _record(alpha, (keys, query, w_a), _backward)
-
-
 def log_softmax(x: Tensor) -> Tensor:
     """Log of softmax over a vector, or over each row along the last axis,
     computed with the max-shift trick; the shifted copy becomes the
@@ -539,29 +502,6 @@ def span_sums(x: Tensor, lengths) -> Tensor:
                    (x,), _backward)
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """Join tensors end to end along the last axis, which their shapes must
-    share otherwise: vectors end to end, batches of vectors row by row."""
-    if not parts:
-        raise ContractError("concat of an empty list")
-    datas = [p.data for p in parts]
-    try:
-        data = np.concatenate(datas, axis=-1)
-    except ValueError:      # ranks or leading lengths differ, or a part is a scalar
-        raise ShapeError(f"concat over the last axis of shapes "
-                         f"{[d.shape for d in datas]}") from None
-
-    def _backward(out):
-        off = 0
-        for p in parts:
-            n = p.shape[-1]
-            if p.requires_grad:
-                p._accumulate(out.grad[..., off:off + n])
-            off += n
-
-    return _record(data, tuple(parts), _backward)
-
-
 def stack_rows(rows: list[Tensor], at: np.ndarray | None = None) -> Tensor:
     """Stack equal-length vectors into a matrix, one vector per row; stack
     batches of vectors (B x D each) into B x n x D. With ``at``, only some
@@ -600,7 +540,9 @@ def take_column(m: Tensor, j) -> Tensor:
     j = np.asarray(j)
     if j.dtype.kind not in "iu":
         raise ShapeError(f"take_column needs an int or an array of ints, got {j!r}")
-    if j.size and (j.min() < 0 or j.max() >= m.shape[1]):
+    # one reduction for both ends: a negative id cast to uint64 wraps past
+    # any column count
+    if j.size and j.astype(np.uint64).max() >= m.shape[1]:
         raise ShapeError(f"column {j} out of range for shape {m.shape}")
 
     def _backward(out):
@@ -609,6 +551,51 @@ def take_column(m: Tensor, j) -> Tensor:
         np.add.at(m.grad.T, j, out.grad)    # ids may repeat
 
     return _record(m.data.T[j], (m,), _backward)
+
+
+def _lstm_forward(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
+                  hp: np.ndarray, cp: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One LSTM step on arrays: the gate activations, with the cell
+    candidate's tanh in the block its sigmoid would take, then c and h."""
+    hs = hp.shape[-1]
+    z = (x @ wx.T + hp @ wh.T) + b
+    # sigmoid split by sign so exp never overflows; the cell candidate's
+    # block then holds its tanh instead
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    s[..., 2 * hs:3 * hs] = np.tanh(z[..., 2 * hs:3 * hs])
+    c = s[..., hs:2 * hs] * cp + s[..., :hs] * s[..., 2 * hs:3 * hs]
+    return s, c, s[..., 3 * hs:] * np.tanh(c)
+
+
+def _lstm_backward(s: np.ndarray, c: np.ndarray, cp: np.ndarray, dh, dc_out,
+                   wx: Tensor, wh: Tensor, b: Tensor, x: np.ndarray,
+                   hp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The backward of ``_lstm_forward``'s step, given its gates ``s`` and
+    ``c``, h's gradient ``dh`` and c's own ``dc_out`` (either may be None):
+    accumulates the weights' gradients and returns the gates' gradient dz
+    and c's full gradient dc, for the caller to form ``dz @ wx`` (x's),
+    ``dz @ wh`` (h_prev's) and ``dc * f`` (c_prev's). Each factor is formed
+    in the order the op-by-op chain would form it."""
+    hs = c.shape[-1]
+    if dh is None:
+        dh = 0.0
+    g = s[..., 2 * hs:3 * hs]
+    tc = np.tanh(c)
+    dc = (1.0 - tc * tc) * (dh * s[..., 3 * hs:])
+    if dc_out is not None:
+        dc += dc_out
+    slope = s * (1.0 - s)
+    slope[..., 2 * hs:3 * hs] = 1.0 - g * g
+    dz = slope * np.concatenate([dc * g, dc * cp, dc * s[..., :hs], dh * tc], axis=-1)
+    dz_rows = dz.reshape(-1, 4 * hs)
+    if wx.requires_grad:
+        wx._accumulate(_t_times(dz_rows, x.reshape(-1, x.shape[-1])))
+    if wh.requires_grad:
+        wh._accumulate(_t_times(dz_rows, hp.reshape(-1, hs)))
+    if b.requires_grad:
+        b._accumulate(dz_rows.sum(axis=0))
+    return dz, dc
 
 
 def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
@@ -640,15 +627,7 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
                          f"c_prev {c_prev.shape}")
     a = x_shape[0] if x_shape[:-1] != h_shape[:-1] else None   # rows stepped, when some carry
     hp, cp = (h_prev.data, c_prev.data) if a is None else (h_prev.data[:a], c_prev.data[:a])
-    z = (x.data @ wx.data.T + hp @ wh.data.T) + b.data
-    # sigmoid split by sign so exp never overflows; the cell candidate's
-    # block then holds its tanh instead
-    e = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    s[..., 2 * hs:3 * hs] = np.tanh(z[..., 2 * hs:3 * hs])
-    i, f, g, o = s[..., :hs], s[..., hs:2 * hs], s[..., 2 * hs:3 * hs], s[..., 3 * hs:]
-    c_data = f * cp + i * g
-    h_data = o * np.tanh(c_data)
+    s, c_data, h_data = _lstm_forward(wx.data, wh.data, b.data, x.data, hp, cp)
     if a is not None:
         c_data = np.concatenate([c_data, c_prev.data[a:]])
         h_data = np.concatenate([h_data, h_prev.data[a:]])
@@ -661,29 +640,15 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
             carried = [np.zeros((h_shape[0] - a, hs)) if grad is None else grad[a:]
                        for grad in (dh, dc_out)]
             dh, dc_out = (None if grad is None else grad[:a] for grad in (dh, dc_out))
-        if dh is None:
-            dh = 0.0
-        tc = np.tanh(c.data if a is None else c.data[:a])
-        dc = (1.0 - tc * tc) * (dh * o)
-        if dc_out is not None:
-            dc += dc_out
-        slope = s * (1.0 - s)
-        slope[..., 2 * hs:3 * hs] = 1.0 - g * g
-        dz = slope * np.concatenate([dc * g, dc * cp, dc * i, dh * tc], axis=-1)
-        dz_rows = dz.reshape(-1, 4 * hs)
-        if wx.requires_grad:
-            wx._accumulate(_t_times(dz_rows, x.data.reshape(-1, d)))
-        if wh.requires_grad:
-            wh._accumulate(_t_times(dz_rows, hp.reshape(-1, hs)))
-        if b.requires_grad:
-            b._accumulate(dz_rows.sum(axis=0))
+        dz, dc = _lstm_backward(s, c.data if a is None else c.data[:a], cp, dh, dc_out,
+                                wx, wh, b, x.data, hp)
         if x.requires_grad:
             x._accumulate(dz @ wx.data)
         if h_prev.requires_grad:
             g_h = dz @ wh.data
             h_prev._accumulate(g_h if a is None else np.concatenate([g_h, carried[0]]))
         if c_prev.requires_grad:
-            g_c = dc * f
+            g_c = dc * s[..., hs:2 * hs]
             c_prev._accumulate(g_c if a is None else np.concatenate([g_c, carried[1]]))
 
     def _backward_h(h):
@@ -691,3 +656,151 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
 
     c = _record(c_data, (wx, wh, b, x, h_prev, c_prev), _backward_c)
     return _record(h_data, (c,), _backward_h), c
+
+
+def _added(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """``total + g`` as ``Tensor._accumulate`` forms a gradient: a C-ordered
+    copy of ``g`` when there is no total yet, else ``g`` added in place."""
+    if total is None:
+        return np.array(g, dtype=np.float64, order="C")
+    total += g
+    return total
+
+
+def word_step(attn: tuple[Tensor, Tensor, Tensor], lang: tuple[Tensor, Tensor, Tensor],
+              w_h: Tensor, w_a: Tensor, embedding: Tensor, pooled: Tensor, keys: Tensor,
+              frames: Tensor | None, states: Tensor | None,
+              state: tuple[Tensor, Tensor, Tensor, Tensor], mask: np.ndarray | None = None,
+              coattention: bool = True) -> tuple[np.ndarray, Tensor, Tensor, Tensor, Tensor]:
+    """One word of the caption decoder as one op, for a vector or for each
+    row of a batch (B rows, every input with a leading batch axis).
+
+    ``state`` is ``(h1, c1, h2, c2)``, the attention and the language LSTM's
+    (``attn`` and ``lang``, each ``(wx, wh, b)`` as ``lstm_cell`` takes
+    them). The attention LSTM steps on ``[h2; pooled; embedding]``; its h1
+    scores the T rows of ``keys`` (T x A) as ``softmax(tanh(keys + h1 @
+    w_h.T) @ w_a)``, alpha. Where ``mask`` (T, or B x T; None when no frame
+    is padded) is False the weight is exactly 0.0, and that frame's key,
+    frame and state get no gradient. The language LSTM steps on h1
+    followed by ``alpha @ frames`` (None: left out) and ``alpha @ states``
+    (None: left out), or without ``coattention`` the mean of ``states``
+    over the real frames instead.
+
+    Returns alpha, an array off the tape, and the new h1, c1, h2, c2. The
+    forward repeats the numpy operations of the op-by-op chain (concat,
+    ``lstm_cell``, ``linear``, the attention, ``matmul`` and concat again,
+    ``lstm_cell``) in their order, so it is the same bit for bit, and so is
+    the backward: it forms each factor as that chain would, and adds each
+    gradient into each input in the chain's order. ``c2`` owns the
+    backward; h1, c1 and h2 are nodes over it that hand their gradients to
+    it, as ``lstm_cell``'s ``h`` does. The node keeps both LSTMs' inputs and
+    gates, the query and alpha; its backward forms the attention's tanh
+    again. Under ``no_tape`` it returns bare tensors and builds no backward.
+    """
+    (awx, awh, ab), (lwx, lwh, lb) = attn, lang
+    h1p, c1p, h2p, c2p = state
+    parts = [t for t in (frames, states) if t is not None]
+    h1_shape, h2_shape = h1p.data.shape, h2p.data.shape
+    lead, h1s, h2s = h1_shape[:-1], h1_shape[-1], h2_shape[-1]
+    frame_rows, a_dim = lead + keys.data.shape[-2:-1], keys.data.shape[-1]
+    x1_widths = (h2s, pooled.data.shape[-1], embedding.data.shape[-1])
+    x2_widths, row_shapes = [h1s], [keys.data.shape[:-1]]     # row_shapes: one per frame
+    for t in parts:
+        x2_widths.append(t.data.shape[-1])
+        row_shapes.append(t.data.shape[:-1])
+    if (len(h1_shape) not in (1, 2) or row_shapes != [frame_rows] * len(row_shapes)
+            or c1p.data.shape != h1_shape or c2p.data.shape != lead + (h2s,)
+            or h2_shape[:-1] != lead or pooled.data.shape[:-1] != lead
+            or embedding.data.shape[:-1] != lead
+            or mask is not None and mask.shape != frame_rows
+            or (awx.data.shape, awh.data.shape, ab.data.shape, w_h.data.shape, w_a.data.shape,
+                lwx.data.shape, lwh.data.shape, lb.data.shape)
+            != ((4 * h1s, sum(x1_widths)), (4 * h1s, h1s), (4 * h1s,), (a_dim, h1s), (a_dim,),
+                (4 * h2s, sum(x2_widths)), (4 * h2s, h2s), (4 * h2s,))):
+        raise ShapeError(f"word_step shape mismatch: states {[t.shape for t in state]}, "
+                         f"pooled {pooled.shape}, embedding {embedding.shape}, keys "
+                         f"{keys.shape}, frames {None if frames is None else frames.shape}, "
+                         f"states {None if states is None else states.shape}, mask "
+                         f"{None if mask is None else mask.shape}, attention LSTM "
+                         f"{[t.shape for t in attn]}, w_h {w_h.shape}, w_a {w_a.shape}, "
+                         f"language LSTM {[t.shape for t in lang]}")
+
+    x1 = np.concatenate([h2p.data, pooled.data, embedding.data], axis=-1)
+    s1, c1, h1 = _lstm_forward(awx.data, awh.data, ab.data, x1, h1p.data, c1p.data)
+    q = h1 @ w_h.data.T
+    alpha = masked_softmax(np.tanh(keys.data + q[..., None, :]) @ w_a.data, mask)
+    attends = frames is not None or states is not None and coattention
+    mean = None     # the weights of the mean over real frames, without coattention
+    if states is not None and not coattention and mask is not None:
+        mean = mask / mask.sum(axis=-1, keepdims=True)
+    pooled_parts = [h1]
+    if frames is not None:
+        pooled_parts.append(_rows_times(alpha, frames.data))
+    if states is not None:
+        pooled_parts.append(_rows_times(alpha, states.data) if coattention else
+                            states.data.mean(axis=-2) if mean is None else
+                            _rows_times(mean, states.data))
+    x2 = np.concatenate(pooled_parts, axis=-1)
+    s2, c2, h2 = _lstm_forward(lwx.data, lwh.data, lb.data, x2, h2p.data, c2p.data)
+    if not _taping:     # the bare tensors _record would return, without building a backward
+        return alpha, Tensor(h1), Tensor(c1), Tensor(h2), Tensor(c2)
+    handed = [None, None, None]     # h1's, c1's and h2's gradients, handed on to c2's backward
+
+    def _backward(out):
+        dh1, dc1, dh2 = handed
+        dz2, dc2 = _lstm_backward(s2, c2, c2p.data, dh2, out.grad, lwx, lwh, lb, x2, h2p.data)
+        g_x2 = dz2 @ lwx.data
+        if h2p.requires_grad:
+            h2p._accumulate(dz2 @ lwh.data)
+        if c2p.requires_grad:
+            c2p._accumulate(dc2 * s2[..., h2s:2 * h2s])
+        dh1 = _added(dh1, g_x2[..., :h1s])
+        g_alpha, off = None, h1s
+        for t, width in zip(parts, x2_widths[1:]):
+            g = np.array(g_x2[..., off:off + width], order="C")
+            off += width
+            if t is states and not coattention:
+                if t.requires_grad:
+                    t._accumulate(np.broadcast_to(np.expand_dims(g / t.shape[-2], -2), t.shape)
+                                  if mean is None else mean[..., :, None] * g[..., None, :])
+                continue
+            g_t = (g[..., None, :] @ np.swapaxes(t.data, -1, -2))[..., 0, :]
+            g_alpha = _added(g_alpha, g_t)
+            if t.requires_grad:
+                t._accumulate(alpha[..., :, None] * g[..., None, :])
+        if attends:
+            hid = np.tanh(keys.data + q[..., None, :])
+            g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+            g_z = (1.0 - hid * hid) * (g_scores[..., None] * w_a.data)
+            if keys.requires_grad:
+                keys._accumulate(g_z)
+            if w_a.requires_grad:
+                w_a._accumulate(g_scores.reshape(-1) @ hid.reshape(-1, a_dim))
+            g_q = g_z.sum(axis=-2)
+            dh1 = _added(dh1, g_q @ w_h.data)
+            if w_h.requires_grad:
+                w_h._accumulate(_t_times(g_q.reshape(-1, a_dim), h1.reshape(-1, h1s)))
+        dz1, dc1 = _lstm_backward(s1, c1, c1p.data, dh1, dc1, awx, awh, ab, x1, h1p.data)
+        g_x1 = dz1 @ awx.data
+        if h1p.requires_grad:
+            h1p._accumulate(dz1 @ awh.data)
+        if c1p.requires_grad:
+            c1p._accumulate(dc1 * s1[..., h1s:2 * h1s])
+        off = 0
+        for t, width in zip((h2p, pooled, embedding), x1_widths):
+            if t.requires_grad:
+                t._accumulate(g_x1[..., off:off + width])
+            off += width
+
+    def handing(k):
+        def _backward_hand(node):
+            handed[k] = node.grad
+        return _backward_hand
+
+    # the attention's inputs get a gradient only where alpha is read; the
+    # order puts keys' backward before pooled's, as the chain's ran
+    attention = (w_h, w_a, keys) if attends else ()
+    c2_node = _record(c2, (awx, awh, ab, lwx, lwh, lb, *attention, *parts, pooled, embedding,
+                           h1p, c1p, h2p, c2p), _backward)
+    return (alpha, *(_record(data, (c2_node,), handing(k)) for k, data in enumerate((h1, c1, h2))),
+            c2_node)

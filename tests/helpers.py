@@ -229,7 +229,7 @@ def matmul_reference(a, b):
 
 
 # -- the op-by-op attention chains that tensor.pair_attention and
-# tensor.additive_attention fused, kept as references. The add, transpose,
+# additive_attention_op fused, kept as references. The add, transpose,
 # softmax and matrix product ops they used are no longer in the core, so
 # each is rebuilt here from its former code; so are tanh and the
 # element-wise product that weights op outputs in the FD cases.
@@ -349,8 +349,102 @@ def pair_attention_chain(projected, u, mask=None):
 
 
 def additive_attention_chain(keys, query, w_a, mask=None):
-    """``tensor.additive_attention`` as the chain of ops it replaced."""
+    """``additive_attention_op`` as the chain of ops it replaced."""
     return softmax_op(matmul_op(tanh_op(add_op(keys, query)), w_a), mask)
+
+
+# -- the op-by-op decoder step that tensor.word_step fused, kept as its
+# reference: the former core ops concat and additive_attention, verbatim,
+# and captioner.advance as it composed them with lstm_cell, linear and
+# matmul.
+
+def concat_op(parts):
+    """Join tensors end to end along the last axis, which their shapes must
+    share otherwise: vectors end to end, batches of vectors row by row."""
+    from objcap.tensor import ContractError, ShapeError, _record
+
+    if not parts:
+        raise ContractError("concat of an empty list")
+    datas = [p.data for p in parts]
+    try:
+        data = np.concatenate(datas, axis=-1)
+    except ValueError:      # ranks or leading lengths differ, or a part is a scalar
+        raise ShapeError(f"concat over the last axis of shapes "
+                         f"{[d.shape for d in datas]}") from None
+
+    def _backward(out):
+        off = 0
+        for p in parts:
+            n = p.shape[-1]
+            if p.requires_grad:
+                p._accumulate(out.grad[..., off:off + n])
+            off += n
+
+    return _record(data, tuple(parts), _backward)
+
+
+def additive_attention_op(keys, query, w_a, mask=None):
+    """``softmax(tanh(keys + query) @ w_a)`` as one node: a distribution
+    over the T rows of ``keys`` (T x A, or B x T x A with one query row per
+    batch row), scored against ``query`` (A, or B x A) through ``w_a`` (A).
+
+    Where ``mask`` (T, or B x T) is False the weight is exactly 0.0 and
+    passes no gradient. The forward repeats the op-by-op chain's numpy
+    operations in its order, so the result is the same bit for bit. The
+    node keeps only ``alpha``; its backward forms the tanh again.
+    """
+    from objcap.tensor import ShapeError, _record, masked_softmax
+
+    k_shape = keys.shape
+    if (len(k_shape) not in (2, 3) or query.shape != k_shape[:-2] + k_shape[-1:]
+            or w_a.shape != k_shape[-1:]):
+        raise ShapeError(f"additive_attention shape mismatch: keys {k_shape}, "
+                         f"query {query.shape}, w_a {w_a.shape}")
+
+    def hidden():
+        return np.tanh(keys.data + query.data[..., None, :])
+
+    alpha = masked_softmax(hidden() @ w_a.data, mask)
+
+    def _backward(out):
+        hid = hidden()
+        g = out.grad
+        g_scores = alpha * (g - (g * alpha).sum(axis=-1, keepdims=True))
+        g_z = (1.0 - hid * hid) * (g_scores[..., None] * w_a.data)
+        if keys.requires_grad:
+            keys._accumulate(g_z)
+        if query.requires_grad:
+            query._accumulate(g_z.sum(axis=-2))
+        if w_a.requires_grad:
+            w_a._accumulate(g_scores.reshape(-1) @ hid.reshape(-1, k_shape[-1]))
+
+    return _record(alpha, (keys, query, w_a), _backward)
+
+
+def advance_chain(p, ctx, embedding, state):
+    """``captioner.advance`` as the chain of ops it ran before
+    ``tensor.word_step``: returns the new ``DecoderState`` and alpha, a
+    node."""
+    from objcap.captioner import DecoderState, frame_mean
+    from objcap.layers import lstm_step
+    from objcap.tensor import linear, matmul
+
+    x1 = concat_op([state.h2, ctx.pooled, embedding])
+    h1, c1 = lstm_step(p.attn_lstm, x1, state.h1, state.c1)
+
+    alpha = additive_attention_op(ctx.keys, linear(h1, p.temporal_w_h), p.temporal_w_a,
+                                  ctx.frame_mask)
+
+    parts = [h1]
+    if p.use_image:
+        parts.append(matmul(alpha, ctx.frames))
+    if p.use_objects:
+        if p.use_coattention:
+            parts.append(matmul(alpha, ctx.states))
+        else:
+            parts.append(frame_mean(ctx.states, ctx.frame_mask))
+    h2, c2 = lstm_step(p.lang_lstm, concat_op(parts), state.h2, state.c2)
+    return DecoderState(h1=h1, c1=c1, h2=h2, c2=c2), alpha
 
 
 # -- the former two-op path of tensor.pair_attention: place_rows gathered a

@@ -9,7 +9,9 @@ from objcap.captioner import (
     BOS_ID,
     EOS_ID,
     Hypothesis,
+    DecoderState,
     SegmentContext,
+    advance,
     beam_search,
     beam_select,
     decode_step,
@@ -25,10 +27,13 @@ from objcap.tensor import ContractError, Tensor, log_softmax
 
 from helpers import (
     FD_TOL,
+    add_op,
+    advance_chain,
     beam_search_by_hypothesis,
     beam_select_general,
     decode_greedy,
     max_fd_error,
+    mul_op,
     scalar_lstm_step,
     scalar_mlp,
     scalar_softmax,
@@ -179,6 +184,76 @@ class TestDecodeStep:
             assert logits() is None
         finally:
             gc.enable()
+
+
+class TestWordStep:
+    """``advance`` runs the decoder's word step as one op,
+    ``tensor.word_step``; ``helpers.advance_chain`` is the op-by-op chain it
+    replaced. Two steps from leaf inputs must give the same h1, c1, h2, c2
+    and alpha, and the same gradient in every input, bit for bit."""
+
+    WIDTHS = dict(image_dim=4, object_dim=4, attn_dim=3, interaction_hidden=5,
+                  img_proj_dim=4, embed_dim=3, attn_hidden=6, lang_hidden=7)
+
+    @staticmethod
+    def leaves(p, rng, lead, frames, masked):
+        """A context, two embeddings and a start state, each a leaf that
+        requires a gradient; ``masked`` pads some frames of every row but
+        the first."""
+        def leaf(*shape):
+            return Tensor(rng.normal(size=lead + shape), requires_grad=True)
+
+        mask = None
+        if masked:
+            mask = rng.random(size=lead + (frames,)) < 0.6
+            mask[..., 0] = True
+            mask[0] = True
+        ctx = SegmentContext(
+            frames=leaf(frames, p.img_proj_dim) if p.use_image else None,
+            pooled=leaf(p.img_proj_dim),
+            states=leaf(frames, 5) if p.use_objects else None,
+            keys=leaf(frames, p.img_proj_dim), frame_mask=mask)
+        state = DecoderState(h1=leaf(p.attn_hidden), c1=leaf(p.attn_hidden),
+                             h2=leaf(p.lang_hidden), c2=leaf(p.lang_hidden))
+        return ctx, [leaf(p.embed.shape[0]) for _ in range(2)], state
+
+    @pytest.mark.parametrize("mode", [{}, {"use_image": False}, {"use_objects": False},
+                                      {"use_coattention": False}])
+    @pytest.mark.parametrize("lead,masked", [((), False), ((5,), False), ((5,), True),
+                                             ((16,), False), ((16,), True)])
+    def test_equals_the_op_by_op_chain_bitwise(self, mode, lead, masked):
+        m = init_model(ModelConfig(vocab_size=6, **{**self.WIDTHS, **mode}), seed=31)
+        p = m.captioner
+        weights = [p.attn_lstm.wx, p.attn_lstm.wh, p.attn_lstm.b, p.lang_lstm.wx,
+                   p.lang_lstm.wh, p.lang_lstm.b, p.temporal_w_h, p.temporal_w_a]
+        rng = np.random.default_rng(31)
+        for trial in range(6):
+            ctx, embeddings, start = self.leaves(p, rng, lead, int(rng.integers(1, 7)), masked)
+            inputs = weights + [ctx.pooled, ctx.keys, *embeddings, start.h1, start.c1,
+                                start.h2, start.c2]
+            inputs += [x for x in (ctx.frames, ctx.states) if x is not None]
+            # every output of both steps weighted, or only each step's h2,
+            # as teacher forcing reads them
+            only_h2 = trial % 2 == 1
+            loss_weights = [[Tensor(rng.normal(size=lead + (n,))) for n in (
+                p.attn_hidden, p.attn_hidden, p.lang_hidden, p.lang_hidden)] for _ in range(2)]
+            runs = []
+            for step in (advance, advance_chain):
+                for x in inputs:
+                    x.zero_grad()
+                state, outputs = start, []
+                for embedding in embeddings:
+                    state, alpha = step(p, ctx, embedding, state)
+                    outputs.append([state.h1, state.c1, state.h2, state.c2, alpha])
+                terms = [mul_op(out, w).sum() for outs, ws in zip(outputs, loss_weights)
+                         for k, (out, w) in enumerate(zip(outs, ws)) if not only_h2 or k == 2]
+                loss = terms[0]
+                for term in terms[1:]:
+                    loss = add_op(loss, term)
+                loss.backward()
+                runs.append([out.data.tobytes() for outs in outputs for out in outs]
+                            + [x.grad.tobytes() for x in inputs])
+            assert runs[0] == runs[1], (mode, lead, masked, trial)
 
 
 class TestTeacherForcing:

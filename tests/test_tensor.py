@@ -11,8 +11,6 @@ from objcap.tensor import (
     ContractError,
     ShapeError,
     Tensor,
-    additive_attention,
-    concat,
     linear,
     linear_tanh,
     log_softmax,
@@ -25,12 +23,15 @@ from objcap.tensor import (
     stack_rows,
     take_column,
     target_log_probs,
+    word_step,
 )
 
 from helpers import (
     FD_TOL,
     add_op,
     additive_attention_chain,
+    additive_attention_op,
+    concat_op,
     gather_op,
     linear_tanh_reference,
     lstm_cell_reference,
@@ -58,7 +59,7 @@ def t(data, rg=True):
 def hc(pair):
     """``lstm_cell``'s two outputs as one node ``[h; c]``, so a check weights
     both."""
-    return concat(list(pair))
+    return concat_op(list(pair))
 
 
 class TestMatmul:
@@ -232,6 +233,30 @@ def _placed(rows, index, mask):
     return place_rows_reference(rows, index if mask is None else index[mask], mask)
 
 
+def word_shapes(lead=(), n=3, image=True, objects=True):
+    """The shapes of ``word_states``' inputs: a vector step (``lead`` ())
+    or a batch's, over ``n`` frames, with hidden widths 2 and 3, and every
+    other width 2."""
+    h1, h2, w = 2, 3, 2
+    return ([(4 * h1, h2 + 2 * w), (4 * h1, h1), (4 * h1,),
+             (4 * h2, h1 + w * (image + objects)), (4 * h2, h2), (4 * h2,), (w, h1), (w,),
+             lead + (w,), lead + (w,), lead + (n, w)] + [lead + (n, w)] * (image + objects)
+            + [lead + (h1,), lead + (h1,), lead + (h2,), lead + (h2,)])
+
+
+def word_states(x, image=True, objects=True, mask=None, coattention=True):
+    """``word_step`` over its tensor inputs ``x`` in its order: the two
+    LSTMs' three weights each, w_h, w_a, the embedding, pooled, keys, then
+    frames and states when ``image`` and ``objects`` are set, then h1, c1,
+    h2, c2. Returns alpha and the four new states end to end, one node."""
+    x = list(x)
+    frames = x.pop(11) if image else None
+    states = x.pop(11) if objects else None
+    alpha, *out = word_step(x[0:3], x[3:6], *x[6:11], frames, states, x[11:15], mask,
+                            coattention)
+    return alpha, concat_op(out)
+
+
 class TestFusedAttention:
     """Each fused op against the op-by-op chain it replaced."""
 
@@ -253,7 +278,7 @@ class TestFusedAttention:
                     else:
                         alpha, out = pair_attention_chain(_placed(rows, index, mask), query, mask)
                 else:
-                    out = (additive_attention if fused else additive_attention_chain)(
+                    out = (additive_attention_op if fused else additive_attention_chain)(
                         *leaves, mask)
                     alpha = out.data
                 mul_op(out, t(w, rg=False)).sum().backward()
@@ -289,14 +314,18 @@ class TestFusedAttention:
 
     def test_padding_gets_zero_attention_and_no_gradient(self):
         """A padded entry gets zero weight and no gradient; a padded
-        position's index is not read, here one past the last row."""
+        position's index is not read, here one past the last row. The
+        decoder's frame attention is ``word_step``'s: a padded frame's key,
+        frame and state get no gradient."""
         rng = np.random.default_rng(9)
         mask = np.array([[True, False, True, True], [False] * 4])
+        x = [t(rng.normal(size=shape)) for shape in word_shapes((2,), 4)]
+        alpha, out = word_states(x, mask=mask)
+        assert np.all(alpha[~mask] == 0.0)
+        mul_op(out, t(rng.normal(size=out.shape), rg=False)).sum().backward()
+        for frame_rows in x[10:13]:     # keys, frames, states
+            assert np.all(frame_rows.grad[~mask] == 0.0)
         rows, query = t(rng.normal(size=(2, 4, 3))), t(rng.normal(size=(2, 3)))
-        alpha = additive_attention(rows, query, t(rng.normal(size=3)), mask)
-        assert np.all(alpha.data[~mask] == 0.0)
-        mul_op(alpha, t(rng.normal(size=(2, 4)), rg=False)).sum().backward()
-        assert np.all(rows.grad[~mask] == 0.0) and np.all(query.grad[1] == 0.0)
         packed, index = t(rows.data.reshape(8, 3)), np.arange(8).reshape(2, 4)
         pairs, pooled = pair_attention(packed, np.where(mask, index, 8), query, mask, 1)
         pair_mask = mask[:, :, None] & mask[:, None, :]
@@ -359,8 +388,22 @@ class TestFusedAttention:
                 pair_attention(rows, index, u, mask, groups)
         with pytest.raises(ContractError):
             pair_attention(t(np.zeros((0, 3))), np.zeros((1, 0), dtype=int), one, None, 1)
-        with pytest.raises(ShapeError):
-            additive_attention(z, t(np.zeros(3)), t(np.zeros(2)))
+        good = word_shapes((2,), 3)
+        for at, shape in [(10, (2, 3, 3)),      # keys wider than w_h's rows
+                          (8, (3, 2)),          # an embedding row too many
+                          (12, (2, 4, 2)),      # states for a frame too many
+                          (13, (2, 2, 2)),      # h1 not a row per batch row
+                          (16, (2, 2)),         # c2 narrower than h2
+                          (3, (12, 5))]:        # language LSTM too narrow for its input
+            x = [t(np.zeros(at_shape)) for at_shape in good]
+            x[at] = t(np.zeros(shape))
+            with pytest.raises(ShapeError, match="word_step"):
+                word_states(x)
+        with pytest.raises(ShapeError, match="word_step"):
+            word_states([t(np.zeros(shape)) for shape in good], mask=np.ones((2, 4), dtype=bool))
+        with pytest.raises(ShapeError, match="word_step"):      # sized for the frames left out
+            word_states([t(np.zeros(shape)) for k, shape in enumerate(good) if k != 11],
+                        image=False)
 
 
 class TestPlaceRows:
@@ -507,7 +550,7 @@ class TestLstmCell:
 def test_concat_shapes_checked():
     for parts in [[(2, 3), (3, 3)], [(3,), (2, 3)], [(), ()]]:
         with pytest.raises(ShapeError, match="concat over the last axis"):
-            concat([t(np.zeros(shape)) for shape in parts])
+            concat_op([t(np.zeros(shape)) for shape in parts])
 
 
 def test_row_takes_one_row_at_any_rank():
@@ -533,17 +576,18 @@ RULE_CASES = {
     "linear_tanh": ([(2, 3), (4, 3), (4,)], linear_tanh),
     "pair_attention": ([(3, 2), (1, 2)],
                        lambda p, u: pair_attention(p, np.array([[2, 0]]), u, None, 1)[1]),
-    "additive_attention": ([(3, 2), (2,), (2,)], additive_attention),
+    "additive_attention": ([(3, 2), (2,), (2,)], additive_attention_op),
     "log_softmax": ([(4,)], log_softmax),
     "target_log_probs": ([(2, 3), (4, 3), (4,)],
                          lambda x, w, b: target_log_probs(x, w, b, np.array([1, 3]))),
-    "concat": ([(2,), (3,)], lambda a, b: concat([a, b])),
+    "concat": ([(2,), (3,)], lambda a, b: concat_op([a, b])),
     "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
     "span_sums": ([(5,)], lambda x: span_sums(x, np.array([2, 3]))),
     "place_rows": ([(3, 3), (1, 3)], lambda p, u: pair_attention(
         p, np.array([[2, 1, 0]]), u, np.array([[True, False, True]]), 1)[1]),
     "take_column": ([(3, 4)], lambda m: take_column(m, np.array([0, 2]))),
     "lstm_cell": ([(8, 3), (8, 2), (8,), (3,), (2,), (2,)], lambda *a: hc(lstm_cell(*a))),
+    "word_step": (word_shapes(), lambda *x: word_states(x)[1]),
 }
 
 
@@ -717,6 +761,24 @@ def test_target_log_probs_checks_its_targets():
             target_log_probs(x, w, b, targets)
 
 
+def test_take_column_checks_its_ids():
+    """Ids below 0 or past the last column raise, at every int width and at
+    the extremes of int64 (the check casts ids to uint64, where a negative
+    id wraps past any column count); ids in range, unsigned ids and no ids
+    at all pass."""
+    m = t(np.arange(12.0).reshape(3, 4))
+    for ids in [4, -1, np.array([0, 4]), np.array([[2], [-1]]), np.array([-1], dtype=np.int8),
+                np.array([-4], dtype=np.int32), np.array([np.iinfo(np.int64).min]),
+                np.array([np.iinfo(np.int64).max]), np.array([4], dtype=np.uint16)]:
+        with pytest.raises(ShapeError, match="out of range"):
+            take_column(m, ids)
+    with pytest.raises(ShapeError, match="an int or an array of ints"):
+        take_column(m, np.array([1.0]))
+    for ids in [0, 3, np.array([3, 0, 3]), np.array([[1], [2]], dtype=np.uint8),
+                np.zeros((2, 0), dtype=int)]:
+        assert np.array_equal(take_column(m, ids).data, m.data.T[np.asarray(ids)])
+
+
 def test_linear_tanh_slope_in_blocks_keeps_its_bits():
     """The slope formed a block of rows at a time in the node's own
     gradient equals the former one-array form, bit for bit, in value and
@@ -839,7 +901,7 @@ def _fd_case(name, rng):
         return lambda: add_op(tanh_op(a.mean(axis=0)).sum(), tanh_op(a.mean(axis=1)).sum()), [a]
     if name == "concat":
         a, b = t(rng.normal(size=3)), t(rng.normal(size=2))
-        return lambda: tanh_op(concat([a, b])).sum(), [a, b]
+        return lambda: tanh_op(concat_op([a, b])).sum(), [a, b]
     if name == "stack_rows":
         a, b = t(rng.normal(size=4)), t(rng.normal(size=4))
         return lambda: tanh_op(stack_rows([a, b])).sum(), [a, b]
@@ -917,7 +979,7 @@ def _fd_case(name, rng):
         return lambda: tanh_op(a.mean(axis=-2)).sum(), [a]
     if name == "concat_rows":
         a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 2)))
-        return lambda: tanh_op(concat([a, b])).sum(), [a, b]
+        return lambda: tanh_op(concat_op([a, b])).sum(), [a, b]
     if name == "stack_rows_batched":
         a, b = t(rng.normal(size=(2, 4))), t(rng.normal(size=(2, 4)))
         w = t(rng.normal(size=(2, 2, 4)), rg=False)
@@ -984,7 +1046,21 @@ def _fd_case(name, rng):
             return lambda: mul_op(pair_attention(rows, index, query, mask, 1)[1],
                                   w).sum(), leaves
         w = t(rng.normal(size=leaves[0].shape[:-1]), rg=False)
-        return lambda: mul_op(additive_attention(*leaves, mask), w).sum(), leaves
+        return lambda: mul_op(additive_attention_op(*leaves, mask), w).sum(), leaves
+    if name == "word_step":
+        # a vector or a batch of 2 over 1 to 3 frames, masked or not, with
+        # either pathway left out or the states' plain mean
+        lead, n = [(), (2,)][rng.integers(2)], int(rng.integers(1, 4))
+        image, objects = [(True, True), (False, True), (True, False)][rng.integers(3)]
+        coattention = bool(rng.integers(2))
+        mask = None
+        if lead and rng.integers(2):
+            mask = rng.random(size=lead + (n,)) < 0.6
+            mask[:, 0] = True
+        leaves = [t(rng.normal(size=shape)) for shape in word_shapes(lead, n, image, objects)]
+        w = t(rng.normal(size=lead + (10,)), rg=False)
+        return lambda: mul_op(word_states(leaves, image, objects, mask, coattention)[1],
+                              w).sum(), leaves
     raise AssertionError(name)
 
 
@@ -999,7 +1075,7 @@ ALL_OPS = [
     "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
     "lstm_cell_carried", "pair_attention_groups", "pair_attention_longer_u",
-    "stack_rows_at", "span_sums", "target_log_probs",
+    "stack_rows_at", "span_sums", "target_log_probs", "word_step",
 ]
 
 
@@ -1017,14 +1093,18 @@ def test_uniform_log_softmax_value():
 
 
 def test_forward_chains_stay_finite():
+    """The interaction's pooled vector feeds the decoder's word step, every
+    input at scale 50: values and gradients stay finite."""
     rng = np.random.default_rng(99)
     for _ in range(50):
-        a = t(rng.normal(scale=50.0, size=(4, 5)))
-        b = t(rng.normal(scale=50.0, size=(1, 5)))
+        a = t(rng.normal(scale=50.0, size=(4, 2)))
+        b = t(rng.normal(scale=50.0, size=(1, 2)))
         _, pooled = pair_attention(a, np.arange(4)[None], b, None, 1)
-        out = tanh_op(matmul(additive_attention(a, pooled.row(0), b.row(0)), a))
-        assert np.all(np.isfinite(out.data))
+        x = [t(rng.normal(scale=50.0, size=shape)) for shape in word_shapes((1,), 4)]
+        alpha, out = word_states(x[:9] + [pooled] + x[10:])
+        out = tanh_op(out)
+        assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(out.data))
         total = out.sum()
         total.backward()
-        for leaf in (a, b):
+        for leaf in (a, b, *x):
             assert leaf.grad is None or np.all(np.isfinite(leaf.grad))
