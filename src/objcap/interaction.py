@@ -11,10 +11,10 @@ object interactions seen so far.
 The K groups' weights are stored stacked, one matrix per role with group
 k's attn_dim rows as its k-th row block, as multi-head attention keeps its
 heads. So the K groups run as one: one GEMM per role, and per frame one
-attention call with the group as a batch axis. Only the hidden-state term
-of the bias depends on the recurrence, so the object projections and frame
-contexts are computed once per segment, for all frames together, before the
-frame loop.
+op, ``tensor.frame_step``, that attends with the group as a batch axis and
+steps the LSTM. Only the hidden-state term of the bias depends on the
+recurrence, so the object projections and frame contexts are computed once
+per segment, for all frames together, before the frame loop.
 
 A batch of segments runs as one recurrence over padded arrays, and a
 segment alone as a batch of one: each frame attends over its widest object
@@ -35,16 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .layers import (
-    LstmParams,
-    MlpParams,
-    glorot_uniform,
-    init_lstm,
-    init_mlp,
-    lstm_step,
-    mlp_forward,
-)
-from .tensor import ContractError, Tensor, linear, pair_attention
+from .layers import LstmParams, MlpParams, glorot_uniform, init_lstm, init_mlp, mlp_forward
+from .tensor import ContractError, Tensor, frame_step, linear
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -112,14 +104,15 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     ordered longest segment first; None means every segment runs to the
     last frame. The segments still running at frame t are then the first
     a_t rows: only they are attended and stepped, and a row past its
-    segment's end carries its last state unchanged (``lstm_cell``), which
-    the decoder's frame mask gives zero weight.
+    segment's end carries its last state unchanged, which the decoder's
+    frame mask gives zero weight.
 
     The K groups run as one on the stacked weights: one GEMM projects
-    every object row for all groups, one forms every frame's context terms,
-    and per frame one forms the state terms and one ``pair_attention``
-    gathers the frame's projected rows and attends with the group as a
-    batch axis, its pooled output already the groups' concatenation.
+    every object row for all groups and one forms every frame's context
+    terms. Each frame is then one ``tensor.frame_step``, two tape nodes: it
+    forms the state terms of all B rows against the frame's contexts,
+    gathers the frame's projected rows, attends with the group as a batch
+    axis, pools (the groups' pooled vectors end to end) and steps the LSTM.
 
     Returns the hidden state after each frame (B x H) and, per frame, each
     group's attention over the frame's widest object count n (a_t x n x n;
@@ -150,16 +143,10 @@ def interaction_states(p: InteractionParams, image: Tensor, objects: np.ndarray,
     hiddens: list[Tensor] = []
     records: list[list[np.ndarray | None]] = []
     for t, (a, n, masked) in enumerate(zip(running.tolist(), widest.tolist(), padded.tolist())):
-        if n:
-            real, index = object_mask[:a, t, :n], row_of[:a, t, :n]
-            mask = real if masked else None     # masks only where a row is padded
-            alpha, pooled = pair_attention(projected, index, linear(h, p.w_h, contexts.row(t)),
-                                           mask, k)
-            records.append([alpha[:, j] for j in range(k)])
-        else:
-            pooled = Tensor(np.zeros((a, p.lstm.wx.shape[1])))
-            records.append([None] * k)
-        h, c = lstm_step(p.lstm, pooled, h, c)
+        alpha, h, c = frame_step((p.lstm.wx, p.lstm.wh, p.lstm.b), p.w_h, projected,
+                                 row_of[:a, t, :n], contexts, t, (h, c),
+                                 object_mask[:a, t, :n] if masked else None, k)
+        records.append([None] * k if alpha is None else [alpha[:, j] for j in range(k)])
         hiddens.append(h)
     return hiddens, records
 
@@ -168,7 +155,8 @@ def interaction_sequence(p: InteractionParams, image_feats: Tensor,
                          object_feats: list[np.ndarray],
                          ) -> tuple[list[Tensor], list[list[np.ndarray | None]]]:
     """Run the recurrence over one segment, as a batch of one, from a zero
-    initial state.
+    initial state: ``interaction_states``, one ``tensor.frame_step`` per
+    frame, with the batch axis stripped from the traced attention.
 
     ``image_feats`` is T x image_dim (off the tape); ``object_feats`` holds
     one n_t x object_dim array per frame (n_t may be 0). Returns the 1 x H

@@ -9,13 +9,13 @@ and a graph is freed as soon as its last reference goes.
 
 Batch axis: the ops that take vectors also take a batch of them, one per
 row of a matrix, and the ops that take matrices also take a batch of them
-along a leading axis, which a segment alone runs without; ``pair_attention``
-takes only a batch. It and ``word_step``, the decoder's whole word step, take
-a mask for padded entries. Two ops let a batch skip rows that need no work:
-``lstm_cell`` steps only the first rows of its state and carries the rest,
-and ``pair_attention`` reads only the first rows of its bias. ``stack_rows``
-can keep only chosen rows, and ``span_sums`` sums a vector's entries back
-into one total per batch row.
+along a leading axis, which a segment alone runs without; ``frame_step``,
+the interaction's whole frame step, takes only a batch. It and
+``word_step``, the decoder's whole word step, take a mask for padded
+entries. Two ops let a batch skip rows that need no work: ``lstm_cell`` and
+``frame_step`` step only the first rows of their state and carry the rest.
+``stack_rows`` can keep only chosen rows, and ``span_sums`` sums a vector's
+entries back into one total per batch row.
 
 Tape policy: each forward pass builds a fresh graph, every op recording its
 node through ``_record``, which marks it as requiring a gradient when any
@@ -24,9 +24,9 @@ an op records nothing, its output a bare tensor, so work that never
 backpropagates (captioning and validation) builds no graph, with the same
 arithmetic. A node keeps only the arrays its backward reads, beyond its
 inputs: an intermediate that is cheap to form is formed again in backward
-by the same numpy operations, so no bit moves (``pair_attention``'s
-gathered rows and ``x = p + u``, ``word_step``'s attention tanh,
-``linear_tanh``'s pre-activation, ``lstm_cell``'s ``tanh(c)``;
+by the same numpy operations, so no bit moves (``frame_step``'s gathered
+object rows and ``x = p + u``, ``word_step``'s attention tanh,
+``linear_tanh``'s pre-activation, every LSTM's ``tanh(c)``;
 ``target_log_probs`` keeps no logits). Nor does a backward make a temporary
 of a large output's full size: a node owns its gradient, a C-ordered array
 no other array views, so ``linear_tanh`` forms its slope in it a block of
@@ -347,95 +347,6 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return e / np.where(total > 0.0, total, 1.0)
 
 
-def pair_attention(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray | None,
-                   groups: int) -> tuple[np.ndarray, Tensor]:
-    """Pairwise self-attention over one frame's object rows, pooled, as one
-    node, for each of B batch rows and G groups side by side.
-
-    ``rows`` is a matrix of packed rows, and ``index`` (B x n) names each
-    batch row's objects in it, in order, no row twice. ``mask`` (B x n, or
-    None when nothing is padded) marks the real entries: a False entry is a
-    padded position, whose index is not read and whose gathered row is
-    zeros. ``u`` holds one bias per batch row (a ``u`` with more than B rows
-    has only its first B read, and its other rows get no gradient). The
-    width is G·d: group k owns columns k·d to (k+1)·d of ``rows`` and ``u``,
-    and gathers its rows p as one n x d matrix. With ``x = p + u`` on every
-    row, ``alpha = softmax(x @ x.T / sqrt(d))`` row by row and the group's
-    result is the mean over rows of ``alpha @ p``, taken as (mean of
-    alpha's rows) @ p. A padded row or column gets exactly zero attention,
-    the mean runs over the real rows only, and a batch row without one
-    pools to zeros. Each group equals a call on its own columns bit for
-    bit.
-
-    Returns ``alpha`` (B x G x n x n), an array off the tape, and the
-    pooled vectors (B x G·d), each the G groups' pooled vectors end to end.
-    The forward repeats the op-by-op chain's numpy operations in order, the
-    transpose as a contiguous copy, so it is the same bit for bit. The node
-    keeps ``alpha`` and the pooling weights; its backward gathers p and
-    forms x again with the same operations.
-    """
-    index = np.asarray(index)
-    if index.ndim != 2 or index.dtype.kind not in "iu" or len(rows.shape) != 2:
-        raise ShapeError(f"pair_attention index {index.shape} into rows {rows.shape}")
-    (b, n), width, k = index.shape, rows.shape[-1], groups
-    if (mask is not None and mask.shape != index.shape or len(u.shape) != 2
-            or u.shape[-1] != width or u.shape[0] < b or k < 1 or width % k):
-        raise ShapeError(f"pair_attention shape mismatch: rows {rows.shape}, index "
-                         f"{index.shape}, mask {None if mask is None else mask.shape}, "
-                         f"bias {u.shape}, groups {groups}")
-    if n < 1:
-        raise ContractError("pair_attention needs at least one object row")
-    d = width // k
-    bias = u.data[:b].reshape(b, k, 1, d)
-    taken = index if mask is None else index[mask]
-
-    def gathered():
-        """B x k x n x d: each group's rows as one contiguous matrix, as a
-        group alone's would be, with zero rows at padded positions."""
-        if mask is None:
-            placed = rows.data[index]
-        else:
-            placed = np.zeros(index.shape + (width,))
-            placed[mask] = rows.data[taken]
-        return np.ascontiguousarray(np.swapaxes(placed.reshape(b, n, k, d), -2, -3))
-
-    p = gathered()
-    x = p + bias
-    scale = 1.0 / math.sqrt(d)
-    scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
-    if mask is None:
-        alpha, weights = masked_softmax(scores), None
-        mean = alpha.mean(axis=-2)
-    else:
-        pairs = (mask[..., :, None] & mask[..., None, :])[..., None, :, :]
-        alpha = masked_softmax(scores, np.broadcast_to(pairs, scores.shape))
-        weights = (mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1))[..., None, :]
-        mean = _rows_times(weights, alpha)
-
-    def _backward(out):
-        p = gathered()
-        x = p + bias
-        g = out.grad.reshape(b, k, d)
-        g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
-        g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
-                   if weights is None else weights[..., :, None] * g_mean[..., None, :])
-        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
-        g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x     # x feeds both sides of x @ x.T
-        if rows.requires_grad:
-            g_p = np.swapaxes(g_x + mean[..., :, None] * g[..., None, :], -2, -3)
-            g_p = g_p.reshape(index.shape + (width,))
-            if rows.grad is None:
-                rows.grad = np.zeros_like(rows.data)
-            rows.grad[taken] += g_p if mask is None else g_p[mask]
-        if u.requires_grad:
-            g_u = np.zeros(u.shape)
-            g_u[:b] = g_x.sum(axis=-2).reshape(b, width)
-            u._accumulate(g_u)
-
-    pooled = _rows_times(mean, p).reshape(b, width)
-    return alpha, _record(pooled, (rows, u), _backward)
-
-
 def log_softmax(x: Tensor) -> Tensor:
     """Log of softmax over a vector, or over each row along the last axis,
     computed with the max-shift trick; the shifted copy becomes the
@@ -553,6 +464,14 @@ def take_column(m: Tensor, j) -> Tensor:
     return _record(m.data.T[j], (m,), _backward)
 
 
+def _handing(handed: list, k: int = 0):
+    """A backward that hands its node's gradient to slot k of ``handed``,
+    for the op's owning node, an input of this one, to read later."""
+    def _backward_hand(node):
+        handed[k] = node.grad
+    return _backward_hand
+
+
 def _lstm_forward(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
                   hp: np.ndarray, cp: np.ndarray) -> tuple[np.ndarray, ...]:
     """One LSTM step on arrays: the gate activations, with the cell
@@ -598,6 +517,41 @@ def _lstm_backward(s: np.ndarray, c: np.ndarray, cp: np.ndarray, dh, dc_out,
     return dz, dc
 
 
+def _lstm(wx: Tensor, wh: Tensor, b: Tensor, x: np.ndarray, h_prev: Tensor, c_prev: Tensor):
+    """``_lstm_forward`` on the first len(x) rows of ``h_prev`` and
+    ``c_prev`` (all when ``x`` has their leading shape), the other rows
+    carried. Returns h, c and the backward (None off the tape), which takes
+    h's and c's gradients (either may be None), accumulates the weights',
+    h_prev's and c_prev's, the carried rows' passing straight back, and
+    returns the gates' gradient dz (x's is ``dz @ wx``)."""
+    hp, cp = h_prev.data, c_prev.data
+    rows, hs = hp.shape[:-1], hp.shape[-1]
+    a = x.shape[0] if x.shape[:-1] != rows else None   # rows stepped, when some carry
+    if a is not None:
+        hp, cp = hp[:a], cp[:a]
+    s, c, h = _lstm_forward(wx.data, wh.data, b.data, x, hp, cp)
+    if a is not None:
+        c, h = np.concatenate([c, c_prev.data[a:]]), np.concatenate([h, h_prev.data[a:]])
+    if not _taping:     # no backward will run
+        return h, c, None
+
+    def backward(dh, dc_out):
+        if a is not None:
+            carried = [np.zeros((rows[0] - a, hs)) if grad is None else grad[a:]
+                       for grad in (dh, dc_out)]
+            dh, dc_out = (None if grad is None else grad[:a] for grad in (dh, dc_out))
+        dz, dc = _lstm_backward(s, c if a is None else c[:a], cp, dh, dc_out, wx, wh, b, x, hp)
+        if h_prev.requires_grad:
+            g_h = dz @ wh.data
+            h_prev._accumulate(g_h if a is None else np.concatenate([g_h, carried[0]]))
+        if c_prev.requires_grad:
+            g_c = dc * s[..., hs:2 * hs]
+            c_prev._accumulate(g_c if a is None else np.concatenate([g_c, carried[1]]))
+        return dz
+
+    return h, c, backward
+
+
 def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
               c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step: ``(h, c)``, two vectors of length H, or one row each
@@ -625,37 +579,133 @@ def lstm_cell(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h_prev: Tensor,
         raise ShapeError(f"lstm_cell shape mismatch: wx {wx.shape}, wh {wh.shape}, "
                          f"b {b.shape}, x {x.shape}, h_prev {h_prev.shape}, "
                          f"c_prev {c_prev.shape}")
-    a = x_shape[0] if x_shape[:-1] != h_shape[:-1] else None   # rows stepped, when some carry
-    hp, cp = (h_prev.data, c_prev.data) if a is None else (h_prev.data[:a], c_prev.data[:a])
-    s, c_data, h_data = _lstm_forward(wx.data, wh.data, b.data, x.data, hp, cp)
-    if a is not None:
-        c_data = np.concatenate([c_data, c_prev.data[a:]])
-        h_data = np.concatenate([h_data, h_prev.data[a:]])
-    handed = []     # h's gradient, from h's backward to c's
+    h_data, c_data, lstm_backward = _lstm(wx, wh, b, x.data, h_prev, c_prev)
+    handed = [None]     # h's gradient, handed on to c's backward
 
     def _backward_c(c):
-        dh = handed[0] if handed else None      # h may be off the loss's graph
-        dc_out = c.grad
-        if a is not None:   # the carried rows pass their gradients straight back
-            carried = [np.zeros((h_shape[0] - a, hs)) if grad is None else grad[a:]
-                       for grad in (dh, dc_out)]
-            dh, dc_out = (None if grad is None else grad[:a] for grad in (dh, dc_out))
-        dz, dc = _lstm_backward(s, c.data if a is None else c.data[:a], cp, dh, dc_out,
-                                wx, wh, b, x.data, hp)
+        dz = lstm_backward(handed[0], c.grad)
         if x.requires_grad:
             x._accumulate(dz @ wx.data)
-        if h_prev.requires_grad:
-            g_h = dz @ wh.data
-            h_prev._accumulate(g_h if a is None else np.concatenate([g_h, carried[0]]))
-        if c_prev.requires_grad:
-            g_c = dc * s[..., hs:2 * hs]
-            c_prev._accumulate(g_c if a is None else np.concatenate([g_c, carried[1]]))
-
-    def _backward_h(h):
-        handed.append(h.grad)
 
     c = _record(c_data, (wx, wh, b, x, h_prev, c_prev), _backward_c)
-    return _record(h_data, (c,), _backward_h), c
+    return _record(h_data, (c,), _handing(handed)), c
+
+
+def frame_step(lstm: tuple[Tensor, Tensor, Tensor], w_h: Tensor, rows: Tensor | None,
+               index: np.ndarray, contexts: Tensor, t: int, state: tuple[Tensor, Tensor],
+               mask: np.ndarray | None = None, groups: int = 1,
+               ) -> tuple[np.ndarray | None, Tensor, Tensor]:
+    """One frame of the interaction recurrence as one op, over B batch rows
+    of which the first a run (``index`` a x n); ``state`` is ``(h_prev,
+    c_prev)``, B x H each, and ``lstm`` the LSTM's ``(wx, wh, b)``.
+
+    The state term ``u = h_prev @ w_h.T + contexts[:, t]`` (contexts B x T
+    x G·d) is formed for all B rows; its first a rows bias self-attention
+    over the frame's object pairs. ``index`` names the objects in the
+    packed matrix ``rows``, no row twice, and ``mask`` (a x n; None when
+    nothing is padded) marks the real ones. Group k of ``groups`` owns
+    columns k·d to (k+1)·d and attends over its rows p: with ``x = p + u``,
+    ``alpha = softmax(x @ x.T / sqrt(d))``, pooled as (mean of alpha's
+    rows) @ p over the real rows, a padded row or column getting exactly
+    zero attention. A frame with no object pools zeros and reads neither
+    ``rows``, ``w_h`` nor ``contexts``. The LSTM steps the a rows on the
+    groups' pooled vectors end to end and carries the rest (``_lstm``).
+
+    Returns alpha (a x G x n x n; None for an empty frame), off the tape,
+    and h and c: ``c`` owns the backward and ``h`` hands it its gradient.
+    The forward makes the numpy calls of the op-by-op chain (``Tensor.row``,
+    ``linear``, the pair attention, ``lstm_cell``) in their order, without
+    the row's copy, and the backward forms each factor as the chain did,
+    ``h_prev`` taking the LSTM's part before the state term's as the
+    chain's tape walk added them, so every bit is the chain's. The node
+    keeps u, the gates, the pooled vectors, alpha and the pooling weights;
+    its backward gathers p and forms x again. Under ``no_tape`` it returns
+    bare tensors and builds no backward.
+    """
+    (wx, wh, b), (h_prev, c_prev) = lstm, state
+    index, h_shape, c_shape = np.asarray(index), h_prev.data.shape, contexts.data.shape
+    (batch, hs), width, k = h_shape if len(h_shape) == 2 else (0, 0), wx.data.shape[-1], groups
+    a, n = index.shape if index.ndim == 2 else (0, 0)
+    if (index.ndim != 2 or index.dtype.kind not in "iu" or not 1 <= a <= batch or k < 1
+            or width % k or getattr(mask, "shape", index.shape) != index.shape
+            or len(c_shape) != 3 or not 0 <= t < c_shape[1]
+            or (c_prev.data.shape, wx.data.shape, wh.data.shape, b.data.shape, w_h.data.shape,
+                c_shape[::2]) != ((batch, hs), (4 * hs, width), (4 * hs, hs), (4 * hs,),
+                                  (width, hs), (batch, width))
+            or n and getattr(rows, "shape", ())[1:] != (width,)):     # rows: a matrix
+        raise ShapeError(f"frame_step shape mismatch: state {[x.shape for x in state]}, index "
+                         f"{index.shape}, mask {getattr(mask, 'shape', None)}, rows "
+                         f"{getattr(rows, 'shape', None)}, contexts {contexts.shape} at {t}, "
+                         f"w_h {w_h.shape}, LSTM {[x.shape for x in lstm]}, groups {groups}")
+    if n:
+        d = width // k
+        u = h_prev.data @ w_h.data.T
+        u += contexts.data[:, t]
+        bias = u[:a].reshape(a, k, 1, d)
+        taken = index if mask is None else index[mask]
+
+        def gathered():     # a x k x n x d, each group's rows a contiguous matrix
+            if mask is None:
+                placed = rows.data[index]
+            else:
+                placed = np.zeros(index.shape + (width,))
+                placed[mask] = rows.data[taken]
+            return np.ascontiguousarray(np.swapaxes(placed.reshape(a, n, k, d), -2, -3))
+
+        p = gathered()
+        x = p + bias
+        scale = 1.0 / math.sqrt(d)
+        scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
+        if mask is None:
+            alpha, weights = masked_softmax(scores), None
+            mean = alpha.mean(axis=-2)
+        else:
+            pairs = (mask[..., :, None] & mask[..., None, :])[..., None, :, :]
+            alpha = masked_softmax(scores, np.broadcast_to(pairs, scores.shape))
+            weights = (mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1))[..., None, :]
+            mean = _rows_times(weights, alpha)
+        pooled = _rows_times(mean, p).reshape(a, width)
+    else:
+        alpha, pooled = None, np.zeros((a, width))
+    h_data, c_data, lstm_backward = _lstm(wx, wh, b, pooled, h_prev, c_prev)
+    if not _taping:     # the bare tensors _record would return, without building a backward
+        return alpha, Tensor(h_data), Tensor(c_data)
+    handed = [None]     # h's gradient, handed on to c's backward
+
+    def _backward_c(c):
+        dz = lstm_backward(handed[0], c.grad)
+        if not n:
+            return
+        p = gathered()
+        x = p + bias
+        g = (dz @ wx.data).reshape(a, k, d)
+        g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
+        g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
+                   if weights is None else weights[..., :, None] * g_mean[..., None, :])
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
+        g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x     # x feeds both sides of x @ x.T
+        if rows.requires_grad:
+            g_p = np.swapaxes(g_x + mean[..., :, None] * g[..., None, :], -2, -3)
+            g_p = g_p.reshape(index.shape + (width,))
+            if rows.grad is None:
+                rows.grad = np.zeros_like(rows.data)
+            rows.grad[taken] += g_p if mask is None else g_p[mask]
+        if h_prev.requires_grad or w_h.requires_grad or contexts.requires_grad:
+            g_u = np.zeros((batch, width))
+            g_u[:a] = g_x.sum(axis=-2).reshape(a, width)
+            if h_prev.requires_grad:
+                h_prev._accumulate(g_u @ w_h.data)
+            if w_h.requires_grad:
+                w_h._accumulate(_t_times(g_u, h_prev.data))
+            if contexts.requires_grad:
+                if contexts.grad is None:
+                    contexts.grad = np.zeros_like(contexts.data)
+                contexts.grad[:, t] += g_u
+
+    # the state term's inputs get a gradient only where it is read
+    attention = (rows, w_h, contexts) if n else ()
+    c = _record(c_data, (wx, wh, b, *attention, h_prev, c_prev), _backward_c)
+    return alpha, _record(h_data, (c,), _handing(handed)), c
 
 
 def _added(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
@@ -792,15 +842,10 @@ def word_step(attn: tuple[Tensor, Tensor, Tensor], lang: tuple[Tensor, Tensor, T
                 t._accumulate(g_x1[..., off:off + width])
             off += width
 
-    def handing(k):
-        def _backward_hand(node):
-            handed[k] = node.grad
-        return _backward_hand
-
     # the attention's inputs get a gradient only where alpha is read; the
     # order puts keys' backward before pooled's, as the chain's ran
     attention = (w_h, w_a, keys) if attends else ()
     c2_node = _record(c2, (awx, awh, ab, lwx, lwh, lb, *attention, *parts, pooled, embedding,
                            h1p, c1p, h2p, c2p), _backward)
-    return (alpha, *(_record(data, (c2_node,), handing(k)) for k, data in enumerate((h1, c1, h2))),
-            c2_node)
+    return (alpha, *(_record(data, (c2_node,), _handing(handed, k))
+                     for k, data in enumerate((h1, c1, h2))), c2_node)

@@ -283,7 +283,7 @@ def _serve_micro_batch(m: int, chunk: list[int], tokens: int) -> float:
 
 class _Workers:
     """A pool of processes forked by ``train`` that run micro-batches beside
-    it; ``close`` (or leaving the ``with``) reaps them.
+    it; leaving the ``with`` reaps them.
 
     With P processes, this one counted, micro-batch m of a batch runs here
     when m % P is 0 and in the pool otherwise. The workers compute on the
@@ -317,17 +317,24 @@ class _Workers:
         """Views of micro-batch ``m``'s gradient, once its future is done."""
         return _flat_views(self._mapping, self._params, m)
 
-    def close(self) -> None:
-        """Wait for the pool's work, reap the workers, let go of the mapping."""
-        self._pool.shutdown(cancel_futures=True)
-        with suppress(BufferError):     # a view an exception's frames hold: freed with it
-            self._mapping.close()
-
     def __enter__(self) -> "_Workers":
         return self
 
-    def __exit__(self, *_) -> None:
-        self.close()
+    def __exit__(self, kind, exc, tb) -> None:
+        """Wait for the pool's work, reap the workers, let go of the mapping.
+        A worker's death breaks the pool, which stops the others with
+        SIGTERM (exit code -15), and becomes one ``ChildProcessError``."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        processes = getattr(self._pool, "_processes", None) or {}   # shutdown drops the pool's
+        self._pool.shutdown(cancel_futures=True)
+        with suppress(BufferError):     # a view an exception's frames hold: freed with it
+            self._mapping.close()
+        if isinstance(exc, BrokenProcessPool):
+            ended = {pid: p.exitcode for pid, p in processes.items() if p.exitcode}
+            dead = {pid: code for pid, code in ended.items() if code != -15} or ended
+            named = ", ".join(f"{pid} (exit code {code})" for pid, code in sorted(dead.items()))
+            raise ChildProcessError(f"training worker process {named} died; training stopped")
 
 
 def _batch_grads(model: Model, params: dict[str, Tensor], items, batch: list[int],

@@ -228,7 +228,7 @@ def matmul_reference(a, b):
     return _node(forward, [a, b], grads)
 
 
-# -- the op-by-op attention chains that tensor.pair_attention and
+# -- the op-by-op attention chains that pair_attention_op and
 # additive_attention_op fused, kept as references. The add, transpose,
 # softmax and matrix product ops they used are no longer in the core, so
 # each is rebuilt here from its former code; so are tanh and the
@@ -335,7 +335,7 @@ def matmul_op(a, b):
 
 
 def pair_attention_chain(projected, u, mask=None):
-    """``tensor.pair_attention`` as the chain of ops it replaced."""
+    """``pair_attention_op`` as the chain of ops it replaced."""
     from objcap.tensor import Tensor, matmul
 
     x = add_op(projected, u)
@@ -447,7 +447,120 @@ def advance_chain(p, ctx, embedding, state):
     return DecoderState(h1=h1, c1=c1, h2=h2, c2=c2), alpha
 
 
-# -- the former two-op path of tensor.pair_attention: place_rows gathered a
+# -- the op-by-op interaction frame step that tensor.frame_step fused, kept
+# as its reference: the former core op pair_attention, verbatim, and the
+# frame loop of interaction.interaction_states as it composed it with
+# Tensor.row, linear and lstm_cell.
+
+def pair_attention_op(rows: Tensor, index: np.ndarray, u: Tensor, mask: np.ndarray | None,
+                      groups: int) -> tuple[np.ndarray, Tensor]:
+    """Pairwise self-attention over one frame's object rows, pooled, as one
+    node, for each of B batch rows and G groups side by side.
+
+    ``rows`` is a matrix of packed rows, and ``index`` (B x n) names each
+    batch row's objects in it, in order, no row twice. ``mask`` (B x n, or
+    None when nothing is padded) marks the real entries: a False entry is a
+    padded position, whose index is not read and whose gathered row is
+    zeros. ``u`` holds one bias per batch row (a ``u`` with more than B rows
+    has only its first B read, and its other rows get no gradient). The
+    width is G·d: group k owns columns k·d to (k+1)·d of ``rows`` and ``u``,
+    and gathers its rows p as one n x d matrix. With ``x = p + u`` on every
+    row, ``alpha = softmax(x @ x.T / sqrt(d))`` row by row and the group's
+    result is the mean over rows of ``alpha @ p``, taken as (mean of
+    alpha's rows) @ p. A padded row or column gets exactly zero attention,
+    the mean runs over the real rows only, and a batch row without one
+    pools to zeros. Each group equals a call on its own columns bit for
+    bit.
+
+    Returns ``alpha`` (B x G x n x n), an array off the tape, and the
+    pooled vectors (B x G·d), each the G groups' pooled vectors end to end.
+    The forward repeats the op-by-op chain's numpy operations in order, the
+    transpose as a contiguous copy, so it is the same bit for bit. The node
+    keeps ``alpha`` and the pooling weights; its backward gathers p and
+    forms x again with the same operations.
+    """
+    from objcap.tensor import ContractError, ShapeError, _record, _rows_times, masked_softmax
+
+    index = np.asarray(index)
+    if index.ndim != 2 or index.dtype.kind not in "iu" or len(rows.shape) != 2:
+        raise ShapeError(f"pair_attention index {index.shape} into rows {rows.shape}")
+    (b, n), width, k = index.shape, rows.shape[-1], groups
+    if (mask is not None and mask.shape != index.shape or len(u.shape) != 2
+            or u.shape[-1] != width or u.shape[0] < b or k < 1 or width % k):
+        raise ShapeError(f"pair_attention shape mismatch: rows {rows.shape}, index "
+                         f"{index.shape}, mask {None if mask is None else mask.shape}, "
+                         f"bias {u.shape}, groups {groups}")
+    if n < 1:
+        raise ContractError("pair_attention needs at least one object row")
+    d = width // k
+    bias = u.data[:b].reshape(b, k, 1, d)
+    taken = index if mask is None else index[mask]
+
+    def gathered():
+        """B x k x n x d: each group's rows as one contiguous matrix, as a
+        group alone's would be, with zero rows at padded positions."""
+        if mask is None:
+            placed = rows.data[index]
+        else:
+            placed = np.zeros(index.shape + (width,))
+            placed[mask] = rows.data[taken]
+        return np.ascontiguousarray(np.swapaxes(placed.reshape(b, n, k, d), -2, -3))
+
+    p = gathered()
+    x = p + bias
+    scale = 1.0 / math.sqrt(d)
+    scores = (x @ np.ascontiguousarray(np.swapaxes(x, -1, -2))) * scale
+    if mask is None:
+        alpha, weights = masked_softmax(scores), None
+        mean = alpha.mean(axis=-2)
+    else:
+        pairs = (mask[..., :, None] & mask[..., None, :])[..., None, :, :]
+        alpha = masked_softmax(scores, np.broadcast_to(pairs, scores.shape))
+        weights = (mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1))[..., None, :]
+        mean = _rows_times(weights, alpha)
+
+    def _backward(out):
+        p = gathered()
+        x = p + bias
+        g = out.grad.reshape(b, k, d)
+        g_mean = _rows_times(g, np.swapaxes(p, -1, -2))
+        g_alpha = (np.broadcast_to(g_mean[..., None, :] / n, alpha.shape)
+                   if weights is None else weights[..., :, None] * g_mean[..., None, :])
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
+        g_x = (g_scores + np.swapaxes(g_scores, -1, -2)) @ x     # x feeds both sides of x @ x.T
+        if rows.requires_grad:
+            g_p = np.swapaxes(g_x + mean[..., :, None] * g[..., None, :], -2, -3)
+            g_p = g_p.reshape(index.shape + (width,))
+            if rows.grad is None:
+                rows.grad = np.zeros_like(rows.data)
+            rows.grad[taken] += g_p if mask is None else g_p[mask]
+        if u.requires_grad:
+            g_u = np.zeros(u.shape)
+            g_u[:b] = g_x.sum(axis=-2).reshape(b, width)
+            u._accumulate(g_u)
+
+    pooled = _rows_times(mean, p).reshape(b, width)
+    return alpha, _record(pooled, (rows, u), _backward)
+
+
+def frame_step_chain(lstm, w_h, rows, index, contexts, t, state, mask=None, groups=1):
+    """One frame of ``interaction.interaction_states`` as the chain of ops
+    it ran before ``tensor.frame_step``: returns alpha (None for an empty
+    frame) and the new h and c."""
+    from objcap.tensor import Tensor, linear, lstm_cell
+
+    h, c = state
+    a, n = index.shape
+    if n:
+        alpha, pooled = pair_attention_op(rows, index, linear(h, w_h, contexts.row(t)), mask,
+                                          groups)
+    else:
+        alpha, pooled = None, Tensor(np.zeros((a, lstm[0].shape[1])))
+    h, c = lstm_cell(*lstm, pooled, h, c)
+    return alpha, h, c
+
+
+# -- the former two-op path of pair_attention_op: place_rows gathered a
 # frame's rows into a padded copy, and the op attended over that copy and
 # kept it, with x = p + u, for its backward. Both are kept verbatim as the
 # reference that the gathering op is held to with ==.
@@ -474,7 +587,7 @@ def place_rows_reference(rows, index, mask=None):
 
 
 def pair_attention_placed(projected, u, mask=None, groups=None):
-    """The former ``tensor.pair_attention`` over placed rows ``projected``
+    """The former ``pair_attention_op`` over placed rows ``projected``
     (n x d, or B x n x d)."""
     from objcap.tensor import _record, _rows_times, masked_softmax
 

@@ -8,9 +8,18 @@ from objcap import interaction
 from objcap.interaction import init_interaction, interaction_sequence
 from objcap.layers import init_lstm, lstm_step, named_tensors
 from objcap.model import ModelConfig, init_model, segment_context
-from objcap.tensor import ContractError, Tensor, pair_attention
+from objcap.tensor import ContractError, ShapeError, Tensor, frame_step, stack_rows
 
-from helpers import FD_TOL, max_fd_error, scalar_lstm_step, scalar_mlp, scalar_softmax
+from helpers import (
+    FD_TOL,
+    frame_step_chain,
+    max_fd_error,
+    mul_op,
+    pair_attention_op,
+    scalar_lstm_step,
+    scalar_mlp,
+    scalar_softmax,
+)
 
 CONFIG = ModelConfig(vocab_size=3, image_dim=4, object_dim=5, num_groups=2, attn_dim=3,
                      interaction_hidden=4)
@@ -68,7 +77,7 @@ def oracle_sequence(p, image, object_feats):
 def attend(projected, u):
     """One group's attention over every row of ``projected``, in order, as a
     batch of one: the n x n attention and the 1 x d pooled vector."""
-    alpha, pooled = pair_attention(projected, np.arange(projected.shape[0])[None], u, None, 1)
+    alpha, pooled = pair_attention_op(projected, np.arange(projected.shape[0])[None], u, None, 1)
     return alpha[0, 0], pooled
 
 
@@ -241,6 +250,116 @@ class TestInteractionSequence:
             p, image, [o[rng.permutation(o.shape[0])] for o in objects])
         for h1, h2 in zip(hs1, hs2):
             assert np.max(np.abs(h1.data - h2.data)) < 1e-12
+
+
+def frame_inputs(rng, batch, masked, groups, d=3, hidden=4):
+    """Leaf inputs for a run of 2 to 5 frames over ``batch`` rows, each a
+    leaf that requires a gradient: the LSTM's three weights, w_h, the
+    packed object rows, the contexts and a start state. Per frame: the
+    running rows (never more than the frame before's, so rows drop off),
+    0 to 4 objects, and with ``masked`` a mask whose every running row has
+    a real entry or none, with the padded indices naming row 0, as
+    ``interaction_states`` lays them out. Returns (leaves, frames), a frame
+    being (index, mask)."""
+    width = groups * d
+    count = int(rng.integers(2, 6))
+    frames, running, total = [], batch, 0
+    for _ in range(count):
+        n = int(rng.integers(0, 5))
+        mask = None
+        if masked and n:
+            mask = rng.random(size=(running, n)) < 0.6
+            mask[:, 0] = True
+            if running > 1:
+                mask[-1] = False        # a running row with no object in the frame
+        frames.append((running, n, mask))
+        total += running * n
+        running = int(rng.integers(1, running + 1))
+    order = rng.permutation(total + 2)
+    laid_out, start = [], 0
+    for running, n, mask in frames:
+        index = order[start:start + running * n].reshape(running, n)
+        start += running * n
+        laid_out.append((index if mask is None else np.where(mask, index, 0), mask))
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    leaves = [leaf(4 * hidden, width), leaf(4 * hidden, hidden), leaf(4 * hidden),
+              leaf(width, hidden), leaf(total + 2, width), leaf(batch, count, width),
+              leaf(batch, hidden), leaf(batch, hidden)]
+    return leaves, laid_out
+
+
+class TestFrameStep:
+    """``interaction_states`` runs each frame as one op,
+    ``tensor.frame_step``; ``helpers.frame_step_chain`` is the op-by-op
+    chain it replaced. A run of frames from leaf inputs, read as the
+    decoder reads the states (through one stack), must give the same h, c
+    and alpha of every frame, and the same gradient in every input, bit for
+    bit."""
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 5, 16])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_the_op_by_op_chain_bitwise(self, batch, masked, groups):
+        rng = np.random.default_rng(41)
+        for trial in range(6):
+            inputs, frames = frame_inputs(rng, batch, masked, groups)
+            wx, wh, b, w_h, rows, contexts, h0, c0 = inputs
+            # every state read, or only the hidden states, as the decoder reads them
+            only_h = trial % 2 == 1
+            weights = Tensor(rng.normal(size=(batch, len(frames) * (1 if only_h else 2), 4)))
+            runs = []
+            for step in (frame_step, frame_step_chain):
+                for x in inputs:
+                    x.zero_grad()
+                h, c, hs, cs, alphas = h0, c0, [], [], []
+                for t, (index, mask) in enumerate(frames):
+                    alpha, h, c = step((wx, wh, b), w_h, rows, index, contexts, t, (h, c),
+                                       mask, groups)
+                    hs.append(h)
+                    cs.append(c)
+                    alphas.append(None if alpha is None else alpha.tobytes())
+                mul_op(stack_rows(hs if only_h else hs + cs), weights).sum().backward()
+                runs.append([x.data.tobytes() for x in hs + cs] + alphas
+                            + [None if x.grad is None else x.grad.tobytes() for x in inputs])
+            assert runs[0] == runs[1], (batch, masked, groups, trial)
+
+    def test_empty_frame_reads_no_object_input(self):
+        """A frame with no object pools zeros: only the LSTM and the state
+        get a gradient, and alpha is None."""
+        rng = np.random.default_rng(42)
+        (wx, wh, b, w_h, rows, contexts, h0, c0), _ = frame_inputs(rng, 3, False, 2)
+        alpha, h, c = frame_step((wx, wh, b), w_h, None, np.zeros((2, 0), dtype=int), contexts,
+                                 0, (h0, c0))
+        assert alpha is None and set(c._prev) == {wx, wh, b, h0, c0}
+        mul_op(stack_rows([h, c]), Tensor(rng.normal(size=(3, 2, 4)))).sum().backward()
+        assert w_h.grad is None and rows.grad is None and contexts.grad is None
+        assert np.array_equal(h.data[2:], h0.data[2:]) and np.array_equal(c.data[2:], c0.data[2:])
+
+    def test_shapes_checked(self):
+        rng = np.random.default_rng(43)
+        (wx, wh, b, w_h, rows, contexts, h0, c0), _ = frame_inputs(rng, 3, False, 2)
+        index = np.array([[0, 1], [2, 3]])
+        zero = Tensor(np.zeros((3, 5)))
+        for bad in [dict(index=np.array([0, 1])),                       # index a vector
+                    dict(index=np.array([[0.0, 1.0]])),                 # index not ints
+                    dict(index=np.zeros((4, 1), dtype=int)),            # more running rows than B
+                    dict(mask=np.ones((2, 3), dtype=bool)),             # mask shape
+                    dict(groups=4),                                     # groups split no width
+                    dict(t=contexts.shape[1]),                          # frame past the contexts
+                    dict(rows=None),                                    # no rows to attend over
+                    dict(rows=Tensor(np.zeros((9, 5)))),                # rows of another width
+                    dict(w_h=Tensor(np.zeros((6, 5)))),                 # w_h for another state
+                    dict(contexts=Tensor(np.zeros((2, 2, 6)))),         # contexts for 2 rows
+                    dict(state=(h0, zero)),                             # c_prev wider than h_prev
+                    dict(state=(Tensor(np.zeros(4)), c0))]:             # h_prev not a matrix
+            args = dict(lstm=(wx, wh, b), w_h=w_h, rows=rows, index=index, contexts=contexts,
+                        t=0, state=(h0, c0), mask=None, groups=2)
+            args.update(bad)
+            with pytest.raises(ShapeError, match="frame_step"):
+                frame_step(**args)
 
 
 @pytest.mark.parametrize("groups", [1, 2, 3])

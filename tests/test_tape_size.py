@@ -29,19 +29,18 @@ from objcap.trainer import AdamState, TrainConfig, adam_step, load_checkpoint, s
 
 from helpers import nodes_recorded
 
-INTERACTION_MAX = 152
+INTERACTION_MAX = 62
 TEACHER_FORCED_MAX = 114
 DECODE_STEP_MAX = 6
 BEAM_STEP_MAX = 7
-SEGMENT_MAX = 270
-BATCH_MAX = 270
+SEGMENT_MAX = 180
+BATCH_MAX = 180
 CAPTION_CALL_MAX = 0    # captioning runs off the tape
 # MiB that test_batch_graph_memory's batch of 32 holds once its forward is
-# built, and at most while its backward runs: 14.58 and 15.2 measured
-# (numpy 2.4.6); the bounds are the 15.02 and 15.68 measured before the
-# decoder's word step became one op, plus a 3% margin
-GRAPH_HELD_MAX_MIB = 15.5
-GRAPH_PEAK_MAX_MIB = 16.2
+# built, and at most while its backward runs: 14.12 and 14.75 measured
+# (numpy 2.4.6), plus a 3% margin, rounded up
+GRAPH_HELD_MAX_MIB = 14.6
+GRAPH_PEAK_MAX_MIB = 15.2
 # MiB that test_checkpoint_memory's load holds once it returns: 2.46
 # measured (numpy 2.4.6), plus a 3% margin. The peaks are bounded by the
 # model's own sizes: save writes each entry from the array it is, and

@@ -11,6 +11,7 @@ from objcap.tensor import (
     ContractError,
     ShapeError,
     Tensor,
+    frame_step,
     linear,
     linear_tanh,
     log_softmax,
@@ -18,7 +19,6 @@ from objcap.tensor import (
     masked_softmax,
     matmul,
     no_tape,
-    pair_attention,
     span_sums,
     stack_rows,
     take_column,
@@ -32,6 +32,7 @@ from helpers import (
     additive_attention_chain,
     additive_attention_op,
     concat_op,
+    frame_step_chain,
     gather_op,
     linear_tanh_reference,
     lstm_cell_reference,
@@ -41,6 +42,7 @@ from helpers import (
     mul_op,
     nodes_recorded,
     pair_attention_chain,
+    pair_attention_op,
     pair_attention_placed,
     place_rows_reference,
     sigmoid_reference,
@@ -273,7 +275,7 @@ class TestFusedAttention:
                 if op == "pair":
                     rows, query = leaves
                     if fused:
-                        alpha, out = pair_attention(rows, index, query, mask, 1)
+                        alpha, out = pair_attention_op(rows, index, query, mask, 1)
                         alpha = alpha[:, 0]
                     else:
                         alpha, out = pair_attention_chain(_placed(rows, index, mask), query, mask)
@@ -299,13 +301,13 @@ class TestFusedAttention:
             leaves, mask, index = _attention_case("pair", rng, wide=trial % 2 == 1,
                                                   groups=groups)
             w = rng.normal(size=leaves[1].shape)
-            alpha, out = pair_attention(leaves[0], index, leaves[1], mask, groups)
+            alpha, out = pair_attention_op(leaves[0], index, leaves[1], mask, groups)
             mul_op(out, t(w, rg=False)).sum().backward()
             d = leaves[1].shape[-1] // groups
             for k in range(groups):
                 cols = slice(k * d, (k + 1) * d)
                 alone = [t(np.ascontiguousarray(leaf.data[..., cols])) for leaf in leaves]
-                alpha_k, out_k = pair_attention(alone[0], index, alone[1], mask, 1)
+                alpha_k, out_k = pair_attention_op(alone[0], index, alone[1], mask, 1)
                 mul_op(out_k, t(np.ascontiguousarray(w[..., cols]), rg=False)).sum().backward()
                 assert np.array_equal(alpha[:, k], alpha_k[:, 0])
                 assert np.array_equal(out.data[..., cols], out_k.data)
@@ -327,7 +329,7 @@ class TestFusedAttention:
             assert np.all(frame_rows.grad[~mask] == 0.0)
         rows, query = t(rng.normal(size=(2, 4, 3))), t(rng.normal(size=(2, 3)))
         packed, index = t(rows.data.reshape(8, 3)), np.arange(8).reshape(2, 4)
-        pairs, pooled = pair_attention(packed, np.where(mask, index, 8), query, mask, 1)
+        pairs, pooled = pair_attention_op(packed, np.where(mask, index, 8), query, mask, 1)
         pair_mask = mask[:, :, None] & mask[:, None, :]
         assert np.all(pairs[:, 0][~pair_mask] == 0.0) and np.array_equal(pooled.data[1], np.zeros(3))
         mul_op(pooled, t(rng.normal(size=(2, 3)), rg=False)).sum().backward()
@@ -362,7 +364,7 @@ class TestFusedAttention:
                 for gather in (True, False):
                     rows.zero_grad()
                     u.zero_grad()
-                    alpha, out = (pair_attention(rows, index, u, mask, groups) if gather else
+                    alpha, out = (pair_attention_op(rows, index, u, mask, groups) if gather else
                                   pair_attention_placed(_placed(rows, index, mask), u, mask,
                                                         groups))
                     mul_op(out, w).sum().backward()
@@ -385,9 +387,9 @@ class TestFusedAttention:
                 (z, two, one, None, 2),                          # groups split no width
                 (z, two, one, None, 0)]:                         # no group
             with pytest.raises(ShapeError):
-                pair_attention(rows, index, u, mask, groups)
+                pair_attention_op(rows, index, u, mask, groups)
         with pytest.raises(ContractError):
-            pair_attention(t(np.zeros((0, 3))), np.zeros((1, 0), dtype=int), one, None, 1)
+            pair_attention_op(t(np.zeros((0, 3))), np.zeros((1, 0), dtype=int), one, None, 1)
         good = word_shapes((2,), 3)
         for at, shape in [(10, (2, 3, 3)),      # keys wider than w_h's rows
                           (8, (3, 2)),          # an embedding row too many
@@ -408,7 +410,7 @@ class TestFusedAttention:
 
 class TestPlaceRows:
     """The placement the former ``place_rows`` did, now inside
-    ``pair_attention``: the frame's rows in index order, a zero row at each
+    ``pair_attention_op``: the frame's rows in index order, a zero row at each
     padded position, whose index is never read."""
 
     def test_places_rows_in_mask_order_over_zeros(self):
@@ -420,7 +422,7 @@ class TestPlaceRows:
         u, w = t(rng.normal(size=(3, 3)), rg=False), t(rng.normal(size=(3, 3)), rg=False)
         runs = []
         for source, at in ((rows, index), (placed, np.arange(6).reshape(3, 2))):
-            alpha, out = pair_attention(source, at, u, mask, 1)
+            alpha, out = pair_attention_op(source, at, u, mask, 1)
             mul_op(out, w).sum().backward()
             runs.append((alpha, out.data))
         for new, old in zip(*runs):
@@ -428,19 +430,19 @@ class TestPlaceRows:
         assert np.array_equal(rows.grad[[3, 0, 2]], placed.grad[[0, 3, 4]])
         assert np.all(rows.grad[1] == 0.0) and np.all(placed.grad[[1, 2, 5]] == 0.0)
         u = t(rng.normal(size=(1, 3)), rg=False)
-        alpha, out = pair_attention(rows, np.array([[3, 0]]), u, None, 1)
-        alpha_taken, out_taken = pair_attention(t(rows.data[[3, 0]]), np.array([[0, 1]]), u,
+        alpha, out = pair_attention_op(rows, np.array([[3, 0]]), u, None, 1)
+        alpha_taken, out_taken = pair_attention_op(t(rows.data[[3, 0]]), np.array([[0, 1]]), u,
                                                 None, 1)
         assert np.array_equal(alpha, alpha_taken) and np.array_equal(out.data, out_taken.data)
 
     def test_shapes_checked(self):
         rows, mask, u = t(np.zeros((3, 2))), np.array([[True, True]]), t(np.zeros((1, 2)))
         with pytest.raises(ShapeError):
-            pair_attention(rows, np.array([[0]]), u, mask, 1)        # fewer entries than the mask
+            pair_attention_op(rows, np.array([[0]]), u, mask, 1)     # fewer entries than the mask
         with pytest.raises(ShapeError):
-            pair_attention(rows, np.array([[0, 1, 2]]), u, mask, 1)  # more
+            pair_attention_op(rows, np.array([[0, 1, 2]]), u, mask, 1)  # more
         with pytest.raises(ShapeError):
-            pair_attention(t(np.zeros(3)), np.array([[0, 1]]), u, None, 1)  # rows not a matrix
+            pair_attention_op(t(np.zeros(3)), np.array([[0, 1]]), u, None, 1)  # rows not a matrix
 
 
 class TestBackward:
@@ -575,7 +577,7 @@ RULE_CASES = {
     "linear_no_bias": ([(2, 3), (4, 3)], linear),
     "linear_tanh": ([(2, 3), (4, 3), (4,)], linear_tanh),
     "pair_attention": ([(3, 2), (1, 2)],
-                       lambda p, u: pair_attention(p, np.array([[2, 0]]), u, None, 1)[1]),
+                       lambda p, u: pair_attention_op(p, np.array([[2, 0]]), u, None, 1)[1]),
     "additive_attention": ([(3, 2), (2,), (2,)], additive_attention_op),
     "log_softmax": ([(4,)], log_softmax),
     "target_log_probs": ([(2, 3), (4, 3), (4,)],
@@ -583,11 +585,15 @@ RULE_CASES = {
     "concat": ([(2,), (3,)], lambda a, b: concat_op([a, b])),
     "stack_rows": ([(3,), (3,)], lambda a, b: stack_rows([a, b])),
     "span_sums": ([(5,)], lambda x: span_sums(x, np.array([2, 3]))),
-    "place_rows": ([(3, 3), (1, 3)], lambda p, u: pair_attention(
+    "place_rows": ([(3, 3), (1, 3)], lambda p, u: pair_attention_op(
         p, np.array([[2, 1, 0]]), u, np.array([[True, False, True]]), 1)[1]),
     "take_column": ([(3, 4)], lambda m: take_column(m, np.array([0, 2]))),
     "lstm_cell": ([(8, 3), (8, 2), (8,), (3,), (2,), (2,)], lambda *a: hc(lstm_cell(*a))),
     "word_step": (word_shapes(), lambda *x: word_states(x)[1]),
+    # one of two batch rows runs, over two objects of one frame of two
+    "frame_step": ([(8, 2), (8, 2), (8,), (2, 2), (3, 2), (2, 2, 2), (2, 2), (2, 2)],
+                   lambda wx, wh, b, w_h, rows, contexts, h, c: hc(frame_step(
+                       (wx, wh, b), w_h, rows, np.array([[2, 0]]), contexts, 1, (h, c))[1:])),
 }
 
 
@@ -858,7 +864,7 @@ def test_node_gradients_are_owned_arrays():
                     backward(out)
                 node._backward = owned
         loss.backward()
-    assert {"linear_tanh", "target_log_probs", "lstm_cell", "pair_attention"} <= set(checked)
+    assert {"linear_tanh", "target_log_probs", "frame_step", "word_step"} <= set(checked)
 
 
 def _fd_case(name, rng):
@@ -1023,7 +1029,7 @@ def _fd_case(name, rng):
                                               extra_rows=int(name.endswith("longer_u")))
         rows, query = leaves
         w = t(rng.normal(size=index.shape[:-1] + rows.shape[-1:]), rg=False)
-        return lambda: mul_op(pair_attention(rows, index, query, mask, groups)[1],
+        return lambda: mul_op(pair_attention_op(rows, index, query, mask, groups)[1],
                               w).sum(), leaves
     if name == "place_rows":
         # the rows alone, through a masked index whose padded positions name
@@ -1037,13 +1043,13 @@ def _fd_case(name, rng):
         mask[..., 0] = True
         index = np.where(mask, order[:count].reshape(lead + (n,)), order[count])
         u, w = t(rng.normal(size=lead + (d,)), rg=False), t(rng.normal(size=lead + (d,)), rg=False)
-        return lambda: mul_op(pair_attention(rows, index, u, mask, 1)[1], w).sum(), [rows]
+        return lambda: mul_op(pair_attention_op(rows, index, u, mask, 1)[1], w).sum(), [rows]
     if name in ("pair_attention", "additive_attention"):
         leaves, mask, index = _attention_case(name.split("_")[0], rng)
         if name == "pair_attention":
             rows, query = leaves
             w = t(rng.normal(size=query.shape), rg=False)
-            return lambda: mul_op(pair_attention(rows, index, query, mask, 1)[1],
+            return lambda: mul_op(pair_attention_op(rows, index, query, mask, 1)[1],
                                   w).sum(), leaves
         w = t(rng.normal(size=leaves[0].shape[:-1]), rg=False)
         return lambda: mul_op(additive_attention_op(*leaves, mask), w).sum(), leaves
@@ -1061,6 +1067,29 @@ def _fd_case(name, rng):
         w = t(rng.normal(size=lead + (10,)), rg=False)
         return lambda: mul_op(word_states(leaves, image, objects, mask, coattention)[1],
                               w).sum(), leaves
+    if name == "frame_step":
+        # a batch of 1 or 3 of which 1 to 3 rows run, over 0 to 3 objects
+        # of K = 1 or 2 groups, masked or not
+        batch, groups, d, hs = int(rng.choice([1, 3])), int(rng.integers(1, 3)), 2, 2
+        a, n, width = int(rng.integers(1, batch + 1)), int(rng.integers(0, 4)), groups * d
+        mask = None
+        if n and rng.integers(2):
+            mask = rng.random(size=(a, n)) < 0.6
+            mask[0] = True
+        rows = t(rng.normal(size=(a * n + 1, width)))
+        index = rng.permutation(a * n + 1)[:a * n].reshape(a, n)
+        leaves = [t(rng.normal(size=shape)) for shape in [
+            (4 * hs, width), (4 * hs, hs), (4 * hs,), (width, hs)]] + [rows] + [
+            t(rng.normal(size=shape)) for shape in [(batch, 2, width), (batch, hs), (batch, hs)]]
+        at = int(rng.integers(2))
+        w = t(rng.normal(size=(batch, 2 * hs)), rg=False)
+
+        def loss():
+            wx, wh, b, w_h, rows, contexts, h, c = leaves
+            _, h, c = frame_step((wx, wh, b), w_h, rows, index, contexts, at, (h, c), mask,
+                                 groups)
+            return mul_op(hc((h, c)), w).sum()
+        return loss, leaves
     raise AssertionError(name)
 
 
@@ -1075,7 +1104,7 @@ ALL_OPS = [
     "mul", "softmax", "softmax_masked", "transpose", "transpose_batched",
     "matmul_batched", "matvec_batched",
     "lstm_cell_carried", "pair_attention_groups", "pair_attention_longer_u",
-    "stack_rows_at", "span_sums", "target_log_probs", "word_step",
+    "stack_rows_at", "span_sums", "target_log_probs", "word_step", "frame_step",
 ]
 
 
@@ -1099,7 +1128,7 @@ def test_forward_chains_stay_finite():
     for _ in range(50):
         a = t(rng.normal(scale=50.0, size=(4, 2)))
         b = t(rng.normal(scale=50.0, size=(1, 2)))
-        _, pooled = pair_attention(a, np.arange(4)[None], b, None, 1)
+        _, pooled = pair_attention_op(a, np.arange(4)[None], b, None, 1)
         x = [t(rng.normal(scale=50.0, size=shape)) for shape in word_shapes((1,), 4)]
         alpha, out = word_states(x[:9] + [pooled] + x[10:])
         out = tanh_op(out)

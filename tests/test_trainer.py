@@ -11,7 +11,7 @@ import pytest
 
 from objcap import trainer
 from objcap.captioner import decode_step, initial_state
-from objcap.cli import caption_dataset
+from objcap.cli import caption_dataset, main
 from objcap.data import Dataset, SegmentFeatures, SynthSpec, load_manifest, synth_dataset
 from objcap.model import ModelConfig, batch_nll, init_model, segment_context
 from objcap.tensor import ContractError, Tensor
@@ -481,6 +481,31 @@ class TestMicroBatches:
             train(cfg, ds, SMALL_MODEL)
         assert str(info.value) == (f"training batch of segments {ds.train[order[20]].segment_id}"
                                    f": non-finite loss")
+
+    def test_dead_worker_ends_objcap_train_in_one_line(self, tmp_path, monkeypatch, capsys):
+        """A worker that dies mid-batch (here its micro-batch, patched
+        before the fork, calls ``os._exit(3)``) ends ``objcap train`` in one
+        ``runtime error:`` line naming it by pid, with exit code 1, and
+        leaves no child and no mapping behind."""
+        def dying(m, chunk, tokens):
+            os._exit(3)
+
+        # pickled by name in the caller, found under it in the forked worker
+        dying.__module__, dying.__qualname__ = trainer.__name__, "_serve_micro_batch"
+        assert main(["synth", "--seed", "1", "--segments", "40", "--out",
+                     str(tmp_path / "corpus")]) == 0
+        (tmp_path / "cfg.json").write_text('{"train": {"max_epochs": 1, "batch_size": 32}}')
+        capsys.readouterr()
+        mappings = shared_mappings() if sys.platform == "linux" else None
+        forks = forced_workers(monkeypatch, 1)
+        monkeypatch.setattr(trainer, "_serve_micro_batch", dying)
+        code = main(["train", "--data", str(tmp_path / "corpus" / "manifest.json"),
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")])
+        assert code == 1 and len(forks) == 1
+        assert capsys.readouterr().err == (f"runtime error: training worker process {forks[0]} "
+                                           f"(exit code 3) died; training stopped\n")
+        assert_released(mappings)
+        assert not (tmp_path / "run").exists()
 
     def test_worker_leaves_only_through_os_exit(self, tmp_path, monkeypatch):
         """A worker runs none of the caller's exit work: no ``atexit``
