@@ -320,44 +320,34 @@ def tile_context(ctx: SegmentContext, rows: int) -> SegmentContext:
 
 def beam_select(logp: np.ndarray, log_prob: np.ndarray, finished: np.ndarray,
                 rank: np.ndarray, beam_width: int) -> tuple[np.ndarray, ...]:
-    """The next beam pool: the ``beam_width`` best of the finished entries
-    and of every one-word extension of a live entry, by log-probability and
-    then by token order, smaller first.
+    """The next beam pool: the ``beam_width`` best finished entries and
+    one-word extensions of live ones, by log-probability, then token order.
 
     ``logp`` holds one row of word log-probabilities per pool entry (rows
     past the pool are ignored) and ``rank`` each entry's place in token
     order. Returns, best first, each new entry's backpointer into the pool,
     its new word (-1 for a finished entry carried over), log-probability and
-    rank. Only candidates scoring at least the ``beam_width``-th best score,
-    ties included, are sorted, which keeps the same pool as sorting every
-    candidate. Token order is the parent's order, then the new word's: no
-    entry's tokens are a prefix of another's (each ends in EOS, or all reach
-    the cap at once), and a carried entry has no siblings.
-
-    A pool with no finished entry takes a shorter path to the same result:
-    its candidates are the flat view of the extension scores, with nothing
-    to gather or join. In the benchmark's caption calls that is 99.7% of
-    beam steps at V=1000 from an untrained model and 96.9% at desk scale
-    from a trained one; the rest take the general path.
+    rank. A finished entry's row holds one candidate, itself, in column 0
+    (-inf fills the rest and is never kept). One cut keeps the flat scores
+    at least the ``beam_width``-th best, ties included, and only those are
+    sorted. Token order, smaller first, is the parent's order, then the new
+    word's: no entry's tokens are a prefix of another's (each ends in EOS,
+    or all reach the cap at once), and a carried entry has no siblings.
     """
-    vocab = logp.shape[1]
-    if finished.any():
-        live, done = np.flatnonzero(~finished), np.flatnonzero(finished)
-        scores = log_prob[live, None] + logp[live]
-        every = np.concatenate([log_prob[done], scores.ravel()])
-        kth = max(every.size - beam_width, 0)
-        cut = np.partition(every, kth)[kth]
-        kept = done[log_prob[done] >= cut]
-        at, grown = np.divmod(np.flatnonzero(scores >= cut), vocab)
-        parent = np.concatenate([kept, live[at]])
-        word = np.concatenate([np.full(kept.size, -1), grown])
-        cand_lp = np.concatenate([log_prob[kept], scores[at, grown]])
-    else:
-        scores = (logp[:log_prob.size] + log_prob[:, None]).ravel()
-        kth = max(scores.size - beam_width, 0)
-        picked = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
-        parent, word = np.divmod(picked, vocab)
-        cand_lp = scores[picked]
+    vocab, carry = logp.shape[1], finished.any()
+    scores = logp[:log_prob.size] + log_prob[:, None]
+    if carry:
+        scores[finished] = -np.inf
+        scores[finished, 0] = log_prob[finished]
+    scores = scores.ravel()
+    kth = max(scores.size - beam_width, 0)
+    picked = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+    if carry:
+        picked = picked[scores[picked] > -np.inf]
+    parent, word = np.divmod(picked, vocab)
+    if carry:
+        word[finished[parent]] = -1
+    cand_lp = scores[picked]
     key = rank[parent] * (vocab + 1) + word
     order = np.lexsort((key, -cand_lp))[:beam_width]
     return parent[order], word[order], cand_lp[order], np.argsort(np.argsort(key[order]))

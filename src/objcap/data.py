@@ -359,5 +359,6 @@ def read_json(path: str | Path, text: str | None = None):
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Canonical JSON: sorted keys, no float noise, trailing newline."""
+    """Canonical JSON: sorted keys, no float noise, trailing newline; makes missing directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")

@@ -44,7 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Reader, ValidationError, Vocabulary, build_vocab, encode_caption, read_json
+from .data import (Dataset, Reader, ValidationError, Vocabulary, build_vocab, encode_caption,
+                   read_json, write_json)
 from .model import Model, ModelConfig, batch_nll, config_from_dict, init_model
 from .tensor import ContractError, Tensor, collector_paused, no_tape
 
@@ -492,7 +493,7 @@ def save_checkpoint(path: str | Path, model: Model, vocab: Vocabulary,
             f.write(struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim,
                                 *arr.shape))
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
-    Path(str(path) + ".json").write_text(json.dumps(config, sort_keys=True, indent=1) + "\n")
+    write_json(f"{path}.json", config)
 
 
 @dataclass

@@ -159,9 +159,9 @@ def beam_search_by_hypothesis(p, ctx, beam_width: int, max_words: int):
 
 
 def beam_select_general(logp, log_prob, finished, rank, beam_width: int):
-    """``captioner.beam_select``'s path for a pool with finished entries,
-    run on any pool: the reference its shorter path for a pool without
-    them is held to, bit for bit."""
+    """The live/done split ``captioner.beam_select`` once ran for a pool
+    with finished entries, run on any pool: the reference its one flat cut
+    is held to, bit for bit."""
     live, done = np.flatnonzero(~finished), np.flatnonzero(finished)
     scores = log_prob[live, None] + logp[live]
     every = np.concatenate([log_prob[done], scores.ravel()])

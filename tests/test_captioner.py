@@ -515,11 +515,12 @@ class TestBeamSearch:
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
     def test_select_without_finished_entries_equals_the_general_path(self, width):
         """Pools as a search grows them from BOS over random word
-        log-probabilities: every step, either path of ``beam_select`` gives
-        the general path's four arrays bit for bit. Every second case draws
-        integer log-probabilities, so ties at the cut are common; early
-        pools are smaller than the width, and EOS finishes entries that
-        later steps carry over."""
+        log-probabilities: every step, with or without a finished entry,
+        ``beam_select``'s one flat cut gives the four arrays of
+        ``beam_select_general`` (the live/done split it replaced) bit for
+        bit. Every second case draws integer log-probabilities, so ties at
+        the cut are common; early pools are smaller than the width, and EOS
+        finishes entries that later steps carry over."""
         rng = np.random.default_rng(33 + width)
         steps = {False: 0, True: 0}     # by whether the pool held a finished entry
         for case in range(60):
@@ -541,6 +542,31 @@ class TestBeamSearch:
                 if finished.all():
                     break
         assert steps[False] and (steps[True] or width == 1)    # one entry: EOS ends the search
+
+    def test_select_writes_into_none_of_its_inputs(self):
+        """``logp``, ``log_prob``, ``finished`` and ``rank`` keep their
+        bytes across every call, for pools with and without finished
+        entries, and so do the arrays a call returned once the next call
+        takes them as its pool. Small vocabularies at wide beams leave some
+        pools with fewer candidates than the width."""
+        rng = np.random.default_rng(34)
+        steps = {False: 0, True: 0}     # by whether the pool held a finished entry
+        for case in range(60):
+            vocab, width = int(rng.integers(3, 12)), int(rng.integers(1, 7))
+            log_prob, finished = np.zeros(1), np.zeros(1, dtype=bool)
+            rank = np.zeros(1, dtype=np.int64)
+            for _ in range(8):
+                logp = np.log(rng.dirichlet(np.ones(vocab), size=width))
+                inputs = (logp, log_prob, finished, rank)
+                before = [a.copy() for a in inputs]
+                _, word, log_prob, rank = beam_select(*inputs, width)
+                for a, b in zip(inputs, before, strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"case {case}"
+                steps[bool(finished.any())] += 1
+                finished = (word < 0) | (word == EOS_ID)
+                if finished.all():
+                    break
+        assert steps[False] and steps[True], steps
 
     def test_hypothesis_invariants(self):
         m = tiny_model(20)

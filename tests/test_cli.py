@@ -153,6 +153,18 @@ class TestCaptionCommand:
                         for row in matrix:
                             assert abs(sum(row) - 1.0) < 1e-6
 
+    def test_outputs_in_new_nested_directories(self, tmp_path, corpus):
+        """``--out`` and ``--trace`` in directories that do not exist yet:
+        both are made, and the files hold the bytes written beside them."""
+        out = run_train(tmp_path, corpus)
+        ckpt, manifest = str(out / "model.ckpt"), str(corpus / "manifest.json")
+        for pred, trace in [(tmp_path / "pred.json", tmp_path / "trace.json"),
+                            (tmp_path / "a" / "b" / "pred.json", tmp_path / "c" / "d" / "t.json")]:
+            assert main(["caption", "--ckpt", ckpt, "--data", manifest,
+                         "--out", str(pred), "--trace", str(trace)]) == 0
+        assert (tmp_path / "a/b/pred.json").read_bytes() == (tmp_path / "pred.json").read_bytes()
+        assert (tmp_path / "c/d/t.json").read_bytes() == (tmp_path / "trace.json").read_bytes()
+
     def test_beam_one_matches_internal_greedy(self, tmp_path, corpus):
         out = run_train(tmp_path, corpus)
         code = main(["caption", "--ckpt", str(out / "model.ckpt"),
@@ -531,6 +543,17 @@ class TestEvalCommand:
         report = json.loads(report_path.read_text())
         assert report["bleu"] == [1.0, 1.0, 1.0, 1.0]
         assert report["rouge_l"] == 1.0
+
+    def test_report_in_new_nested_directories(self, tmp_path, corpus, capsys):
+        refs = json.loads((corpus / "refs.json").read_text())
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({sid: caps[0] for sid, caps in refs.items()}))
+        report = tmp_path / "a" / "b" / "report.json"
+        for path in (report, tmp_path / "report.json"):
+            assert main(["eval", "--pred", str(pred), "--refs", str(corpus / "refs.json"),
+                         "--out", str(path)]) == 0
+        assert report.read_bytes() == (tmp_path / "report.json").read_bytes()
+        assert capsys.readouterr().err == ""
 
     def test_missing_pred_file_exits_1(self, tmp_path, corpus):
         assert main(["eval", "--pred", str(tmp_path / "none.json"),

@@ -51,8 +51,9 @@ def test_segment_context_off_the_tape_equals_taped(mode):
 
 @pytest.mark.parametrize("vocab, eos_nudge", [(20, 0.0), (1000, 0.03)], ids=["20", "1000"])
 def test_beam_search_off_the_tape_equals_taped(vocab, eos_nudge, monkeypatch):
-    """Widths 1, 2 and 5. Both paths of ``beam_select`` run at each
-    vocabulary size: at V=20 EOS enters some pools by itself; at V=1000,
+    """Widths 1, 2 and 5. At each vocabulary size ``beam_select`` takes
+    pools with and without a finished entry, so its carried-entry fix-ups
+    run: at V=20 EOS enters some pools by itself; at V=1000,
     where an untrained model's scores are nearly flat, EOS's output bias is
     raised just enough that some searches end early, some carry a finished
     entry to the cap and some never finish one."""
