@@ -2,6 +2,17 @@
 deterministic batching in fixed micro-batches (run in forked workers where
 a second CPU is usable), and a versioned binary checkpoint.
 
+ADAM runs over flat float64 buffers. An ``AdamState`` lays them out on its
+first step (``adam_step``): one for the parameters and one for each moment,
+in sorted-name order (``_flat_views``, the training workers' layout too).
+Each parameter's Tensor and each moment's entry then holds its view. The
+state owns the layout: while ``train`` runs the model's parameters are
+views of its buffer, and ``train`` ends the layout before it returns
+(``AdamState.release``), so the parameters it returns own their arrays and
+only the moments' two buffers live on with the state. A step's workspace,
+the gradients' copy and a scratch, is one array that the step makes and
+frees: kept between steps, it would sit through every backward's peak.
+
 Checkpoint layout (integers little-endian u32 unless noted):
 
     magic      4 bytes  b"VCKP"
@@ -106,38 +117,73 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    # adam_step's layout: the parameters' views of the flat parameter
+    # buffer, then the flat parameter and moment buffers (module docstring)
+    flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def release(self, params: dict[str, Tensor]) -> None:
+        """End the flat layout: each of ``params`` gets its own copy of its
+        array and the flat parameter buffer goes; the moments stay views of
+        theirs."""
+        for p in params.values():
+            p.data = p.data.copy()
+        self.flat = None
+
+
+def _lay_out(params: dict[str, Tensor], state: AdamState) -> tuple:
+    """Move ``params``' arrays into one flat buffer, and ``state``'s moments
+    (zeros where it holds none) into one each, as views in sorted-name
+    order (``_flat_views``); returns the layout ``state.flat`` keeps."""
+    size = sum(p.data.size for p in params.values())
+    data, m, v = np.empty(size), np.zeros(size), np.zeros(size)
+    views = _flat_views(data, params)
+    for name, view in views.items():
+        view[...] = params[name].data
+        params[name].data = view
+    for moments, buffer in ((state.m, m), (state.v, v)):
+        for name, view in _flat_views(buffer, params).items():
+            if name in moments:
+                view[...] = moments[name]
+            moments[name] = view
+    return views, data, m, v
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """One ADAM update in place; parameters are visited in sorted-name order
-    so accumulation order never varies."""
+    """One ADAM update in place: 14 elementwise operations, each run once
+    over the flat buffers of ``state.flat`` (laid out on first use and again
+    once a parameter's array is not its view) and over the step's workspace,
+    one array made here: the gradients copied in, and a scratch. Each
+    element is formed as in ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, in
+    that order."""
+    for name in sorted(params):
+        if grads[name].shape != params[name].data.shape:
+            raise ContractError(f"gradient shape {grads[name].shape} != param shape "
+                                f"{params[name].data.shape} for {name}")
+    if state.flat is None or state.flat[0].keys() != params.keys() or any(
+            params[name].data is not view for name, view in state.flat[0].items()):
+        state.flat = _lay_out(params, state)
+    views, data, m, v = state.flat
     state.step += 1
     t = state.step
-    for name in sorted(params):
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ContractError(f"gradient shape {g.shape} != param shape {p.data.shape}"
-                                f" for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), built in place in that order
-        den = v / (1.0 - beta2 ** t)
-        np.sqrt(den, out=den)
-        den += eps
-        step = m / (1.0 - beta1 ** t)
-        step *= lr
-        step /= den
-        p.data -= step
+    g, s = np.empty((2, data.size))
+    np.concatenate([grads[name] for name in views], axis=None, out=g)
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=s)
+    m += s
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=s)
+    s *= g
+    v += s
+    # sqrt(v_hat) + eps in the scratch, then lr * m_hat / it over the gradient
+    np.divide(v, 1.0 - beta2 ** t, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    np.divide(m, 1.0 - beta1 ** t, out=g)
+    g *= lr
+    g /= s
+    data -= g
     return state
 
 
@@ -463,6 +509,7 @@ def train(cfg: TrainConfig, dataset: Dataset,
             if cfg.stop_train_loss is not None and train_loss < cfg.stop_train_loss:
                 break
 
+    adam.release(params)
     return TrainResult(model=model, vocab=vocab, adam=adam, log=log)
 
 

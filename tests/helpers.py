@@ -811,3 +811,36 @@ def lstm_cell_reference(wx, wh, b, x, h_prev, c_prev):
 
     c = _record(c_data, (wx, wh, b, x, h_prev, c_prev), _backward_c)
     return _record(h_data, (c,), _backward_h), c
+
+
+def adam_step_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """``trainer.adam_step`` as a loop over the parameters in sorted-name
+    order, with temporaries of each parameter's size: the reference for the
+    fused step over flat buffers. It keeps ``state``'s moments as arrays of
+    their own and never lays them out."""
+    state.step += 1
+    t = state.step
+    for name in sorted(params):
+        p = params[name]
+        g = grads[name]
+        if g.shape != p.data.shape:
+            raise tensor.ContractError(f"gradient shape {g.shape} != param shape "
+                                       f"{p.data.shape} for {name}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), built in place in that order
+        den = v / (1.0 - beta2 ** t)
+        np.sqrt(den, out=den)
+        den += eps
+        step = m / (1.0 - beta1 ** t)
+        step *= lr
+        step /= den
+        p.data -= step
+    return state

@@ -50,6 +50,11 @@ GRAPH_PEAK_MAX_MIB = 15.2
 # one model's parameters. Measured: save 0.28 (no ADAM state) and 0.11 MiB,
 # load 2.76 MiB.
 CHECKPOINT_HELD_MAX_MIB = 2.53
+# KiB that test_adam_step_memory's second step at V=1000 may trace beyond
+# its workspace, the one array of two parameter-sized halves it makes (the
+# gradients' copy and a scratch); fixed before measuring. A step with one
+# more parameter-sized temporary would trace 795 KiB beyond it.
+ADAM_STEP_EXTRA_MAX_KIB = 64
 
 
 def op_nodes(roots, stop=()) -> int:
@@ -200,6 +205,23 @@ def test_checkpoint_memory(report, tmp_path):
                               ("checkpoint load holds", held, CHECKPOINT_HELD_MAX_MIB),
                               ("checkpoint load peak", peak, round(held + param_mib, 2))]:
         assert report("MEMORY", name, round(size, 2), bound, " MiB") <= bound
+
+
+def test_adam_step_memory(report):
+    """A second ADAM step at V=1000, its flat buffers laid out by the
+    first, traces nothing beyond its workspace but a few small objects, and
+    holds nothing once it returns."""
+    m = init_model(ModelConfig(vocab_size=1000), seed=0)
+    params = m.named_parameters()
+    rng = np.random.default_rng(5)
+    grads = {n: rng.normal(size=p.data.shape) for n, p in params.items()}
+    adam = adam_step(params, grads, AdamState(), 1e-3)
+    workspace_kib = 2 * sum(p.data.nbytes for p in params.values()) / 1024
+    _, held, peak = traced_mib(lambda: adam_step(params, grads, adam, 1e-3))
+    for name, kib in [("ADAM step peak beyond its workspace", peak * 1024 - workspace_kib),
+                      ("ADAM step holds", held * 1024)]:
+        assert report("MEMORY", name, round(kib, 1), ADAM_STEP_EXTRA_MAX_KIB, " KiB") \
+            <= ADAM_STEP_EXTRA_MAX_KIB
 
 
 def test_beam_step_node_count_does_not_depend_on_width(report):

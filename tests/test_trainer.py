@@ -24,6 +24,8 @@ from objcap.trainer import (
     train,
 )
 
+from helpers import adam_step_reference
+
 SMALL_SPEC = SynthSpec(segments=4, max_frames=3, max_objects=3, feature_dim=6,
                        vocab_words=4)
 SMALL_MODEL = dict(num_groups=2, attn_dim=4, interaction_hidden=4, img_proj_dim=4,
@@ -111,6 +113,91 @@ class TestAdamStep:
                 assert params[name].data.tobytes() == p.tobytes(), (t, name)
                 assert state.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
                 assert state.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
+
+
+def zero_and_tiny_grads(rng, params):
+    """Normal gradients of ``params``' shapes with zeros, values whose square
+    underflows and subnormals mixed in."""
+    grads = {}
+    for name, p in params.items():
+        g = rng.normal(size=p.data.shape)
+        u = rng.random(p.data.shape)
+        g[u < 0.2] = 0.0
+        g[u < 0.05] = rng.normal() * 1e-160
+        g[u > 0.95] *= 1e-310
+        grads[name] = g
+    return grads
+
+
+def assert_same_bytes(params, state, ref_params, ref_state):
+    assert params.keys() == ref_params.keys()
+    assert state.step == ref_state.step
+    for name, ref in ref_params.items():
+        assert params[name].data.tobytes() == ref.data.tobytes(), name
+        assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+        assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+
+class TestFusedAdamStep:
+    """The fused step over flat buffers equals ``adam_step_reference``, the
+    per-parameter loop, byte for byte: parameters and both moments."""
+
+    @pytest.mark.parametrize("vocab_size", [14, 504])
+    def test_five_steps_equal_the_reference(self, vocab_size):
+        """Five steps over every parameter of the model at V=14 (the desk
+        model) and V=504, with zero and tiny gradients and non-default
+        betas; the layout is released after the second step, so the third
+        lays it out again and copies the moments in."""
+        model = init_model(ModelConfig(vocab_size=vocab_size), seed=0)
+        params = model.named_parameters()
+        ref = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+        state, ref_state = AdamState(), AdamState()
+        rng = np.random.default_rng(vocab_size)
+        for t in range(5):
+            grads = zero_and_tiny_grads(rng, params)
+            grads["captioner.out_b"][:] = 0.0
+            adam_step(params, grads, state, 3e-3, 0.8, 0.99, 1e-7)
+            adam_step_reference(ref, grads, ref_state, 3e-3, 0.8, 0.99, 1e-7)
+            if t == 1:
+                state.release(params)
+                assert state.flat is None
+                assert all(p.data.base is None for p in params.values())
+        assert all(np.shares_memory(p.data, state.flat[1]) for p in params.values())
+        assert_same_bytes(params, state, ref, ref_state)
+
+    def test_clipped_training_equals_the_reference(self, tmp_path, monkeypatch):
+        """``train`` with ``grad_clip`` set, so every step takes rescaled
+        gradients, ends with the reference's bytes."""
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=2, batch_size=1, seed=3, grad_clip=1e-3)
+        fused = train(cfg, ds, SMALL_MODEL)
+        monkeypatch.setattr(trainer, "adam_step", adam_step_reference)
+        ref = train(cfg, ds, SMALL_MODEL)
+        assert fused.adam.step >= 5
+        assert fused.adam.flat is None
+        assert_same_bytes(fused.model.named_parameters(), fused.adam,
+                          ref.model.named_parameters(), ref.adam)
+
+    def test_steps_from_a_loaded_checkpoint_equal_the_reference(self, tmp_path):
+        """A state that ``load_checkpoint`` returned holds moments of their
+        own; the first step lays them out, copied in, and five steps equal
+        the reference's from a second load of the same file."""
+        ds = small_dataset(tmp_path)
+        cfg = TrainConfig(max_epochs=1, batch_size=2, seed=4)
+        res = train(cfg, ds, SMALL_MODEL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, res.model, res.vocab, res.adam, cfg)
+        mine, theirs = load_checkpoint(path), load_checkpoint(path)
+        params = mine.model.named_parameters()
+        ref = theirs.model.named_parameters()
+        assert all(np.any(m != 0.0) for m in mine.adam.m.values())
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            grads = zero_and_tiny_grads(rng, params)
+            adam_step(params, grads, mine.adam, 1e-3)
+            adam_step_reference(ref, grads, theirs.adam, 1e-3)
+        assert mine.adam.step == res.adam.step + 5
+        assert_same_bytes(params, mine.adam, ref, theirs.adam)
 
 
 class TestTrainLoop:

@@ -5,6 +5,9 @@
 #     plus greedy decoding of every segment (caption --beam 1 --split all);
 #   - the paper-shape check: 24 segments of 30 frames and 15 objects, V=40,
 #     two epochs at batch 7, caption --split all --beam 5 --trace.
+# OUT/machine.txt names what the bits depend on: numpy's version, its BLAS
+# build and the kernel OpenBLAS picked at run time (from the bundled
+# library's scipy_openblas_get_corename64_, "unknown" where it is absent).
 # tools/artifact_hashes.sh OUT prints their hashes, and tools/drift.py
 # compares two such directories.
 #
@@ -17,6 +20,24 @@ export PYTHONPATH="$tree/src" PYTHONDONTWRITEBYTECODE=1
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 objcap() { python3 -m objcap.cli "$@" > /dev/null; }
 cd "$out"
+
+python3 - > machine.txt <<'PY'
+import ctypes
+import numpy
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas['name']} {blas['version']}"
+except (TypeError, KeyError):
+    blas = "BLAS unknown"
+try:
+    path = next(line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line)
+    corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    kernel = corename().decode()
+except (OSError, StopIteration, AttributeError):
+    kernel = "unknown"
+print(f"numpy {numpy.__version__}, {blas}, kernel {kernel}")
+PY
 
 objcap synth --seed 42 --segments 8 --frames 5 --objects 5 --dim 32 --vocab 12 --out corpus
 cat > config.json <<'JSON'

@@ -6,9 +6,10 @@ Builds the benchmark's seed-1 ``train_paper_b32`` corpus, takes the batch of
 (``model.batch_nll``) and backward in this process on one BLAS thread. It
 prints the process's ``ru_maxrss`` before the forward, after the forward and
 after the backward, and then every backward node that raised it, by the op
-that recorded the node, with the high-water after it. ``tracemalloc`` sees
-only what numpy allocates, not how the heap grows; this reads what the
-benchmark's ``peak_rss_mb`` reads.
+that recorded the node, with the high-water after it, and the high-water
+after one ADAM step (``trainer.adam_step``) on the batch's gradients.
+``tracemalloc`` sees only what numpy allocates, not how the heap grows;
+this reads what the benchmark's ``peak_rss_mb`` reads.
 
 It then runs one ``trainer.train`` call at batch 32 over the same corpus
 (one epoch, the benchmark's operation) in a second process, and prints that
@@ -16,9 +17,9 @@ process's high-water before and after the call (``RUSAGE_SELF``), its
 reaped children's (``RUSAGE_CHILDREN``: the worker processes ``train``
 forks, if any) and each side's CPU seconds.
 
-Last it takes one ADAM step and hands the model, its vocabulary and its
-ADAM state to a third process, and prints that process's ``ru_maxrss``
-before a ``trainer.save_checkpoint``, after it and after the
+Last it hands the stepped model, its vocabulary and its ADAM state to a
+third process, and prints that process's ``ru_maxrss`` before a
+``trainer.save_checkpoint``, after it and after the
 ``trainer.load_checkpoint`` of the file written. Linux carries the
 high-water across fork and exec, so both processes are started before this
 one imports numpy, and wait for their input on stdin.
@@ -177,8 +178,13 @@ def step(root: Path, tmp: Path) -> tuple:
     params = mdl.named_parameters()
     adam = trainer.adam_step(params, {n: p.grad for n, p in params.items()},
                              trainer.AdamState(), lr=1e-3)
+    print(f"RSS after one ADAM step: {max_rss_mb():.1f} MB")
     for p in params.values():
         p.zero_grad()
+    # end the flat layout as train() does, so the round trip gets the
+    # moments alone (a tree from before the layout has no release)
+    if hasattr(adam, "release"):
+        adam.release(params)
     return manifest, seed, (mdl, vocab, adam)
 
 
